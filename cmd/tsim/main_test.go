@@ -127,18 +127,40 @@ func TestExperimentAllGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite is too slow for -short")
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "experiment_all_golden.json"))
-	if err != nil {
-		t.Fatalf("reading golden: %v", err)
-	}
 	code, stdout, stderr := runCLI(t, "-experiment", "all", "-json")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, stderr)
 	}
-	if stdout == string(want) {
+	assertGolden(t, "experiment_all_golden.json", stdout)
+}
+
+// TestRecoveryBERGolden pins a fault-injected recovery run whose
+// BER-1e-6 link stream corrupts about 41% of 64 KB snapshot frames, so
+// the nack, retransmit and checkpoint paths all leave their mark on the
+// bytes. It is the ckpt-recovery benchmark workload's configuration at
+// seed 1, and it must hold at every kernel worker count.
+func TestRecoveryBERGolden(t *testing.T) {
+	for _, workers := range []string{"1", "2"} {
+		code, stdout, stderr := runCLI(t, "-workload", "recovery", "-dim", "5", "-phases", "8", "-ckpt", "2s",
+			"-faults", "seed=1,ber=1e-6,crash=2@12s", "-json", "-kernel-shards", workers)
+		if code != 0 {
+			t.Fatalf("workers=%s: exit = %d, stderr: %s", workers, code, stderr)
+		}
+		assertGolden(t, "recovery_dim5_ber1e-6_golden.json", stdout)
+	}
+}
+
+// assertGolden fails the test unless got equals testdata/name byte for
+// byte, quoting the neighbourhood of the first differing byte.
+func assertGolden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatalf("reading golden: %v", err)
+	}
+	if got == string(want) {
 		return
 	}
-	got := []byte(stdout)
 	i := 0
 	for i < len(got) && i < len(want) && got[i] == want[i] {
 		i++
@@ -147,7 +169,7 @@ func TestExperimentAllGolden(t *testing.T) {
 	if lo < 0 {
 		lo = 0
 	}
-	ctx := func(b []byte) string {
+	ctx := func(b string) string {
 		h := hi
 		if h > len(b) {
 			h = len(b)
@@ -155,10 +177,10 @@ func TestExperimentAllGolden(t *testing.T) {
 		if lo >= h {
 			return ""
 		}
-		return string(b[lo:h])
+		return b[lo:h]
 	}
-	t.Fatalf("output differs from golden at byte %d (got %d bytes, want %d)\n got: …%q…\nwant: …%q…",
-		i, len(got), len(want), ctx(got), ctx(want))
+	t.Fatalf("output differs from %s at byte %d (got %d bytes, want %d)\n got: …%q…\nwant: …%q…",
+		name, i, len(got), len(want), ctx(got), ctx(string(want)))
 }
 
 // TestKernelShardsFlagIsOutputInvariant pins the CLI-level determinism

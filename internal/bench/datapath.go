@@ -14,19 +14,21 @@ import (
 // beside the kernel scenarios so the regression gate covers them too.
 
 // nackEvery corrupts every k-th transmission attempt, forcing the
-// checksum-nack-retransmit path without ever exhausting the send budget.
+// CRC-nack-retransmit path without ever exhausting the send budget.
 type nackEvery struct {
 	k, n int
 }
 
-func (c *nackEvery) Corrupt(_ string, data []byte) []byte {
+// firstByte inverts all eight bits of byte 0: a burst the CRC always
+// catches.
+var firstByte = []int{0, 1, 2, 3, 4, 5, 6, 7}
+
+func (c *nackEvery) Corrupt(_ string, _ int) []int {
 	c.n++
 	if c.n%c.k != 0 {
 		return nil
 	}
-	bad := append([]byte(nil), data...)
-	bad[0] ^= 0xFF
-	return bad
+	return firstByte
 }
 
 func datapathScenarios() []scenario {

@@ -85,8 +85,8 @@ type Plan struct {
 	// Seed drives every random decision the plan makes.
 	Seed uint64
 	// BER is the probability that any single payload bit of a link
-	// transfer is inverted on the wire. The frame checksum catches
-	// (almost) all such corruption and the link layer retransmits.
+	// transfer is inverted on the wire. The frame CRC catches (almost)
+	// all such corruption and the link layer retransmits.
 	BER float64
 	// Events are the timed faults, applied in At order.
 	Events []Event
@@ -133,20 +133,22 @@ func (pl *Plan) next01() float64 {
 // for auxiliary choices such as which disk block an event corrupts).
 func (pl *Plan) NextUint() uint64 { return pl.next() }
 
-// Corrupt implements the link layer's frame-corruption hook: given the
-// payload of one transfer it returns nil if the frame crosses clean, or
-// a damaged copy with one or more bits inverted. Error positions are
-// drawn geometrically from the BER, so the per-frame corruption
-// probability is 1-(1-BER)^(8·len) — long frames are proportionally
-// more exposed, exactly like real serial links.
-func (pl *Plan) Corrupt(name string, data []byte) []byte {
+// Corrupt implements the link layer's frame-corruption hook: for one
+// transmission attempt of an n-byte frame it returns the ascending
+// positions of the bits the wire inverts (position 8b+j is bit 1<<j of
+// byte b), or nil if the frame crosses clean. Error positions are drawn
+// geometrically from the BER, so the per-frame corruption probability
+// is 1-(1-BER)^(8n) — long frames are proportionally more exposed,
+// exactly like real serial links. The plan never sees the payload;
+// whether the receiver's CRC catches the damage is the link's decision.
+func (pl *Plan) Corrupt(name string, n int) []int {
 	p := pl.BER
-	if p <= 0 || len(data) == 0 {
+	if p <= 0 || n <= 0 {
 		return nil
 	}
-	bits := len(data) * 8
+	bits := n * 8
 	logq := math.Log1p(-p)
-	var out []byte
+	var flips []int
 	pos := -1
 	for {
 		skip := int(math.Log(pl.next01()) / logq)
@@ -154,14 +156,11 @@ func (pl *Plan) Corrupt(name string, data []byte) []byte {
 			break
 		}
 		pos += skip + 1
-		if out == nil {
-			out = append([]byte(nil), data...)
-		}
-		out[pos/8] ^= 1 << uint(pos%8)
+		flips = append(flips, pos)
 		pl.BitsFlipped++
 	}
-	if out != nil {
+	if flips != nil {
 		pl.FramesCorrupted++
 	}
-	return out
+	return flips
 }

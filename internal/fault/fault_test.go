@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 
 	"tseries/internal/sim"
@@ -60,10 +61,10 @@ func TestParseEmptyAndErrors(t *testing.T) {
 }
 
 func TestCorruptDeterministic(t *testing.T) {
-	frame := make([]byte, 1024)
-	damage := func(seed uint64) ([]int64, [][]byte) {
+	const frame = 1024
+	damage := func(seed uint64) ([]int64, [][]int) {
 		pl := &Plan{Seed: seed, BER: 1e-4}
-		var outs [][]byte
+		var outs [][]int
 		for i := 0; i < 64; i++ {
 			outs = append(outs, pl.Corrupt("x", frame))
 		}
@@ -77,10 +78,20 @@ func TestCorruptDeterministic(t *testing.T) {
 	if c1[0] == 0 {
 		t.Fatal("BER 1e-4 corrupted nothing in 64 KB")
 	}
+	var flips int64
 	for i := range o1 {
-		if string(o1[i]) != string(o2[i]) {
+		if !slices.Equal(o1[i], o2[i]) {
 			t.Fatalf("frame %d corruption diverged", i)
 		}
+		for j, pos := range o1[i] {
+			if pos < 0 || pos >= 8*frame || (j > 0 && pos <= o1[i][j-1]) {
+				t.Fatalf("frame %d: flips %v not ascending inside the frame", i, o1[i])
+			}
+		}
+		flips += int64(len(o1[i]))
+	}
+	if flips != c1[1] {
+		t.Fatalf("returned %d flips, BitsFlipped = %d", flips, c1[1])
 	}
 	c3, _ := damage(43)
 	if c1[0] == c3[0] && c1[1] == c3[1] {
@@ -90,14 +101,14 @@ func TestCorruptDeterministic(t *testing.T) {
 
 func TestCorruptZeroRate(t *testing.T) {
 	pl := &Plan{Seed: 1, BER: 0}
-	if out := pl.Corrupt("x", make([]byte, 4096)); out != nil {
+	if out := pl.Corrupt("x", 4096); out != nil {
 		t.Fatal("BER 0 corrupted a frame")
 	}
 	if pl.FramesCorrupted != 0 || pl.BitsFlipped != 0 {
 		t.Fatalf("counters moved: %+v", pl)
 	}
 	pl2 := &Plan{Seed: 1, BER: 0.5}
-	if out := pl2.Corrupt("x", nil); out != nil {
+	if out := pl2.Corrupt("x", 0); out != nil {
 		t.Fatal("empty frame corrupted")
 	}
 }

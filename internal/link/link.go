@@ -15,7 +15,7 @@ package link
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"strconv"
 	"sync/atomic"
 
 	"tseries/internal/sim"
@@ -68,8 +68,8 @@ const Lookahead = DMAStartup + ByteTime
 
 // Reliability constants. The wire protocol already carries two
 // acknowledge bits per byte; on top of that each DMA frame carries a
-// checksum, and the receiver's final acknowledge doubles as an
-// ack/nack for the whole frame. A sender that sees a nack (checksum
+// CRC-32 (crc.go), and the receiver's final acknowledge doubles as an
+// ack/nack for the whole frame. A sender that sees a nack (CRC
 // failure) or no acknowledge at all (dead wire or dead peer) retries
 // with exponential backoff, and gives up with a DownError once
 // MaxSendAttempts transmissions have failed.
@@ -93,16 +93,21 @@ func RetryBackoff(attempt int) sim.Duration {
 	return d
 }
 
-// Checksum is the per-frame integrity check the receiver applies
-// before acknowledging a DMA transfer.
-func Checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
-
 // Injector lets a fault plan damage frames in flight. Corrupt is
-// called once per transmission attempt with the payload; it returns
-// nil when the frame crosses clean, or a damaged copy.
+// called once per transmission attempt of an n-byte frame on the named
+// sublink. It returns the ascending positions of the bits the wire
+// inverts, where position 8b+j is bit 1<<j of byte b, or nil when the
+// frame crosses clean. The injector never sees the payload.
 type Injector interface {
-	Corrupt(sublink string, data []byte) []byte
+	Corrupt(sublink string, n int) []int
 }
+
+// ErrNotConnected reports a Send on a sublink with no peer: one never
+// wired, or one a Rewire left orphaned.
+var ErrNotConnected = errors.New("link: sublink not connected")
+
+// ErrEmptyFrame reports a Send of a zero-length frame.
+var ErrEmptyFrame = errors.New("link: empty frame")
 
 // DownError reports that a transfer was abandoned after exhausting its
 // retransmit budget: the wire is cut or the peer has stopped
@@ -130,9 +135,8 @@ func EffectiveBandwidth() float64 {
 
 // Message is one DMA transfer's payload.
 type Message struct {
-	Data     []byte
-	From     string // sending sublink, for tracing
-	Checksum uint32 // frame checksum as transmitted
+	Data []byte
+	From string // sending sublink, for tracing
 }
 
 // Link is one node's driver for a single physical serial link. Its
@@ -151,7 +155,7 @@ type Link struct {
 
 	// Fault accounting.
 	Corrupted   int64 // frames damaged on the wire
-	Undetected  int64 // damaged frames the checksum failed to catch
+	Undetected  int64 // damaged frames the CRC failed to catch
 	Retransmits int64 // extra transmissions after a nack or timeout
 	Timeouts    int64 // attempts lost to a dead wire or dead peer
 	Drops       int64 // sends abandoned with a DownError
@@ -180,7 +184,7 @@ func (l *Link) SetDown(down bool) {
 // link. It is connected point-to-point to a peer sublink on another node.
 type Sublink struct {
 	parent *Link
-	index  int
+	name   string
 	peer   *Sublink
 	staged *stagedPeer // cross-shard peer (see staged.go); nil when local
 	inbox  *sim.Chan
@@ -191,10 +195,13 @@ type Sublink struct {
 func NewLink(k *sim.Kernel, name string) *Link {
 	l := &Link{Name: name, k: k, wire: sim.NewResource(k, name+"/wire", 1)}
 	for i := range l.subs {
+		// One string serves both names: the sublink's is the inbox's
+		// minus its "/in" suffix.
+		in := name + "/sub" + strconv.Itoa(i) + "/in"
 		l.subs[i] = &Sublink{
 			parent: l,
-			index:  i,
-			inbox:  sim.NewChan(k, fmt.Sprintf("%s/sub%d/in", name, i), 1024),
+			name:   in[:len(in)-len("/in")],
+			inbox:  sim.NewChan(k, in, 1024),
 		}
 	}
 	return l
@@ -243,9 +250,7 @@ func Rewire(a, b *Sublink) error {
 }
 
 // Name identifies the sublink for tracing.
-func (s *Sublink) Name() string {
-	return fmt.Sprintf("%s/sub%d", s.parent.Name, s.index)
-}
+func (s *Sublink) Name() string { return s.name }
 
 // Connected reports whether the sublink has a peer (local or staged).
 func (s *Sublink) Connected() bool { return s.peer != nil || s.staged != nil }
@@ -280,6 +285,12 @@ func (s *Sublink) Up() bool {
 // DMA startup plus the serial wire time. Sublinks sharing a physical
 // link queue for the wire, dividing its bandwidth.
 //
+// Send takes ownership of data. The sender must not modify it
+// afterwards; the receiver gets the same backing array and owns it. A
+// frame whose damage slipped past the CRC arrives as a damaged copy
+// instead, so the sender's bytes are never written. When Send returns
+// an error nothing was delivered and data is still the caller's.
+//
 // Delivery is reliable against wire corruption: each frame carries a
 // checksum, a corrupted frame is nacked by the receiver and
 // retransmitted at once (the nack proves the peer is alive), and a
@@ -290,28 +301,17 @@ func (s *Sublink) Up() bool {
 // identical to a bare transfer.
 func (s *Sublink) Send(p *sim.Proc, data []byte) error {
 	if s.peer == nil && s.staged == nil {
-		return fmt.Errorf("link: %s is not connected", s.Name())
+		return fmt.Errorf("%w: %s", ErrNotConnected, s.name)
 	}
 	if len(data) == 0 {
-		return fmt.Errorf("link: empty transfer on %s", s.Name())
+		return fmt.Errorf("%w on %s", ErrEmptyFrame, s.name)
 	}
 	l := s.parent
-	// The frame is staged once, at the first attempt that actually
-	// drives the wire: one copy of the payload (so the caller may reuse
-	// its buffer immediately) and one checksum, both shared by every
-	// retransmission of this Send. Ownership passes to the receiver on
-	// delivery; a frame that is never delivered goes back to the pool.
-	var frame []byte
-	var sum uint32
 	timeouts := 0
 	for {
-		if frame == nil && s.Up() {
-			frame = stageFrame(data)
-			sum = Checksum(frame)
-		}
-		delivered, acked, err := s.attempt(p, frame, sum)
+		delivered, acked := s.attempt(p, data)
 		if delivered {
-			return err
+			return nil
 		}
 		l.Retransmits++
 		if acked {
@@ -323,20 +323,18 @@ func (s *Sublink) Send(p *sim.Proc, data []byte) error {
 		timeouts++
 		if timeouts >= MaxSendAttempts {
 			l.Drops++
-			putFrame(frame)
-			return &DownError{Sublink: s.Name(), Attempts: timeouts}
+			return &DownError{Sublink: s.name, Attempts: timeouts}
 		}
 		p.Wait(RetryBackoff(timeouts))
 	}
 }
 
-// attempt performs one transmission of the staged frame. delivered means
-// the frame reached the peer (or the send must not be retried); acked
-// distinguishes a nack (checksum reject from a live peer) from silence
-// (dead wire). frame is nil exactly when the channel is down.
-func (s *Sublink) attempt(p *sim.Proc, frame []byte, sum uint32) (delivered, acked bool, err error) {
+// attempt performs one transmission of frame. delivered means the frame
+// reached the peer; acked distinguishes a nack (CRC reject from a live
+// peer) from silence (dead wire).
+func (s *Sublink) attempt(p *sim.Proc, frame []byte) (delivered, acked bool) {
 	if s.staged != nil {
-		return s.attemptStaged(p, frame, sum)
+		return s.attemptStaged(p, frame)
 	}
 	l := s.parent
 	if s.down || s.peer.down {
@@ -344,34 +342,40 @@ func (s *Sublink) attempt(p *sim.Proc, frame []byte, sum uint32) (delivered, ack
 		// bits ever come back.
 		l.wire.Use(p, DMAStartup+AckTimeout)
 		l.Timeouts++
-		return false, false, nil
+		return false, false
 	}
 	l.wire.Use(p, DMAStartup+sim.Duration(len(frame))*ByteTime)
+	data, ok := s.cross(frame)
+	if !ok {
+		return false, true
+	}
+	s.peer.inbox.Send(p, Message{Data: data, From: s.name})
+	return true, true
+}
+
+// cross accounts one crossing of the wire by frame and applies the
+// fault injector. It returns the bytes the receiver ends up with and
+// whether the receiver's CRC accepts them; false is a nack.
+func (s *Sublink) cross(frame []byte) ([]byte, bool) {
+	l := s.parent
 	l.BytesSent += int64(len(frame))
 	l.k.Count("link.bytes", int64(len(frame)))
 	l.Transfers++
-	if l.injector != nil {
-		// Corrupt never mutates its argument — it returns nil or a
-		// fresh damaged copy — so the master frame stays pristine for
-		// retransmission.
-		if bad := l.injector.Corrupt(s.Name(), frame); bad != nil {
-			l.Corrupted++
-			if Checksum(bad) != sum {
-				// Receiver's checksum rejects the frame: nack.
-				return false, true, nil
-			}
-			// The corruption slipped past the checksum — delivered
-			// wrong, counted as an uncorrected error. The damaged copy
-			// (owned by the injector call) goes to the receiver; the
-			// clean master is recycled.
-			l.Undetected++
-			s.peer.inbox.Send(p, Message{Data: bad, From: s.Name(), Checksum: sum})
-			putFrame(frame)
-			return true, true, nil
-		}
+	if l.injector == nil {
+		return frame, true
 	}
-	s.peer.inbox.Send(p, Message{Data: frame, From: s.Name(), Checksum: sum})
-	return true, true, nil
+	flips := l.injector.Corrupt(s.name, len(frame))
+	if len(flips) == 0 {
+		return frame, true
+	}
+	l.Corrupted++
+	if syndrome(len(frame), flips) != 0 {
+		return nil, false
+	}
+	// The damage slipped past the CRC: delivered wrong, counted as an
+	// uncorrected error.
+	l.Undetected++
+	return damage(frame, flips), true
 }
 
 // Flush discards any messages queued in this sublink's inbox and

@@ -14,14 +14,12 @@ type corruptFirst struct {
 	seen int
 }
 
-func (c *corruptFirst) Corrupt(sublink string, data []byte) []byte {
+func (c *corruptFirst) Corrupt(sublink string, n int) []int {
 	c.seen++
 	if c.seen > c.n {
 		return nil
 	}
-	bad := append([]byte(nil), data...)
-	bad[0] ^= 0x80
-	return bad
+	return []int{7} // the top bit of byte 0
 }
 
 func TestConnectSelfAndDouble(t *testing.T) {

@@ -2,6 +2,7 @@ package link
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"tseries/internal/sim"
@@ -16,6 +17,44 @@ func pair(k *sim.Kernel) (*Link, *Link) {
 		panic(err)
 	}
 	return a, b
+}
+
+// transferOne sends frame once from a to b, with a's outbound wire
+// under inj (nil for none), and returns what b received. staged puts
+// the two links on different shards of a ShardGroup, wired as a
+// cross-shard pair; otherwise they share one kernel.
+func transferOne(t *testing.T, staged bool, inj Injector, frame []byte) (got []byte, a *Link) {
+	t.Helper()
+	var b *Link
+	var ka, kb *sim.Kernel
+	var run func()
+	if staged {
+		g := sim.NewShardGroup(2)
+		ka, kb = g.Shard(0), g.Shard(1)
+		a, b = NewLink(ka, "a/link0"), NewLink(kb, "b/link0")
+		ab := g.ConnectInto(0, 1, "a-b", Lookahead, b.Sublink(0).Inbox())
+		ba := g.ConnectInto(1, 0, "b-a", Lookahead, a.Sublink(0).Inbox())
+		if err := ConnectStaged(a.Sublink(0), b.Sublink(0), ab, ba); err != nil {
+			t.Fatal(err)
+		}
+		run = func() { g.Run(0) }
+	} else {
+		ka = sim.NewKernel()
+		kb = ka
+		a, b = pair(ka)
+		run = func() { ka.Run(0) }
+	}
+	if inj != nil {
+		a.SetInjector(inj)
+	}
+	ka.Go("tx", func(p *sim.Proc) {
+		if err := a.Sublink(0).Send(p, frame); err != nil {
+			t.Errorf("send: %v", err)
+		}
+	})
+	kb.Go("rx", func(p *sim.Proc) { got = b.Sublink(0).Recv(p) })
+	run()
+	return got, a
 }
 
 func TestEffectiveBandwidth(t *testing.T) {
@@ -168,11 +207,11 @@ func TestErrors(t *testing.T) {
 		errEmpty = a.Sublink(0).Send(p, nil)
 	})
 	k.Run(0)
-	if errUnconnected == nil {
-		t.Fatal("unconnected send accepted")
+	if !errors.Is(errUnconnected, ErrNotConnected) {
+		t.Fatalf("unconnected send: got %v, want ErrNotConnected", errUnconnected)
 	}
-	if errEmpty == nil {
-		t.Fatal("empty send accepted")
+	if !errors.Is(errEmpty, ErrEmptyFrame) {
+		t.Fatalf("empty send: got %v, want ErrEmptyFrame", errEmpty)
 	}
 	if err := Connect(a.Sublink(0), l.Sublink(0)); err == nil {
 		t.Fatal("double connect accepted")
@@ -203,24 +242,15 @@ func TestMessageOrderPreserved(t *testing.T) {
 	}
 }
 
-func TestSenderBufferReusable(t *testing.T) {
-	k := sim.NewKernel()
-	a, b := pair(k)
-	buf := []byte{42}
-	var got byte
-	k.Go("tx", func(p *sim.Proc) {
-		if err := a.Sublink(0).Send(p, buf); err != nil {
-			t.Errorf("send: %v", err)
+func TestSendHandsOverFrame(t *testing.T) {
+	// Send takes ownership: the receiver gets the sender's backing
+	// array, on a local wire and through a cross-shard edge alike.
+	for _, staged := range []bool{false, true} {
+		buf := []byte("frame handed over by reference")
+		got, _ := transferOne(t, staged, nil, buf)
+		if len(got) != len(buf) || &got[0] != &buf[0] {
+			t.Fatalf("staged=%v: receiver got a different array than the sender sent", staged)
 		}
-		buf[0] = 99 // mutate after send; receiver must still see 42
-	})
-	k.Go("rx", func(p *sim.Proc) {
-		p.Wait(100 * sim.Microsecond)
-		got = b.Sublink(0).Recv(p)[0]
-	})
-	k.Run(0)
-	if got != 42 {
-		t.Fatalf("got %d, want 42 (no aliasing)", got)
 	}
 }
 

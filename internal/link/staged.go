@@ -8,7 +8,7 @@ import (
 
 // Cross-shard sublink wiring for the conservative parallel kernel
 // (sim.ShardGroup). A staged pair behaves like a Connect'ed pair — same
-// wire occupancy, same checksum/ack/retransmit protocol, same
+// wire occupancy, same CRC/ack/retransmit protocol, same
 // per-frame timing — but the two ends live on different shard kernels,
 // so the frame itself travels through an XChan staged edge and the
 // sender's view of the remote end's outage state is a mirror refreshed
@@ -82,36 +82,20 @@ func (s *Sublink) SyncStagedMirror() bool {
 // outcome logic, but the remote outage state comes from the mirror and
 // the delivery is staged through the edge at wire-grant time, arriving
 // exactly one frame-transfer-time later — as it would on a local wire.
-func (s *Sublink) attemptStaged(p *sim.Proc, frame []byte, sum uint32) (delivered, acked bool, err error) {
+func (s *Sublink) attemptStaged(p *sim.Proc, frame []byte) (delivered, acked bool) {
 	l := s.parent
 	if s.down || s.staged.downMirror {
 		l.wire.Use(p, DMAStartup+AckTimeout)
 		l.Timeouts++
-		return false, false, nil
+		return false, false
 	}
 	dur := DMAStartup + sim.Duration(len(frame))*ByteTime
-	var nacked bool
+	ok := true
 	l.wire.UseFunc(p, dur, func() {
-		l.BytesSent += int64(len(frame))
-		l.k.Count("link.bytes", int64(len(frame)))
-		l.Transfers++
-		data := frame
-		if l.injector != nil {
-			if bad := l.injector.Corrupt(s.Name(), frame); bad != nil {
-				l.Corrupted++
-				if Checksum(bad) != sum {
-					nacked = true
-					return
-				}
-				l.Undetected++
-				data = bad
-				putFrame(frame)
-			}
+		var data []byte
+		if data, ok = s.cross(frame); ok {
+			s.staged.x.PostDelayed(Message{Data: data, From: s.name}, dur)
 		}
-		s.staged.x.PostDelayed(Message{Data: data, From: s.Name(), Checksum: sum}, dur)
 	})
-	if nacked {
-		return false, true, nil
-	}
-	return true, true, nil
+	return ok, true
 }

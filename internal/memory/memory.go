@@ -248,19 +248,26 @@ func (m *Memory) PokeBytes(addr int, b []byte) {
 // PeekBytes copies a block out (untimed).
 func (m *Memory) PeekBytes(addr, n int) []byte {
 	out := make([]byte, n)
-	for i := 0; i < n; {
+	m.PeekInto(addr, out)
+	return out
+}
+
+// PeekInto copies len(dst) bytes starting at addr into dst (untimed).
+// Never-written rows are skipped, not copied, so dst must already be
+// zero where they fall — as a fresh allocation is.
+func (m *Memory) PeekInto(addr int, dst []byte) {
+	for i := 0; i < len(dst); {
 		a := addr + i
 		row, off := a>>rowShift, a&rowMask
 		seg := RowBytes - off
-		if seg > n-i {
-			seg = n - i
+		if seg > len(dst)-i {
+			seg = len(dst) - i
 		}
 		if c := m.rows[row]; c != nil {
-			copy(out[i:i+seg], c.data[off:off+seg])
+			copy(dst[i:i+seg], c.data[off:off+seg])
 		}
 		i += seg
 	}
-	return out
 }
 
 // RowAddr returns the first byte address of a row.

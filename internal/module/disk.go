@@ -48,7 +48,8 @@ type diskBlock struct {
 	rows []*storedRow
 }
 
-// zeroSeg feeds checksum walks over all-zero segments.
+// zeroSeg feeds checksum walks over all-zero segments and is what
+// store compares segments against to elide them.
 var zeroSeg [diskRowBytes]byte
 
 // Disk is a module's system disk. Transfers are timed; contents are real
@@ -126,16 +127,6 @@ func hashRow(b []byte) uint64 {
 	return h
 }
 
-// zeroSegment reports whether a segment is all zero bytes.
-func zeroSegment(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // intern stores one non-zero segment, sharing an existing row when the
 // content is already resident.
 func (d *Disk) intern(seg []byte) *storedRow {
@@ -189,12 +180,13 @@ func (d *Disk) release(b *diskBlock) {
 	}
 }
 
-// bytes materializes the block's logical content.
-func (b *diskBlock) bytes() []byte {
-	out := make([]byte, b.size)
+// bytes materializes the block's logical content after head spare
+// bytes, so a caller can prefix a header without a second allocation.
+func (b *diskBlock) bytes(head int) []byte {
+	out := make([]byte, head+b.size)
 	for i, r := range b.rows {
 		if r != nil {
-			copy(out[i*diskRowBytes:], r.data)
+			copy(out[head+i*diskRowBytes:], r.data)
 		}
 	}
 	return out
@@ -232,7 +224,7 @@ func (d *Disk) store(key string, data []byte) {
 			end = len(data)
 		}
 		seg := data[off:end]
-		if zeroSegment(seg) {
+		if bytes.Equal(seg, zeroSeg[:len(seg)]) {
 			nb.rows = append(nb.rows, nil)
 			d.RowsZero++
 			continue
@@ -254,6 +246,11 @@ func (d *Disk) Write(p *sim.Proc, key string, data []byte) {
 
 // Read retrieves a copy of a named block, verifying its checksum.
 func (d *Disk) Read(p *sim.Proc, key string) ([]byte, error) {
+	return d.read(p, key, 0)
+}
+
+// read is Read with head spare bytes in front of the block's content.
+func (d *Disk) read(p *sim.Proc, key string, head int) ([]byte, error) {
 	b, ok := d.blocks[key]
 	if !ok {
 		return nil, fmt.Errorf("disk %s: no block %q", d.Name, key)
@@ -264,7 +261,7 @@ func (d *Disk) Read(p *sim.Proc, key string) ([]byte, error) {
 		d.Corrupted++
 		return nil, &CorruptError{Disk: d.Name, Key: key}
 	}
-	return b.bytes(), nil
+	return b.bytes(head), nil
 }
 
 // Peek materializes a copy of a block's current content without
@@ -275,7 +272,7 @@ func (d *Disk) Peek(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return b.bytes(), true
+	return b.bytes(0), true
 }
 
 // Size reports a block's logical length (untimed), or -1 if absent.

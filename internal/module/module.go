@@ -189,7 +189,7 @@ func (m *Module) threadForwarder(p *sim.Proc, idx int, nd *node.Node) {
 		}
 		if raw[0] == kindDown && int(raw[1]) == idx {
 			seq := int(raw[2])
-			data := raw[4:]
+			data := raw[chunkHeaderBytes:]
 			// Write the image chunk back through the row port.
 			rows := (len(data) + memory.RowBytes - 1) / memory.RowBytes
 			p.Wait(sim.Duration(rows) * sim.RowAccess)
@@ -214,7 +214,7 @@ func (m *Module) threadForwarder(p *sim.Proc, idx int, nd *node.Node) {
 			reply := make([]byte, 2+count)
 			reply[0] = kindIOData
 			reply[1] = byte(idx)
-			copy(reply[2:], nd.Mem.PeekBytes(off, count))
+			nd.Mem.PeekInto(off, reply[2:])
 			m.threadSend(p, out, reply)
 			continue
 		}
@@ -222,20 +222,18 @@ func (m *Module) threadForwarder(p *sim.Proc, idx int, nd *node.Node) {
 	}
 }
 
-// threadSend forwards a frame down the thread, tolerating a severed
-// next hop: the frame is dropped and counted rather than panicking the
+// threadSend forwards a frame down the thread, tolerating a missing
+// next hop: the frame is dropped and counted rather than stopping the
 // kernel, because a crashed downstream board is exactly the situation
-// the self-healing layer exists to survive. A dropped kindDown or
-// kindIOWrite chunk still posts its application token so the feeding
-// process stays bounded — the loss surfaces as a detected fault on the
-// next heal cycle, not as a deadlocked restore.
+// the self-healing layer exists to survive. raw is never empty, so Send
+// can fail only with a DownError (a dead next hop) or ErrNotConnected
+// (a hop a rewire left orphaned); both lose the frame the same way. A
+// dropped kindDown or kindIOWrite chunk still posts its application
+// token so the feeding process stays bounded — the loss surfaces as a
+// detected fault on the next heal cycle, not as a deadlocked restore.
 func (m *Module) threadSend(p *sim.Proc, out *link.Sublink, raw []byte) {
-	err := out.Send(p, raw)
-	if err == nil {
+	if out.Send(p, raw) == nil {
 		return
-	}
-	if !link.IsDown(err) {
-		panic(err)
 	}
 	m.ThreadDrops++
 	m.k.Count("module.thread_drops", 1)
@@ -244,10 +242,22 @@ func (m *Module) threadSend(p *sim.Proc, out *link.Sublink, raw []byte) {
 	}
 }
 
-// chunkHeader is the 4-byte thread prefix: kind, node index, chunk
-// sequence number, and the snapshot epoch (zero for restore traffic).
-func chunkHeader(kind, nodeIdx, seq int, epoch byte) []byte {
-	return []byte{byte(kind), byte(nodeIdx), byte(seq), epoch}
+// chunkHeaderBytes is the thread prefix of snapshot and restore chunks:
+// kind, node index, chunk sequence number, and the snapshot epoch (zero
+// for restore traffic).
+const chunkHeaderBytes = 4
+
+func putChunkHeader(f []byte, kind, nodeIdx, seq int, epoch byte) {
+	f[0], f[1], f[2], f[3] = byte(kind), byte(nodeIdx), byte(seq), epoch
+}
+
+// snapshotFrame builds chunk seq of a node's memory image as a kindUp
+// thread frame in one allocation, tagged with image slot img.
+func snapshotFrame(mem *memory.Memory, img, seq int, epoch byte) []byte {
+	f := make([]byte, chunkHeaderBytes+SnapshotChunk)
+	putChunkHeader(f, kindUp, img, seq, epoch)
+	mem.PeekInto(seq*SnapshotChunk, f[chunkHeaderBytes:])
+	return f
 }
 
 // chunksPerNode is the number of thread chunks in one node image.
@@ -314,8 +324,7 @@ func (m *Module) Snapshot(p *sim.Proc) (*Snapshot, error) {
 			for seq := 0; seq < chunksPerNode; seq++ {
 				rows := SnapshotChunk / memory.RowBytes
 				rp.Wait(sim.Duration(rows) * sim.RowAccess)
-				data := n.Mem.PeekBytes(seq*SnapshotChunk, SnapshotChunk)
-				msg := append(chunkHeader(kindUp, img, seq, epoch), data...)
+				msg := snapshotFrame(n.Mem, img, seq, epoch)
 				if err := n.Sublink(ThreadOutSublink).Send(rp, msg); err != nil {
 					// Thread severed (node crash mid-snapshot): abandon
 					// this image; the supervisor will roll back.
@@ -371,7 +380,7 @@ func (m *Module) Snapshot(p *sim.Proc) (*Snapshot, error) {
 		}
 		nodeIdx := int(raw[1])
 		seq := int(raw[2])
-		data := raw[4:]
+		data := raw[chunkHeaderBytes:]
 		m.Disk.busy.Use(p, sim.Duration(len(data))*m.Disk.ByteTime)
 		m.Disk.store(snapKey(snap.ID, nodeIdx, seq), data)
 		got++
@@ -463,7 +472,7 @@ func (m *Module) Restore(p *sim.Proc, snap *Snapshot) error {
 	m.k.Go(fmt.Sprintf("mod%d/sys/restoreread", m.Index), func(fp *sim.Proc) {
 		for _, as := range active {
 			for seq := 0; seq < chunksPerNode; seq++ {
-				data, err := m.Disk.Read(fp, snapKey(snap.ID, as.img, seq))
+				msg, err := m.Disk.read(fp, snapKey(snap.ID, as.img, seq), chunkHeaderBytes)
 				if err != nil {
 					select {
 					case errs <- err:
@@ -471,7 +480,8 @@ func (m *Module) Restore(p *sim.Proc, snap *Snapshot) error {
 					}
 					return
 				}
-				queue.Send(fp, append(chunkHeader(kindDown, as.phys, seq, 0), data...))
+				putChunkHeader(msg, kindDown, as.phys, seq, 0)
+				queue.Send(fp, msg)
 			}
 		}
 	})

@@ -1,9 +1,11 @@
 package module
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"tseries/internal/fparith"
+	"tseries/internal/link"
 	"tseries/internal/memory"
 	"tseries/internal/node"
 	"tseries/internal/sim"
@@ -268,5 +270,60 @@ func TestExternalIOValidation(t *testing.T) {
 		if e == nil {
 			t.Fatalf("case %d accepted", i)
 		}
+	}
+}
+
+func TestSnapshotChunkTravelsByReference(t *testing.T) {
+	// A snapshot chunk crosses the thread's hops (node 0 → 1 → 2 → 3 →
+	// system board) as one array: every hop hands the frame over.
+	k, m := buildModule(t, 4)
+	m.Nodes[0].Mem.PokeWord(5, 0xC0DE)
+	var sent, collected []byte
+	k.Go("snapread", func(p *sim.Proc) {
+		sent = snapshotFrame(m.Nodes[0].Mem, 0, 0, 1)
+		if err := m.Nodes[0].Sublink(ThreadOutSublink).Send(p, sent); err != nil {
+			t.Errorf("send: %v", err)
+			return
+		}
+		collected = m.upChan.Recv(p).([]byte)
+	})
+	k.Run(0)
+	if len(collected) != chunkHeaderBytes+SnapshotChunk || &collected[0] != &sent[0] {
+		t.Fatal("the collector got a different array than the reader sent")
+	}
+	for i, nd := range m.Nodes {
+		if out := nd.Links[ThreadOutSublink/link.SublinksPerLink]; out.Transfers != 1 {
+			t.Fatalf("node %d forwarded %d frames, want 1", i, out.Transfers)
+		}
+	}
+	if got := binary.LittleEndian.Uint32(collected[chunkHeaderBytes+20:]); got != 0xC0DE {
+		t.Fatalf("chunk payload word 5 = %#x", got)
+	}
+}
+
+func TestThreadSendToOrphanedHopDrops(t *testing.T) {
+	// Re-cable the thread around node 1: its out sublink loses its peer.
+	// A frame node 1 must forward is then dropped and counted like one
+	// hitting a dead hop, and a restore chunk still posts its token.
+	k, m := buildModule(t, 3)
+	if err := link.Rewire(m.Nodes[0].Sublink(ThreadOutSublink), m.Nodes[2].Sublink(ThreadInSublink)); err != nil {
+		t.Fatal(err)
+	}
+	feeder := link.NewLink(k, "feeder")
+	if err := link.Connect(feeder.Sublink(0), m.Nodes[1].Sublink(ThreadInSublink)); err != nil {
+		t.Fatal(err)
+	}
+	k.Go("feed", func(p *sim.Proc) {
+		chunk := make([]byte, chunkHeaderBytes+memory.RowBytes)
+		putChunkHeader(chunk, kindDown, 2, 0, 0) // addressed past node 1
+		if err := feeder.Sublink(0).Send(p, chunk); err != nil {
+			t.Errorf("feed: %v", err)
+			return
+		}
+		m.applied.Recv(p)
+	})
+	k.Run(0)
+	if m.ThreadDrops != 1 || k.Stats().Counters["module.thread_drops"] != 1 {
+		t.Fatalf("thread drops = %d (counter %d), want 1", m.ThreadDrops, k.Stats().Counters["module.thread_drops"])
 	}
 }
