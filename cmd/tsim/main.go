@@ -1,5 +1,5 @@
 // Command tsim is the registry-driven front end to the simulator: it
-// lists and runs the paper's experiments (E1..E17, ablations A1..A6)
+// lists and runs the paper's experiments (E1..E20, ablations A1..A6)
 // and the bundled scientific workloads, sweeps a workload across cube
 // dimensions, and fans independent runs across a worker pool — with
 // output guaranteed byte-identical to a serial run.

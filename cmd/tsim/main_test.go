@@ -150,6 +150,68 @@ func TestRecoveryBERGolden(t *testing.T) {
 	}
 }
 
+// TestMultiModuleWorkloadsGolden pins saxpy, matmul, fft, stencil and
+// dlu at dims 4 and 5 (two and four modules) to reports captured from
+// the monolithic single-kernel build that preceded one-shard-per-module
+// machines. Every top-level report field must match the capture byte
+// for byte, at every worker count, except Kernel: a partitioned run's
+// engine statistics carry per-shard counts the monolithic kernel never
+// had. Regenerate only after an intentional timing change, by running
+// each case's args with -json and dropping the Kernel field.
+func TestMultiModuleWorkloadsGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "workloads_multimodule_golden.json"))
+	if err != nil {
+		t.Fatalf("reading golden: %v", err)
+	}
+	var cases []struct {
+		Args   []string                   `json:"args"`
+		Report map[string]json.RawMessage `json:"report"`
+	}
+	if err := json.Unmarshal(raw, &cases); err != nil {
+		t.Fatalf("parsing golden: %v", err)
+	}
+	if len(cases) != 10 {
+		t.Fatalf("golden holds %d cases, want 10", len(cases))
+	}
+	compact := func(v json.RawMessage) string {
+		var b bytes.Buffer
+		if err := json.Compact(&b, v); err != nil {
+			t.Fatalf("compacting %s: %v", v, err)
+		}
+		return b.String()
+	}
+	for _, c := range cases {
+		for _, workers := range []string{"1", "4"} {
+			args := append(append([]string(nil), c.Args...), "-json", "-kernel-shards", workers)
+			code, stdout, stderr := runCLI(t, args...)
+			if code != 0 {
+				t.Fatalf("%v: exit = %d, stderr: %s", args, code, stderr)
+			}
+			var got map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(stdout), &got); err != nil {
+				t.Fatalf("%v: bad JSON: %v", args, err)
+			}
+			if _, ok := got["Kernel"]; !ok {
+				t.Fatalf("%v: report has no Kernel field", args)
+			}
+			delete(got, "Kernel")
+			if len(got) != len(c.Report) {
+				t.Errorf("%v: %d report fields besides Kernel, golden has %d", args, len(got), len(c.Report))
+			}
+			for field, want := range c.Report {
+				raw, ok := got[field]
+				if !ok {
+					t.Errorf("%v: report lacks %s", args, field)
+					continue
+				}
+				if g, w := compact(raw), compact(want); g != w {
+					t.Errorf("%v: %s = %s, golden %s", args, field, g, w)
+				}
+			}
+		}
+	}
+}
+
 // assertGolden fails the test unless got equals testdata/name byte for
 // byte, quoting the neighbourhood of the first differing byte.
 func assertGolden(t *testing.T, name, got string) {

@@ -2,10 +2,12 @@
 // SPMD assembly program into all sixteen nodes of a two-module machine
 // through the system boards, starts every control processor, waits, and
 // collects the per-node results — management traffic riding the same
-// 0.577 MB/s links as everything else.
+// 0.577 MB/s links as everything else. Each module's share of the work
+// runs on that module's own shard of the simulation.
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"log"
@@ -17,8 +19,7 @@ import (
 )
 
 func main() {
-	k := sim.NewKernel()
-	m, err := machine.New(k, 4) // 16 nodes, 2 modules
+	m, err := machine.NewAuto(context.Background(), 4, 1) // 16 nodes, 2 modules
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,17 +47,14 @@ func main() {
 	}
 	fmt.Printf("program: %d bytes of control-processor code\n", len(prog))
 
-	k.Go("frontend", func(p *sim.Proc) {
+	m.K.Go("frontend", func(p *sim.Proc) {
 		t0 := p.Now()
 		if err := fe.LoadAll(p, prog); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("t=%-10v loaded onto 16 nodes (2 modules in parallel over their threads)\n", p.Now().Sub(t0))
 
-		procs := fe.StartAll()
-		for _, pr := range procs {
-			p.Join(pr)
-		}
+		fe.RunAll(p)
 		fmt.Printf("t=%-10v all control processors halted\n", p.Now().Sub(t0))
 
 		results, err := fe.Collect(p, resultWord*4, 4)
@@ -73,5 +71,5 @@ func main() {
 		}
 		fmt.Println("\nok")
 	})
-	k.Run(0)
+	m.Run(0)
 }

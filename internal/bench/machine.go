@@ -12,28 +12,23 @@ import (
 
 // The machine scaling curve: one full machine simulation — FPU vector
 // forms, router traffic, module threads — at dim 5 (32 nodes, four
-// modules), run three ways. machine_shard_scale_1 is the monolithic
-// serial build (machine.New: every node on one kernel, one pending
-// set); machine_shard_scale_2 and _4 are the partitioned build
-// (machine.NewAuto: one logical shard per module, staged intermodule
-// edges) at 2 and 4 host workers. The partitioned timeline is fixed by
-// the geometry — _2 and _4 execute the identical four-shard simulation
-// — so the _2/_4 spread isolates worker parallelism, while the _1/_2
-// spread measures what partitioning itself buys: four small pending
-// sets instead of one large one (cache locality even on one core), plus
-// parallel window execution when gomaxprocs allows. Like the synthetic
-// shard_scale curve the scenarios are tagged with their shard knob and
-// exempt from the regression gate; BENCH_kernel.json's gomaxprocs
-// records which effect the numbers include.
+// modules), built by machine.NewAuto (one logical shard per module,
+// staged intermodule edges) and executed by 1, 2 and 4 host workers:
+// machine_shard_scale_1, _2 and _4. The timeline is fixed by the
+// geometry — all three execute the identical four-shard simulation — so
+// the spread isolates worker parallelism alone, which needs gomaxprocs
+// above one to show. Like the synthetic shard_scale curve the scenarios
+// are tagged with their shard knob and exempt from the regression gate;
+// BENCH_kernel.json's gomaxprocs records which effect the numbers
+// include.
 
 // machineShardDim is the measured geometry: 32 nodes in four modules,
-// the smallest machine where the partitioned build has enough shards to
-// occupy four workers.
+// the smallest machine with enough shards to occupy four workers.
 const machineShardDim = 5
 
 // machineShardScenarios returns the machine scaling curve points. The
 // scenario's shard knob is the requested host worker count; the logical
-// partition is fixed by the geometry (serial at 1, four shards above).
+// partition is fixed by the geometry (four shards).
 func machineShardScenarios() []shardScenario {
 	var out []shardScenario
 	for _, w := range []int{1, 2, 4} {
@@ -46,21 +41,15 @@ func machineShardScenarios() []shardScenario {
 	return out
 }
 
-// machineShardRun builds the dim-5 machine (monolithic at workers == 1,
-// partitioned otherwise) and drives a phased exchange workload: every
-// node alternates vector compute (a SAXPY form through the FPU model)
-// with a row exchange across a rotating hypercube dimension. One
-// operation is one node-phase; events scale with n plus the fixed build
-// and drain cost, which amortises as n grows.
+// machineShardRun builds the dim-5 machine on the given number of host
+// workers and drives a phased exchange workload: every node alternates
+// vector compute (a SAXPY form through the FPU model) with a row
+// exchange across a rotating hypercube dimension. One operation is one
+// node-phase; events scale with n plus the fixed build and drain cost,
+// which amortises as n grows.
 func machineShardRun(workers int) func(n int) int64 {
 	return func(n int) int64 {
-		var m *machine.Machine
-		var err error
-		if workers <= 1 {
-			m, err = machine.New(sim.NewKernel(), machineShardDim)
-		} else {
-			m, err = machine.NewAuto(context.Background(), machineShardDim, workers)
-		}
+		m, err := machine.NewAuto(context.Background(), machineShardDim, workers)
 		if err != nil {
 			panic(err)
 		}
@@ -69,11 +58,7 @@ func machineShardRun(workers int) func(n int) int64 {
 		a := fparith.FromInt64(2)
 		for id := 0; id < nodes; id++ {
 			nodeID := id
-			k := m.K
-			if m.Partitioned() {
-				k = m.Group.Shard(m.Plan.ShardOfNode(id))
-			}
-			k.Go(fmt.Sprintf("bench/n%d", nodeID), func(p *sim.Proc) {
+			m.GoNode(id, fmt.Sprintf("bench/n%d", nodeID), func(p *sim.Proc) {
 				nd := m.Nodes[nodeID]
 				ep := m.Endpoint(nodeID)
 				for it := 0; it < iters; it++ {

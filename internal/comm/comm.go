@@ -45,9 +45,9 @@ type Network struct {
 	// a healthy network routes pure e-cube without ever building it.
 	routes *routeTable
 
-	// view is the barrier-frozen topology view of a partitioned build
-	// (see shard.go); nil on a single-kernel network, where every code
-	// path below reads the live objects directly.
+	// view is the barrier-frozen topology view of a network spread over
+	// more than one shard (see shard.go); nil on a one-shard network,
+	// where every code path below reads the live objects directly.
 	view *netView
 }
 
@@ -102,8 +102,21 @@ func CubeSublink(d int) int { return cubeSublink[d] }
 
 // BuildCube wires the nodes' sublinks into a binary n-cube using the
 // CubeSublink channel assignment, and starts a daemon router on every
-// (node, dimension) pair.
-func BuildCube(k *sim.Kernel, nodes []*node.Node) (*Network, error) {
+// (node, dimension) pair, on that node's own kernel. Every node must be
+// built on a shard kernel of g. An edge whose two nodes share a shard is
+// an ordinary link.Connect pair; a cross-shard edge becomes a staged
+// pair (link.ConnectStaged) whose frames travel through XChan edges with
+// the link-layer lookahead — the DMA startup plus one byte time that
+// even the smallest frame pays, exactly the latency floor
+// machine.PlanPartition derives.
+//
+// Shard ownership rule: every router daemon, mailbox, and counter of a
+// node lives on that node's kernel and is only ever touched from there.
+// Above one shard, the one piece of genuinely global state — which
+// nodes are alive and which channels are up — is read from a netView
+// frozen at window barriers (see shard.go); a one-shard network reads
+// the live objects.
+func BuildCube(g *sim.ShardGroup, nodes []*node.Node) (*Network, error) {
 	dim, err := cube.DimOf(len(nodes))
 	if err != nil {
 		return nil, err
@@ -112,16 +125,28 @@ func BuildCube(k *sim.Kernel, nodes []*node.Node) (*Network, error) {
 		return nil, fmt.Errorf("comm: %d-cube exceeds the %d-cube wiring maximum", dim, cube.MaxDim)
 	}
 	n := &Network{Dim: dim, Nodes: nodes}
+	shardOf := make(map[*sim.Kernel]int, g.Shards())
+	for s := 0; s < g.Shards(); s++ {
+		shardOf[g.Shard(s)] = s
+	}
+	shard := make([]int, len(nodes))
 	for id, nd := range nodes {
 		if nd.ID != id {
 			return nil, fmt.Errorf("comm: node %d has ID %d; nodes must be in cube order", id, nd.ID)
 		}
+		s, ok := shardOf[nd.K]
+		if !ok {
+			return nil, fmt.Errorf("comm: node %d not built on a shard kernel of the group", id)
+		}
+		shard[id] = s
 		n.eps = append(n.eps, &Endpoint{
 			net: n, id: id, nd: nd,
 			mailboxes: map[int]*sim.Chan{},
 		})
 	}
-	// Wire dimension d between id and id^(1<<d), once per edge.
+	// Wire dimension d between id and id^(1<<d), once per edge. A
+	// cross-shard edge stages each direction through an XChan that
+	// delivers straight into the far sublink's inbox.
 	for id := range nodes {
 		for d := 0; d < dim; d++ {
 			nb := cube.Neighbor(id, d)
@@ -130,7 +155,16 @@ func BuildCube(k *sim.Kernel, nodes []*node.Node) (*Network, error) {
 			}
 			a := nodes[id].Sublink(CubeSublink(d))
 			b := nodes[nb].Sublink(CubeSublink(d))
-			if err := link.Connect(a, b); err != nil {
+			sa, sb := shard[id], shard[nb]
+			if sa == sb {
+				if err := link.Connect(a, b); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			ab := g.ConnectInto(sa, sb, fmt.Sprintf("xcube/n%d-n%d/d%d", id, nb, d), link.Lookahead, b.Inbox())
+			ba := g.ConnectInto(sb, sa, fmt.Sprintf("xcube/n%d-n%d/d%d", nb, id, d), link.Lookahead, a.Inbox())
+			if err := link.ConnectStaged(a, b, ab, ba); err != nil {
 				return nil, err
 			}
 		}
@@ -143,7 +177,7 @@ func BuildCube(k *sim.Kernel, nodes []*node.Node) (*Network, error) {
 		for d := 0; d < dim; d++ {
 			arriveDim := d
 			sl := nodes[id].Sublink(CubeSublink(d))
-			k.GoDaemon(fmt.Sprintf("router/n%d/d%d", id, d), func(p *sim.Proc) {
+			nodes[id].K.GoDaemon(fmt.Sprintf("router/n%d/d%d", id, d), func(p *sim.Proc) {
 				for {
 					raw := sl.Recv(p)
 					ep.route(p, raw, arriveDim)
@@ -151,12 +185,16 @@ func BuildCube(k *sim.Kernel, nodes []*node.Node) (*Network, error) {
 			})
 		}
 	}
+	if g.Shards() > 1 {
+		n.view = &netView{alive: make([]bool, len(nodes))}
+		n.SyncView()
+	}
 	return n, nil
 }
 
-// alive reports whether node id is in service. A partitioned network
-// answers from the barrier-frozen view so no shard reads another
-// shard's node state mid-window.
+// alive reports whether node id is in service. A network spread over
+// several shards answers from the barrier-frozen view so no shard reads
+// another shard's node state mid-window.
 func (n *Network) alive(id int) bool {
 	if n.view != nil {
 		return n.view.alive[id]
@@ -291,7 +329,7 @@ func (e *Endpoint) forward(p *sim.Proc, raw []byte, dst, arriveDim int) error {
 	diff := e.id ^ dst
 	bumpHops(raw)
 	if v := e.net.view; v != nil {
-		// Partitioned build: route from the barrier-frozen view. The
+		// Several shards: route from the barrier-frozen view. The
 		// candidates loop reads only this shard's own channel state
 		// (staged peers through their mirrors), so it stays usable; the
 		// live-graph table is frozen until the next barrier, so a

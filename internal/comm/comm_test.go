@@ -12,15 +12,16 @@ import (
 	"tseries/internal/sim"
 )
 
-// buildNet constructs a 2^dim-node cube network.
+// buildNet constructs a 2^dim-node cube network on one kernel.
 func buildNet(t testing.TB, dim int) (*sim.Kernel, *Network) {
 	t.Helper()
-	k := sim.NewKernel()
+	g := sim.NewShardGroup(1)
+	k := g.Shard(0)
 	nodes := make([]*node.Node, cube.Nodes(dim))
 	for i := range nodes {
 		nodes[i] = node.New(k, i)
 	}
-	net, err := BuildCube(k, nodes)
+	net, err := BuildCube(g, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,15 +322,20 @@ func TestSelfSend(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	k := sim.NewKernel()
+	g := sim.NewShardGroup(1)
+	k := g.Shard(0)
 	nodes := []*node.Node{node.New(k, 0), node.New(k, 1), node.New(k, 2)}
-	if _, err := BuildCube(k, nodes); err == nil {
+	if _, err := BuildCube(g, nodes); err == nil {
 		t.Fatal("non-power-of-two accepted")
 	}
-	k2 := sim.NewKernel()
-	wrongOrder := []*node.Node{node.New(k2, 1), node.New(k2, 0)}
-	if _, err := BuildCube(k2, wrongOrder); err == nil {
+	g2 := sim.NewShardGroup(1)
+	wrongOrder := []*node.Node{node.New(g2.Shard(0), 1), node.New(g2.Shard(0), 0)}
+	if _, err := BuildCube(g2, wrongOrder); err == nil {
 		t.Fatal("out-of-order node ids accepted")
+	}
+	stray := []*node.Node{node.New(sim.NewKernel(), 0), node.New(sim.NewKernel(), 1)}
+	if _, err := BuildCube(sim.NewShardGroup(1), stray); err == nil {
+		t.Fatal("nodes outside the group accepted")
 	}
 }
 

@@ -1,31 +1,12 @@
 package comm
 
-import (
-	"fmt"
-
-	"tseries/internal/cube"
-	"tseries/internal/link"
-	"tseries/internal/node"
-	"tseries/internal/sim"
-)
-
-// Partitioned network build. BuildCubeOn wires the same binary n-cube as
-// BuildCube, but across the shard kernels of a sim.ShardGroup: an edge
-// whose endpoints share a shard is an ordinary link.Connect pair, and a
-// cross-shard edge becomes a staged pair (link.ConnectStaged) whose
-// frames travel through XChan edges with the link-layer lookahead —
-// the DMA startup plus one byte time that even the smallest frame pays,
-// which is exactly the latency floor machine.PlanPartition derives.
-//
-// Shard ownership rule: every router daemon, mailbox, and counter of
-// node id lives on shardOf(id)'s kernel and is only ever touched from
-// there. The one piece of genuinely global state — which nodes are
-// alive and which channels are up, consulted by Send fail-fast checks
-// and the collectives' degraded-mode re-rooting — is frozen into a
-// netView at window barriers (SyncView), so mid-window reads touch no
-// other shard's memory. A crash becomes visible to remote shards at
-// most one window (= one lookahead) late; for a fixed partition that
-// lag is identical at every worker count, keeping output byte-stable.
+// netView is the barrier-frozen topology view of a network spread over
+// more than one shard: which nodes are alive and which channels are up,
+// consulted by Send fail-fast checks and the collectives' degraded-mode
+// re-rooting. Mid-window reads then touch no other shard's memory. A
+// crash becomes visible to remote shards at most one window (= one
+// lookahead) late; for a fixed partition that lag is identical at every
+// worker count, keeping output byte-stable.
 type netView struct {
 	healthy bool     // every node alive, every cube channel up
 	anyDead bool     // some node crashed
@@ -33,78 +14,6 @@ type netView struct {
 	alive   []bool   // per-node liveness
 	nextHop [][]int8 // live-graph table, nil while healthy
 }
-
-// BuildCubeOn wires nodes into a binary n-cube across the shards of g.
-// shardOf maps a node id to its owning shard; each node's kernel must
-// be g.Shard(shardOf(id)).
-func BuildCubeOn(g *sim.ShardGroup, nodes []*node.Node, shardOf func(id int) int) (*Network, error) {
-	dim, err := cube.DimOf(len(nodes))
-	if err != nil {
-		return nil, err
-	}
-	if dim > cube.MaxDim {
-		return nil, fmt.Errorf("comm: %d-cube exceeds the %d-cube wiring maximum", dim, cube.MaxDim)
-	}
-	n := &Network{Dim: dim, Nodes: nodes}
-	for id, nd := range nodes {
-		if nd.ID != id {
-			return nil, fmt.Errorf("comm: node %d has ID %d; nodes must be in cube order", id, nd.ID)
-		}
-		if nd.K != g.Shard(shardOf(id)) {
-			return nil, fmt.Errorf("comm: node %d not built on its shard %d kernel", id, shardOf(id))
-		}
-		n.eps = append(n.eps, &Endpoint{
-			net: n, id: id, nd: nd,
-			mailboxes: map[int]*sim.Chan{},
-		})
-	}
-	// Wire dimension d between id and id^(1<<d), once per edge. A
-	// cross-shard edge stages each direction through an XChan that
-	// delivers straight into the far sublink's inbox.
-	for id := range nodes {
-		for d := 0; d < dim; d++ {
-			nb := cube.Neighbor(id, d)
-			if nb < id {
-				continue
-			}
-			a := nodes[id].Sublink(CubeSublink(d))
-			b := nodes[nb].Sublink(CubeSublink(d))
-			sa, sb := shardOf(id), shardOf(nb)
-			if sa == sb {
-				if err := link.Connect(a, b); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			ab := g.ConnectInto(sa, sb, fmt.Sprintf("xcube/n%d-n%d/d%d", id, nb, d), link.Lookahead, b.Inbox())
-			ba := g.ConnectInto(sb, sa, fmt.Sprintf("xcube/n%d-n%d/d%d", nb, id, d), link.Lookahead, a.Inbox())
-			if err := link.ConnectStaged(a, b, ab, ba); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Routers run on their node's own kernel.
-	for id := range nodes {
-		ep := n.eps[id]
-		k := nodes[id].K
-		for d := 0; d < dim; d++ {
-			arriveDim := d
-			sl := nodes[id].Sublink(CubeSublink(d))
-			k.GoDaemon(fmt.Sprintf("router/n%d/d%d", id, d), func(p *sim.Proc) {
-				for {
-					raw := sl.Recv(p)
-					ep.route(p, raw, arriveDim)
-				}
-			})
-		}
-	}
-	n.view = &netView{alive: make([]bool, len(nodes))}
-	n.SyncView()
-	return n, nil
-}
-
-// Sharded reports whether the network was built across a shard group.
-func (n *Network) Sharded() bool { return n.view != nil }
 
 // SyncView refreshes the barrier-frozen topology view. It must be
 // called only when every shard is quiescent — at a ShardGroup window

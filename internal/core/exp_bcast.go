@@ -43,12 +43,13 @@ func A6BroadcastTree(ctx context.Context) (*Result, error) {
 }
 
 func runBroadcast(ctx context.Context, dim, payload int, tree bool) (sim.Duration, error) {
-	k := sim.NewKernelCtx(ctx)
+	g := sim.NewShardGroupCtx(ctx, 1)
+	k := g.Shard(0)
 	nodes := make([]*node.Node, 1<<uint(dim))
 	for i := range nodes {
 		nodes[i] = node.New(k, i)
 	}
-	net, err := comm.BuildCube(k, nodes)
+	net, err := comm.BuildCube(g, nodes)
 	if err != nil {
 		return 0, err
 	}

@@ -20,12 +20,13 @@ func A5ChunkedTransfer(ctx context.Context) (*Result, error) {
 	payload := make([]byte, total)
 
 	run := func(hops, chunk int) (sim.Duration, error) {
-		k := sim.NewKernelCtx(ctx)
+		g := sim.NewShardGroupCtx(ctx, 1)
+		k := g.Shard(0)
 		nodes := make([]*node.Node, 8)
 		for i := range nodes {
 			nodes[i] = node.New(k, i)
 		}
-		net, err := comm.BuildCube(k, nodes)
+		net, err := comm.BuildCube(g, nodes)
 		if err != nil {
 			return 0, err
 		}

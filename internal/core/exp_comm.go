@@ -128,12 +128,13 @@ func E8CubeMappings(ctx context.Context) (*Result, error) {
 	times := map[int]sim.Duration{}
 	for _, dst := range []int{1, 3, 7, 15} {
 		d := dst
-		k := sim.NewKernelCtx(ctx)
+		g := sim.NewShardGroupCtx(ctx, 1)
+		k := g.Shard(0)
 		nodes := make([]*node.Node, 16)
 		for i := range nodes {
 			nodes[i] = node.New(k, i)
 		}
-		net, err := comm.BuildCube(k, nodes)
+		net, err := comm.BuildCube(g, nodes)
 		if err != nil {
 			return nil, err
 		}
@@ -256,12 +257,13 @@ func A4Routing(ctx context.Context) (*Result, error) {
 	r := newResult("A4", "Routing order under permutation traffic")
 	const dim = 4
 	runPerm := func() sim.Duration {
-		k := sim.NewKernelCtx(ctx)
+		g := sim.NewShardGroupCtx(ctx, 1)
+		k := g.Shard(0)
 		nodes := make([]*node.Node, cube.Nodes(dim))
 		for i := range nodes {
 			nodes[i] = node.New(k, i)
 		}
-		net, err := comm.BuildCube(k, nodes)
+		net, err := comm.BuildCube(g, nodes)
 		if err != nil {
 			panic(err)
 		}

@@ -27,32 +27,35 @@ func E9ModuleAggregate(ctx context.Context) (*Result, error) {
 
 	// Intramodule bandwidth: every node streams 32 KB to each of its
 	// three in-module neighbors concurrently.
-	k := sim.NewKernelCtx(ctx)
-	m, err := machine.New(k, 3)
+	m, err := machine.NewAuto(ctx, 3, workloads.KernelShardsFrom(ctx))
 	if err != nil {
 		return nil, err
 	}
 	const chunk = 32 * 1024
-	var totalBytes int64
-	for id := 0; id < 8; id++ {
+	sent := make([]int64, len(m.Nodes))
+	for id := range m.Nodes {
+		nodeID := id
 		e := m.Endpoint(id)
 		for d := 0; d < 3; d++ {
 			dst := id ^ (1 << uint(d))
 			dd := d
-			k.Go(fmt.Sprintf("tx%d.%d", id, d), func(p *sim.Proc) {
+			m.GoNode(id, fmt.Sprintf("tx%d.%d", id, d), func(p *sim.Proc) {
 				if err := e.Send(p, dst, 60+dd, make([]byte, chunk)); err != nil {
 					panic(err)
 				}
-				totalBytes += chunk
+				sent[nodeID] += chunk
 			})
 		}
-		rx := m.Endpoint(id)
 		for d := 0; d < 3; d++ {
 			dd := d
-			k.Go(fmt.Sprintf("rx%d.%d", id, d), func(p *sim.Proc) { rx.Recv(p, 60+dd) })
+			m.GoNode(id, fmt.Sprintf("rx%d.%d", id, d), func(p *sim.Proc) { e.Recv(p, 60+dd) })
 		}
 	}
-	elapsed := sim.Duration(k.Run(0))
+	elapsed := sim.Duration(m.Run(0))
+	var totalBytes int64
+	for _, b := range sent {
+		totalBytes += b
+	}
 	intra := stats.MBps(totalBytes, elapsed)
 
 	t := stats.NewTable("Eight-node module",
@@ -107,20 +110,29 @@ func E11Checkpoint(ctx context.Context) (*Result, error) {
 		"configuration", "memory", "snapshot time (s)")
 	var snapSecs []float64
 	for _, dim := range []int{3, 4} {
-		k := sim.NewKernelCtx(ctx)
-		m, err := machine.New(k, dim)
+		m, err := machine.NewAuto(ctx, dim, workloads.KernelShardsFrom(ctx))
 		if err != nil {
 			return nil, err
 		}
+		// Every module snapshots from time zero on its own shard; the
+		// machine's snapshot time is the slowest module's. Timing the
+		// modules themselves keeps the fan-out and join out of the
+		// measurement.
+		took := make([]sim.Duration, len(m.Modules))
+		for i, mod := range m.Modules {
+			i, mod := i, mod
+			m.Group.Shard(m.Plan.Assign[i]).Go(fmt.Sprintf("snap/mod%d", i), func(p *sim.Proc) {
+				if _, err := mod.Snapshot(p); err != nil {
+					panic(err)
+				}
+				took[i] = sim.Duration(p.Now())
+			})
+		}
+		m.Run(0)
 		var elapsed sim.Duration
-		k.Go("snap", func(p *sim.Proc) {
-			s := p.Now()
-			if _, err := m.SnapshotAll(p); err != nil {
-				panic(err)
-			}
-			elapsed = p.Now().Sub(s)
-		})
-		k.Run(0)
+		for _, d := range took {
+			elapsed = max(elapsed, d)
+		}
 		snapSecs = append(snapSecs, elapsed.Seconds())
 		t.Add(fmt.Sprintf("%d modules (%d nodes)", len(m.Modules), len(m.Nodes)),
 			fmt.Sprintf("%d MB", len(m.Nodes)), elapsed.Seconds())
@@ -130,8 +142,7 @@ func E11Checkpoint(ctx context.Context) (*Result, error) {
 	r.Metrics["snap_2mod_s"] = snapSecs[1]
 
 	// Crash/recovery round trip.
-	k := sim.NewKernelCtx(ctx)
-	m, err := machine.New(k, 3)
+	m, err := machine.NewAuto(ctx, 3, workloads.KernelShardsFrom(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +150,7 @@ func E11Checkpoint(ctx context.Context) (*Result, error) {
 		nd.Mem.PokeF64(0, fparith.FromInt64(int64(1000+i)))
 	}
 	recovered := true
-	k.Go("cycle", func(p *sim.Proc) {
+	m.K.Go("cycle", func(p *sim.Proc) {
 		snaps, err := m.SnapshotAll(p)
 		if err != nil {
 			panic(err)
@@ -151,7 +162,7 @@ func E11Checkpoint(ctx context.Context) (*Result, error) {
 			panic(err)
 		}
 	})
-	k.Run(0)
+	m.Run(0)
 	for i, nd := range m.Nodes {
 		if nd.Mem.PeekF64(0) != fparith.FromInt64(int64(1000+i)) {
 			recovered = false

@@ -95,7 +95,7 @@ func ordinal(id string) int {
 	return n
 }
 
-// All returns the full experiment suite in paper order — E1..E17 — then
+// All returns the full experiment suite in paper order — E1..E20 — then
 // the ablations A1..A6 of DESIGN.md §5.
 func All() []Experiment {
 	exps := make([]Experiment, 0, len(registry))

@@ -1,18 +1,18 @@
 package fault
 
-// Sharded adapts a Plan for a partitioned machine build. The serial
-// injector consumes a single splitmix64 stream in kernel order, which
-// makes the fault sequence depend on the global interleaving of link
-// transfers — exactly what a partitioned build does not have. Sharded
-// instead derives one independent stream per link: every Link is owned
-// by one node and therefore one shard, so a per-link stream is consumed
-// strictly serially by its owning shard, and the corruption pattern on
-// each wire depends only on (seed, link name, transfer count on that
-// link) — invariant under shard count and worker count alike.
+// Sharded adapts a Plan for a machine of more than one shard. A Plan
+// used directly as the injector consumes a single splitmix64 stream in
+// kernel order, which makes the fault sequence depend on the global
+// interleaving of link transfers — exactly what a multi-shard machine
+// does not have. Sharded instead derives one independent stream per
+// link: every Link is owned by one node and therefore one shard, so a
+// per-link stream is consumed strictly serially by its owning shard,
+// and the corruption pattern on each wire depends only on (seed, link
+// name, transfer count on that link) — invariant under worker count.
 //
-// The serial Plan keeps its shared-stream behaviour untouched so the
-// single-kernel experiments (E17, E18) reproduce their golden traces
-// bit for bit.
+// One-shard machines keep the Plan's shared-stream behaviour untouched,
+// so the single-module experiments (E17, E18) reproduce their golden
+// traces bit for bit.
 type Sharded struct {
 	plan *Plan
 	subs []*Plan

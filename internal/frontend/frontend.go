@@ -6,12 +6,14 @@
 //
 // Because every module is identical and has identical connections, the
 // front end treats any size machine uniformly — the paper's homogeneity
-// argument applied to system management.
+// argument applied to system management. It obeys the machine's shard
+// ownership rule: every step that touches a module's nodes runs in a
+// process on that module's shard (machine.EachModule), and results that
+// several modules produce land in per-node slots.
 package frontend
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"tseries/internal/machine"
 	"tseries/internal/module"
@@ -39,88 +41,63 @@ type FrontEnd struct {
 // New attaches a front end to a machine.
 func New(m *machine.Machine) *FrontEnd { return &FrontEnd{M: m} }
 
-// moduleOf locates the module and local index of a global node id.
-func (f *FrontEnd) moduleOf(nodeID int) (*module.Module, int) {
-	return f.M.Modules[nodeID/module.NodesPerModule], nodeID % module.NodesPerModule
-}
-
 // LoadAll streams the same program image into every node's memory at
 // BootCodeBase, all modules in parallel (each through its own system
-// board), and writes each node's identity words. It blocks until every
+// board, from a process on that module's shard), and writes each node's
+// identity words. It blocks p, which may run on any shard, until every
 // node is loaded.
 func (f *FrontEnd) LoadAll(p *sim.Proc, code []byte) error {
-	k := f.M.K
-	errs := make([]error, len(f.M.Modules))
-	done := sim.NewChan(k, "frontend/load", len(f.M.Modules))
-	for mi, mod := range f.M.Modules {
-		idx, mm := mi, mod
-		k.Go(fmt.Sprintf("frontend/load/mod%d", idx), func(lp *sim.Proc) {
-			defer done.Send(lp, struct{}{})
-			for local := range mm.Nodes {
-				global := idx*module.NodesPerModule + local
-				if err := mm.LoadNodeMemory(lp, local, BootCodeBase, code); err != nil {
-					errs[idx] = err
-					return
-				}
-				ident := make([]byte, 8)
-				binary.LittleEndian.PutUint32(ident[0:], uint32(global))
-				binary.LittleEndian.PutUint32(ident[4:], uint32(len(f.M.Nodes)))
-				if err := mm.LoadNodeMemory(lp, local, NodeIDWord*4, ident); err != nil {
-					errs[idx] = err
-					return
-				}
+	nodes := len(f.M.Nodes)
+	return f.M.EachModule(p, "frontend/load", func(lp *sim.Proc, mod *module.Module) error {
+		for local, nd := range mod.Nodes {
+			if err := mod.LoadNodeMemory(lp, local, BootCodeBase, code); err != nil {
+				return err
 			}
-		})
-	}
-	for range f.M.Modules {
-		done.Recv(p)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+			ident := make([]byte, 8)
+			binary.LittleEndian.PutUint32(ident[0:], uint32(nd.ID))
+			binary.LittleEndian.PutUint32(ident[4:], uint32(nodes))
+			if err := mod.LoadNodeMemory(lp, local, NodeIDWord*4, ident); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
-// StartAll boots every control processor at BootCodeBase and returns the
-// spawned processes (callers typically just let the kernel run them).
-func (f *FrontEnd) StartAll() []*sim.Proc {
-	procs := make([]*sim.Proc, len(f.M.Nodes))
-	for i, nd := range f.M.Nodes {
-		procs[i] = nd.CP.Go(BootCodeBase, BootWorkspace)
-	}
-	return procs
+// RunAll boots every control processor at BootCodeBase and blocks p
+// until all of them have halted. Each module's processors are started
+// and joined by a process on that module's shard, since a process may
+// only spawn and wait on processes of its own shard.
+func (f *FrontEnd) RunAll(p *sim.Proc) {
+	_ = f.M.EachModule(p, "frontend/run", func(rp *sim.Proc, mod *module.Module) error {
+		procs := make([]*sim.Proc, len(mod.Nodes))
+		for i, nd := range mod.Nodes {
+			procs[i] = nd.CP.Go(BootCodeBase, BootWorkspace)
+		}
+		for _, pr := range procs {
+			rp.Join(pr)
+		}
+		return nil
+	})
 }
 
 // Collect dumps n bytes from the given byte offset of every node, via
-// the system boards, modules in parallel.
+// the system boards, modules in parallel. Each module's process fills
+// only its own nodes' slots of the result.
 func (f *FrontEnd) Collect(p *sim.Proc, off, n int) ([][]byte, error) {
-	k := f.M.K
 	out := make([][]byte, len(f.M.Nodes))
-	errs := make([]error, len(f.M.Modules))
-	done := sim.NewChan(k, "frontend/collect", len(f.M.Modules))
-	for mi, mod := range f.M.Modules {
-		idx, mm := mi, mod
-		k.Go(fmt.Sprintf("frontend/collect/mod%d", idx), func(cp *sim.Proc) {
-			defer done.Send(cp, struct{}{})
-			for local := range mm.Nodes {
-				data, err := mm.DumpNodeMemory(cp, local, off, n)
-				if err != nil {
-					errs[idx] = err
-					return
-				}
-				out[idx*module.NodesPerModule+local] = data
+	err := f.M.EachModule(p, "frontend/collect", func(cp *sim.Proc, mod *module.Module) error {
+		for local, nd := range mod.Nodes {
+			data, err := mod.DumpNodeMemory(cp, local, off, n)
+			if err != nil {
+				return err
 			}
-		})
-	}
-	for range f.M.Modules {
-		done.Recv(p)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			out[nd.ID] = data
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"context"
 	"encoding/binary"
 	"testing"
 
@@ -13,8 +14,7 @@ func TestBootSPMDProgram(t *testing.T) {
 	// Boot a 16-node machine (two modules) with one SPMD program: each
 	// node computes id*id + nodes and stores it at a result word; the
 	// front end collects and checks all 16 results.
-	k := sim.NewKernel()
-	m, err := machine.New(k, 4)
+	m, err := machine.NewAuto(context.Background(), 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,22 +43,19 @@ func TestBootSPMDProgram(t *testing.T) {
 	}
 
 	var results [][]byte
-	k.Go("frontend", func(p *sim.Proc) {
+	m.K.Go("frontend", func(p *sim.Proc) {
 		if err := fe.LoadAll(p, prog); err != nil {
 			t.Errorf("load: %v", err)
 			return
 		}
-		procs := fe.StartAll()
-		for _, pr := range procs {
-			p.Join(pr)
-		}
+		fe.RunAll(p)
 		var err error
 		results, err = fe.Collect(p, resultWord*4, 4)
 		if err != nil {
 			t.Errorf("collect: %v", err)
 		}
 	})
-	k.Run(0)
+	m.Run(0)
 	if len(results) != 16 {
 		t.Fatalf("collected %d results", len(results))
 	}
@@ -75,22 +72,21 @@ func TestBootTiming(t *testing.T) {
 	// Loading a program onto all nodes goes module-parallel: a 2-module
 	// load is no slower than a 1-module load (same bytes per thread).
 	load := func(dim int) sim.Duration {
-		k := sim.NewKernel()
-		m, err := machine.New(k, dim)
+		m, err := machine.NewAuto(context.Background(), dim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fe := New(m)
 		code := make([]byte, 4096)
 		var elapsed sim.Duration
-		k.Go("fe", func(p *sim.Proc) {
+		m.K.Go("fe", func(p *sim.Proc) {
 			start := p.Now()
 			if err := fe.LoadAll(p, code); err != nil {
 				t.Errorf("load: %v", err)
 			}
 			elapsed = p.Now().Sub(start)
 		})
-		k.Run(0)
+		m.Run(0)
 		return elapsed
 	}
 	one := load(3)

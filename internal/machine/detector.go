@@ -316,10 +316,10 @@ func (d *Detector) silence(now sim.Time, s module.SlotHealth) sim.Duration {
 }
 
 // scanLossy looks for channels whose retransmit counters climbed by
-// more than LossyRetransmits since the last pass. On a partitioned
-// machine the counters belong to other shards, so the scan reads the
-// barrier-synced retransmit mirror instead of the live links — at most
-// one window stale, which is deterministic for a fixed partition.
+// more than LossyRetransmits since the last pass. Above one shard the
+// counters belong to other shards, so the scan reads the barrier-synced
+// retransmit mirror instead of the live links — at most one window
+// stale, which is deterministic for a fixed partition.
 func (d *Detector) scanLossy() {
 	mirror := d.M.rtxMirror
 	i := 0

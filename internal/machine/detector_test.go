@@ -7,11 +7,8 @@ import (
 )
 
 func TestLossyLinkScan(t *testing.T) {
-	k := sim.NewKernel()
-	m, err := New(k, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMachine(t, 2)
+	k := m.K
 	sv := NewSupervisor(m)
 	d := NewDetector(m, sv)
 
@@ -47,11 +44,8 @@ func TestLossyLinkScan(t *testing.T) {
 }
 
 func TestDetectorSuspendResume(t *testing.T) {
-	k := sim.NewKernel()
-	m, err := New(k, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMachine(t, 2)
+	k := m.K
 	sv := NewSupervisor(m)
 	d := NewDetector(m, sv)
 
@@ -65,7 +59,7 @@ func TestDetectorSuspendResume(t *testing.T) {
 		t.Fatal("inner Resume cleared state while still suspended")
 	}
 	k.Go("tick", func(p *sim.Proc) { p.Wait(sim.Second) })
-	k.Run(0)
+	m.Run(0)
 	d.Resume()
 	if d.floor != k.Now() {
 		t.Fatalf("floor = %v, want reset to now (%v)", d.floor, k.Now())
@@ -86,11 +80,8 @@ func TestDetectorSuspendResume(t *testing.T) {
 // flows one way, so slot 1's silence proves nothing while 3 is in the
 // chain.
 func TestDetectorConfirmsCutPointOnly(t *testing.T) {
-	k := sim.NewKernel()
-	m, err := New(k, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMachine(t, 2)
+	k := m.K
 	sv := NewSupervisor(m)
 	d := NewDetector(m, sv)
 	r := m.Spec.Recovery
@@ -109,7 +100,7 @@ func TestDetectorConfirmsCutPointOnly(t *testing.T) {
 		}
 		d.Stop()
 	})
-	k.Run(0)
+	m.Run(0)
 	dd, ok := verdict.(*DetectedDeath)
 	if !ok {
 		t.Fatalf("alarm = %v, want DetectedDeath", verdict)

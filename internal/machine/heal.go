@@ -100,83 +100,6 @@ func (h *Healer) NodeOf(img int) *node.Node { return h.M.Nodes[h.physOf[img]] }
 // carrying image img.
 func (h *Healer) EndpointOf(img int) *comm.Endpoint { return h.M.Net.Endpoint(h.physOf[img]) }
 
-// Run executes body once per image under self-healing supervision: an
-// initial checkpoint, heartbeats and detection on, one process per
-// image on whatever board carries it. Detector verdicts (and declared
-// faults) trigger the heal sequence and a replay, up to MaxRestarts
-// times.
-func (h *Healer) Run(p *sim.Proc, body func(bp *sim.Proc, img int) error) error {
-	if h.M.Group != nil {
-		return h.runSharded(p, body)
-	}
-	sv := h.SV
-	imgs := h.Images()
-	restart := 0
-	// The boot checkpoint itself can be torn by a fault (the stall
-	// watchdog turns that into an error rather than a wedged machine);
-	// heal and retry within the restart budget.
-	for {
-		err := sv.Checkpoint(p)
-		if err == nil {
-			break
-		}
-		if restart >= sv.MaxRestarts {
-			return err
-		}
-		restart++
-		if err := h.healRetrying(p, &restart, err); err != nil {
-			return err
-		}
-	}
-	h.Det.Start()
-	defer h.Det.Stop()
-	for ; ; restart++ {
-		okc := sim.NewChan(h.M.K, fmt.Sprintf("healer/ok%d", restart), len(imgs))
-		sv.procs = make([]*sim.Proc, len(h.M.Nodes))
-		for _, img := range imgs {
-			img := img
-			phys := h.physOf[img]
-			if phys < 0 {
-				sv.killBodies()
-				return fmt.Errorf("healer: image %d has no board", img)
-			}
-			pr := h.M.K.Go(fmt.Sprintf("healer/img%d", img), func(bp *sim.Proc) {
-				if err := body(bp, img); err != nil {
-					sv.noteFault(err)
-					sv.alarm.Send(bp, err)
-					return
-				}
-				okc.Send(bp, struct{}{})
-			})
-			sv.procs[phys] = pr
-			if sv.hung[phys] {
-				// The board wedged before this body ever ran; it stops
-				// dead, and only the progress-watching detector can tell.
-				pr.Kill()
-			}
-		}
-		var faultErr error
-		for oks := 0; oks < len(imgs) && faultErr == nil; {
-			which, v := sim.Select(p, sv.alarm, okc)
-			if which == 0 {
-				faultErr = v.(error)
-			} else {
-				oks++
-			}
-		}
-		if faultErr == nil {
-			return nil
-		}
-		if restart >= sv.MaxRestarts {
-			sv.killBodies()
-			return fmt.Errorf("healer: giving up after %d restarts: %v", restart, faultErr)
-		}
-		if err := h.healRetrying(p, &restart, faultErr); err != nil {
-			return err
-		}
-	}
-}
-
 // healRetrying runs the heal sequence, retrying within the restart
 // budget when healing is itself interrupted (a second board dying
 // mid-restore).
@@ -194,15 +117,21 @@ func (h *Healer) healRetrying(p *sim.Proc, restart *int, cause error) error {
 	}
 }
 
-// runSharded is Run for a partitioned machine: bodies spawn on the
-// shards of the boards carrying their images (inside a Global section,
-// so spawn order never races), completions and alarms travel the
-// staged uplink edges, and the detector daemons start and stop with
-// every shard quiescent.
-func (h *Healer) runSharded(p *sim.Proc, body func(bp *sim.Proc, img int) error) error {
+// Run executes body once per image under self-healing supervision: an
+// initial checkpoint, heartbeats and detection on, one process per
+// image on the shard of whatever board carries it. Detector verdicts
+// (and declared faults) trigger the heal sequence and a replay, up to
+// MaxRestarts times. Bodies spawn inside a Global section, so spawn
+// order never races; completions and alarms travel the staged uplink
+// edges, and the detector daemons start and stop with every shard
+// quiescent.
+func (h *Healer) Run(p *sim.Proc, body func(bp *sim.Proc, img int) error) error {
 	sv, m := h.SV, h.M
 	imgs := h.Images()
 	restart := 0
+	// The boot checkpoint itself can be torn by a fault (the stall
+	// watchdog turns that into an error rather than a wedged machine);
+	// heal and retry within the restart budget.
 	for {
 		err := sv.Checkpoint(p)
 		if err == nil {
@@ -232,7 +161,7 @@ func (h *Healer) runSharded(p *sim.Proc, body func(bp *sim.Proc, img int) error)
 			for _, img := range imgs {
 				img := img
 				phys := h.physOf[img]
-				shard := m.shardOf(phys)
+				shard := m.Plan.ShardOfNode(phys)
 				pr := m.Group.Shard(shard).Go(fmt.Sprintf("healer/img%d", img), func(bp *sim.Proc) {
 					if err := body(bp, img); err != nil {
 						sv.noteFault(err)
@@ -249,15 +178,7 @@ func (h *Healer) runSharded(p *sim.Proc, body func(bp *sim.Proc, img int) error)
 				}
 			}
 		})
-		var faultErr error
-		for oks := 0; oks < len(imgs) && faultErr == nil; {
-			which, v := sim.Select(p, sv.alarm, sv.okc)
-			if which == 0 {
-				faultErr = v.(error)
-			} else if v.(okTok).gen == gen {
-				oks++
-			}
-		}
+		faultErr := sv.await(p, len(imgs), gen)
 		if faultErr == nil {
 			return nil
 		}
@@ -272,112 +193,13 @@ func (h *Healer) runSharded(p *sim.Proc, body func(bp *sim.Proc, img int) error)
 }
 
 // heal is the remap-aware recovery sequence: halt, drain, flush,
-// bypass-and-remap (or degrade), restore, replay.
+// bypass-and-remap (or degrade), restore, replay. Every step that
+// touches state owned by other shards — killing bodies, aborting
+// snapshots, flushing, the bypass/remap walk — runs in a Global section
+// with all shards quiescent; the timed waits (the boot-state service
+// reads, the degraded-mode board swap) run between the sections, after
+// the walk, since a Global body must not block.
 func (h *Healer) heal(p *sim.Proc, cause error) error {
-	if h.M.Group != nil {
-		return h.healSharded(p, cause)
-	}
-	sv, m := h.SV, h.M
-	start := p.Now()
-	h.Det.Suspend()
-	defer h.Det.Resume()
-
-	sv.killBodies()
-	for _, mod := range m.Modules {
-		mod.AbortSnapshot()
-	}
-	p.Wait(sv.DrainTime)
-	m.Net.Flush()
-	for _, mod := range m.Modules {
-		mod.FlushThread()
-	}
-
-	// A confirmed hang is handled like a death: the board is wedged, so
-	// take it out of service and let the remap path claim it.
-	var hung *DetectedHang
-	if errors.As(cause, &hung) {
-		if nd := m.Nodes[hung.Node]; nd.Alive() {
-			nd.Crash()
-		}
-		sv.hung[hung.Node] = false
-	}
-
-	// Remap every dead, still-cabled board.
-	degraded := false
-	for phys, nd := range m.Nodes {
-		if nd.Alive() {
-			continue
-		}
-		mod := m.Modules[phys/module.NodesPerModule]
-		base := mod.Index * module.NodesPerModule
-		slot := phys - base
-		if mod.Bypassed(slot) {
-			continue // already out of the machine
-		}
-		img := mod.ImageOf(slot)
-		if img < 0 {
-			// A dead cold spare: nothing to save, just cut it out.
-			if err := mod.BypassSlot(slot); err != nil {
-				return err
-			}
-			h.note(p, "spare slot %d of module %d died; bypassed", slot, mod.Index)
-			continue
-		}
-		spare := h.pickSpare(mod)
-		if spare < 0 {
-			// Spares exhausted: repair in place, pay the engineer visit.
-			nd.Repair()
-			sv.hung[phys] = false
-			degraded = true
-			h.Degraded++
-			m.K.Count("heal.degraded_count", 1)
-			h.note(p, "node %d dead, no spare in module %d: degraded in-place repair", phys, mod.Index)
-			continue
-		}
-		if err := mod.BypassSlot(slot); err != nil {
-			return err
-		}
-		if err := mod.AdoptImage(spare, img); err != nil {
-			return err
-		}
-		if sv.lastSnaps == nil {
-			// The boot checkpoint never completed, so there is nothing on
-			// disk to restore the image from. The dead board's static RAM
-			// still holds its untouched boot state; the service path reads
-			// it out and seeds the spare directly.
-			p.Wait(sim.Duration(memory.NumRows) * sim.RowAccess)
-			m.Nodes[base+spare].Mem.PokeBytes(0, nd.Mem.PeekBytes(0, memory.Bytes))
-		}
-		sv.hung[phys] = false
-		h.physOf[base+img] = base + spare
-		h.Remaps++
-		m.K.Count("heal.remap_count", 1)
-		h.note(p, "node %d dead: image %d remapped to spare slot %d of module %d", phys, base+img, spare, mod.Index)
-	}
-	if degraded {
-		p.Wait(BoardSwapTime)
-	}
-
-	if sv.lastSnaps != nil {
-		if err := sv.restoreLatest(p); err != nil {
-			return err
-		}
-		sv.Rollbacks++
-	}
-	sv.drainAlarms()
-	sv.LastRecovery = p.Now().Sub(start)
-	m.K.Count("heal.recover_ns", int64(sv.LastRecovery/sim.Nanosecond))
-	return nil
-}
-
-// healSharded is the heal sequence on a partitioned machine. Every
-// step that touches state owned by other shards — killing bodies,
-// aborting snapshots, flushing, the bypass/remap walk — runs in a
-// Global section with all shards quiescent; the timed waits the serial
-// path interleaves with the walk (the boot-state service reads, the
-// degraded-mode board swap) are hoisted between the sections, since a
-// Global body must not block.
-func (h *Healer) healSharded(p *sim.Proc, cause error) error {
 	sv, m := h.SV, h.M
 	start := p.Now()
 	m.Group.Global(p, func(sim.Time) { h.Det.Suspend() })
@@ -400,6 +222,8 @@ func (h *Healer) healSharded(p *sim.Proc, cause error) error {
 		for _, mod := range m.Modules {
 			mod.FlushThread()
 		}
+		// A confirmed hang is handled like a death: the board is wedged,
+		// so take it out of service and let the remap path claim it.
 		var hung *DetectedHang
 		if errors.As(cause, &hung) {
 			if nd := m.Nodes[hung.Node]; nd.Alive() {
@@ -407,6 +231,7 @@ func (h *Healer) healSharded(p *sim.Proc, cause error) error {
 			}
 			sv.hung[hung.Node] = false
 		}
+		// Remap every dead, still-cabled board.
 		for phys, nd := range m.Nodes {
 			if nd.Alive() {
 				continue
@@ -415,10 +240,11 @@ func (h *Healer) healSharded(p *sim.Proc, cause error) error {
 			base := mod.Index * module.NodesPerModule
 			slot := phys - base
 			if mod.Bypassed(slot) {
-				continue
+				continue // already out of the machine
 			}
 			img := mod.ImageOf(slot)
 			if img < 0 {
+				// A dead cold spare: nothing to save, just cut it out.
 				if err := mod.BypassSlot(slot); err != nil {
 					healErr = err
 					return
@@ -428,6 +254,7 @@ func (h *Healer) healSharded(p *sim.Proc, cause error) error {
 			}
 			spare := h.pickSpare(mod)
 			if spare < 0 {
+				// Spares exhausted: repair in place, pay the engineer visit.
 				nd.Repair()
 				sv.hung[phys] = false
 				degraded = true
@@ -458,9 +285,11 @@ func (h *Healer) healSharded(p *sim.Proc, cause error) error {
 		return healErr
 	}
 	if len(reseeds) > 0 {
-		// Boot checkpoint never completed: pay the service-path read time
-		// per corpse, then seed the spares from the dead boards' RAM with
-		// the machine quiescent.
+		// The boot checkpoint never completed, so there is nothing on
+		// disk to restore the images from. The dead boards' static RAM
+		// still holds their untouched boot state: pay the service-path
+		// read time per corpse, then seed the spares from it with the
+		// machine quiescent.
 		for range reseeds {
 			p.Wait(sim.Duration(memory.NumRows) * sim.RowAccess)
 		}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -70,35 +71,40 @@ func TestSpecString(t *testing.T) {
 	}
 }
 
-func TestBuildSmallMachine(t *testing.T) {
-	k := sim.NewKernel()
-	m, err := New(k, 4) // one cabinet: 16 nodes, 2 modules
+// newMachine builds a dim-cube executed by one host worker.
+func newMachine(t testing.TB, dim int) *Machine {
+	t.Helper()
+	m, err := NewAuto(context.Background(), dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func TestBuildSmallMachine(t *testing.T) {
+	m := newMachine(t, 4) // one cabinet: 16 nodes, 2 modules
 	if len(m.Nodes) != 16 || len(m.Modules) != 2 {
 		t.Fatalf("nodes=%d modules=%d", len(m.Nodes), len(m.Modules))
 	}
 	// The network routes corner to corner.
 	var ok bool
-	k.Go("tx", func(p *sim.Proc) {
+	m.GoNode(0, "tx", func(p *sim.Proc) {
 		if err := m.Endpoint(0).Send(p, 15, 1, []byte("across the tesseract")); err != nil {
 			t.Errorf("send: %v", err)
 		}
 	})
-	k.Go("rx", func(p *sim.Proc) {
+	m.GoNode(15, "rx", func(p *sim.Proc) {
 		src, payload := m.Endpoint(15).Recv(p, 1)
 		ok = src == 0 && string(payload) == "across the tesseract"
 	})
-	k.Run(0)
+	m.Run(0)
 	if !ok {
 		t.Fatal("cross-machine message failed")
 	}
 }
 
 func TestInstantiationCap(t *testing.T) {
-	k := sim.NewKernel()
-	if _, err := New(k, MaxSimDim+1); err == nil {
+	if _, err := NewAuto(context.Background(), MaxSimDim+1, 1); err == nil {
 		t.Fatal("oversized instantiation accepted")
 	}
 }
@@ -106,35 +112,27 @@ func TestInstantiationCap(t *testing.T) {
 func TestSnapshotAllParallel(t *testing.T) {
 	// Snapshot time must not grow with module count: 2 modules ≈ 1
 	// module ≈ 15 s (each has its own thread and disk).
-	k := sim.NewKernel()
-	m, err := New(k, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMachine(t, 4)
 	var elapsed sim.Duration
-	k.Go("snap", func(p *sim.Proc) {
+	m.K.Go("snap", func(p *sim.Proc) {
 		start := p.Now()
 		if _, err := m.SnapshotAll(p); err != nil {
 			t.Errorf("snapall: %v", err)
 		}
 		elapsed = p.Now().Sub(start)
 	})
-	k.Run(0)
+	m.Run(0)
 	if s := elapsed.Seconds(); s < 13 || s > 17 {
 		t.Fatalf("machine snapshot took %.2f s, want ≈15 regardless of configuration", s)
 	}
 }
 
 func TestMachineCheckpointRestore(t *testing.T) {
-	k := sim.NewKernel()
-	m, err := New(k, 3) // one module, 8 nodes
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMachine(t, 3) // one module, 8 nodes
 	for i, nd := range m.Nodes {
 		nd.Mem.PokeF64(0, fparith.FromInt64(int64(i+1)))
 	}
-	k.Go("cycle", func(p *sim.Proc) {
+	m.K.Go("cycle", func(p *sim.Proc) {
 		snaps, err := m.SnapshotAll(p)
 		if err != nil {
 			t.Errorf("snap: %v", err)
@@ -147,7 +145,7 @@ func TestMachineCheckpointRestore(t *testing.T) {
 			t.Errorf("restore: %v", err)
 		}
 	})
-	k.Run(0)
+	m.Run(0)
 	for i, nd := range m.Nodes {
 		if got := nd.Mem.PeekF64(0).Float64(); got != float64(i+1) {
 			t.Fatalf("node %d = %g after restore", i, got)
@@ -156,12 +154,8 @@ func TestMachineCheckpointRestore(t *testing.T) {
 }
 
 func TestRingBackup(t *testing.T) {
-	k := sim.NewKernel()
-	m, err := New(k, 4) // 2 modules in a ring
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Go("backup", func(p *sim.Proc) {
+	m := newMachine(t, 4) // 2 modules in a ring
+	m.K.Go("backup", func(p *sim.Proc) {
 		snaps, err := m.SnapshotAll(p)
 		if err != nil {
 			t.Errorf("snap: %v", err)
@@ -175,7 +169,7 @@ func TestRingBackup(t *testing.T) {
 		p.Wait(sim.Second)
 		_ = snaps
 	})
-	k.Run(0)
+	m.Run(0)
 	if !m.Modules[1].HasBackupOf(0, 0, 8) {
 		t.Fatal("module 1 does not hold module 0's backup")
 	}
@@ -184,11 +178,7 @@ func TestRingBackup(t *testing.T) {
 func TestLargerMachineSmoke(t *testing.T) {
 	// A 6-cube (64 nodes, 8 modules): corner-to-corner routing works and
 	// the module grouping matches the 3-subcube rule.
-	k := sim.NewKernel()
-	m, err := New(k, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMachine(t, 6)
 	if len(m.Modules) != 8 {
 		t.Fatalf("modules = %d", len(m.Modules))
 	}
@@ -200,16 +190,16 @@ func TestLargerMachineSmoke(t *testing.T) {
 		}
 	}
 	var ok bool
-	k.Go("tx", func(p *sim.Proc) {
+	m.GoNode(0, "tx", func(p *sim.Proc) {
 		if err := m.Endpoint(0).Send(p, 63, 1, []byte("corner")); err != nil {
 			t.Errorf("send: %v", err)
 		}
 	})
-	k.Go("rx", func(p *sim.Proc) {
+	m.GoNode(63, "rx", func(p *sim.Proc) {
 		src, payload := m.Endpoint(63).Recv(p, 1)
 		ok = src == 0 && string(payload) == "corner"
 	})
-	k.Run(0)
+	m.Run(0)
 	if !ok {
 		t.Fatal("6-cube corner message failed")
 	}

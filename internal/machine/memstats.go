@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"tseries/internal/memory"
-	"tseries/internal/sim"
-)
+import "tseries/internal/memory"
 
 // MemStats aggregates the host-footprint counters of every node memory
 // and module disk in the machine: how much of the configured store the
@@ -45,16 +42,4 @@ func (m *Machine) MemStats() MemStats {
 		s.DiskResidentBytes += mod.Disk.ResidentBytes()
 	}
 	return s
-}
-
-// GoNode spawns fn as a process on node id's owning shard kernel — the
-// machine's only kernel when serial. A process that touches a node's
-// state must run on the kernel that owns it; spawning before Run starts
-// is deterministic in either build.
-func (m *Machine) GoNode(id int, name string, fn func(*sim.Proc)) {
-	if m.Group != nil {
-		m.Group.Shard(m.shardOf(id)).Go(name, fn)
-		return
-	}
-	m.K.Go(name, fn)
 }

@@ -43,7 +43,7 @@ type PartitionPlan struct {
 // near-equal size (hypercube neighbours and ring neighbours stay
 // clustered), and the effective shard count is clamped to the module
 // count — a 4-cube (two modules) cannot use more than two shards no
-// matter the request. wantShards < 1 requests the serial plan.
+// matter the request. wantShards < 1 requests the one-shard plan.
 func PlanPartition(dim, wantShards int) (*PartitionPlan, error) {
 	spec, err := SpecFor(dim)
 	if err != nil {
@@ -111,10 +111,9 @@ func (p *PartitionPlan) CrossShardDims() []int {
 // Buildable reports whether the machine builder can realise this plan
 // as a sharded simulation, and when it cannot, why. Multi-shard plans
 // are buildable as long as every shard boundary falls on an edge with a
-// positive latency floor: comm.BuildCubeOn and module.ConnectRingOn
-// stage cross-shard hypercube and ring traffic through XChan edges, and
-// NewSharded ports the supervisor/detector/heal control plane to shard
-// ownership. A plan is refused only when some boundary edge has no
+// positive latency floor: comm.BuildCube and module.ConnectRing stage
+// cross-shard hypercube and ring traffic through XChan edges, and the
+// supervisor/detector/heal control plane follows shard ownership. A plan is refused only when some boundary edge has no
 // floor to stage across — splitting below module granularity would put
 // a shard boundary on the intramodule backplane (hypercube dims 0..2),
 // whose transfers have no guaranteed minimum latency — or when the plan

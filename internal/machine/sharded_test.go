@@ -9,13 +9,7 @@ import (
 )
 
 func TestShardedMachineBuilds(t *testing.T) {
-	m, err := NewSharded(context.Background(), 4) // one cabinet: 16 nodes, 2 modules
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Partitioned() {
-		t.Fatal("dim-4 machine must build partitioned")
-	}
+	m := newMachine(t, 4) // one cabinet: 16 nodes, 2 modules
 	if m.Group.Shards() != 2 || len(m.Modules) != 2 {
 		t.Fatalf("shards=%d modules=%d, want 2/2", m.Group.Shards(), len(m.Modules))
 	}
@@ -43,10 +37,7 @@ func TestShardedMachineBuilds(t *testing.T) {
 func TestShardedSnapshotAllFromAnyShard(t *testing.T) {
 	// SnapshotAll still takes ≈15 s wall (modules snapshot in parallel,
 	// each on its own shard) and may be issued from a non-control shard.
-	m, err := NewSharded(context.Background(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMachine(t, 4)
 	var elapsed sim.Duration
 	m.Group.Shard(1).Go("snap", func(p *sim.Proc) {
 		start := p.Now()
@@ -62,20 +53,24 @@ func TestShardedSnapshotAllFromAnyShard(t *testing.T) {
 }
 
 func TestNewAutoPicksGeometry(t *testing.T) {
-	serial, err := NewAuto(context.Background(), 3, 4)
+	one, err := NewAuto(context.Background(), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Partitioned() {
-		t.Fatal("single-module dim-3 machine must build serial regardless of workers")
+	if one.Group.Shards() != 1 || one.Group.Lookahead() != 0 || one.rtxMirror != nil {
+		t.Fatalf("single-module dim-3 machine: shards=%d lookahead=%v mirror=%v, want one unbounded shard reading live state",
+			one.Group.Shards(), one.Group.Lookahead(), one.rtxMirror != nil)
+	}
+	if st := one.SimStats(); st.Shards != nil || st.Windows != 0 {
+		t.Fatalf("one-shard stats carry shard fields: %+v", st)
 	}
 	sharded, err := NewAuto(context.Background(), 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sharded.Partitioned() || sharded.Group.Shards() != 4 {
-		t.Fatalf("dim-5 machine: partitioned=%v shards=%d, want 4 shards (one per module)",
-			sharded.Partitioned(), sharded.Group.Shards())
+	if sharded.Group.Shards() != 4 || sharded.Group.Lookahead() <= 0 {
+		t.Fatalf("dim-5 machine: shards=%d lookahead=%v, want 4 shards (one per module) with a lookahead",
+			sharded.Group.Shards(), sharded.Group.Lookahead())
 	}
 }
 
@@ -90,7 +85,7 @@ func TestShardedMachineWorkerInvariant(t *testing.T) {
 		}
 		for id := 0; id < len(m.Nodes); id++ {
 			nodeID := id
-			m.Group.Shard(m.Plan.ShardOfNode(id)).Go(fmt.Sprintf("x%d", id), func(p *sim.Proc) {
+			m.GoNode(id, fmt.Sprintf("x%d", id), func(p *sim.Proc) {
 				peer := nodeID ^ 15 // opposite corner: always cross-module
 				ep := m.Endpoint(nodeID)
 				if err := ep.Send(p, peer, 2, []byte{byte(nodeID)}); err != nil {

@@ -58,7 +58,6 @@ type Kernel struct {
 	yielded chan struct{} // the hand-off chain signals here when the kernel goroutine must take over
 	procs   int           // live (not yet finished) non-daemon processes
 	running *Proc         // process currently executing, nil in kernel context
-	tracef  func(format string, args ...interface{})
 
 	// Execution metrics (see Stats) and the optional observer surface.
 	events      int64
@@ -174,15 +173,6 @@ func (k *Kernel) teardown() {
 
 // Now reports the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
-
-// SetTrace installs a debug trace sink (nil disables tracing).
-func (k *Kernel) SetTrace(f func(format string, args ...interface{})) { k.tracef = f }
-
-func (k *Kernel) trace(format string, args ...interface{}) {
-	if k.tracef != nil {
-		k.tracef(format, args...)
-	}
-}
 
 // pushLane appends a same-instant event to the FIFO ring.
 func (k *Kernel) pushLane(fn func(), p *Proc) {
@@ -609,9 +599,7 @@ func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 			}
 			k.running = nil
 			if r != nil {
-				if _, ok := r.(killed); ok {
-					k.trace("proc %s killed at %v", p.name, k.now)
-				} else {
+				if _, ok := r.(killed); !ok {
 					// A real bug in a process body: re-arm it on the
 					// kernel goroutine so Run panics with it.
 					k.pendingPanic = r
@@ -630,7 +618,6 @@ func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		if p.dead {
 			panic(killed{p.name}) // killed before it ever ran
 		}
-		k.trace("proc %s start at %v", p.name, k.now)
 		fn(p)
 	}()
 	k.atProc(k.now, p)

@@ -156,6 +156,16 @@ func (g *ShardGroup) Shard(i int) *Kernel { return g.shards[i] }
 // Shards reports the logical shard count.
 func (g *ShardGroup) Shards() int { return len(g.shards) }
 
+// ShardOf reports which shard k is, or -1 when k is not in the group.
+func (g *ShardGroup) ShardOf(k *Kernel) int {
+	for i, s := range g.shards {
+		if s == k {
+			return i
+		}
+	}
+	return -1
+}
+
 // SetWorkers sets the physical parallelism: how many goroutines execute
 // shard windows concurrently. It is clamped to [1, Shards()] and does
 // not affect results — only wall-clock speed.
@@ -302,13 +312,7 @@ type globalCall struct {
 // On a single-shard group fn runs inline at p's current instant: there
 // are no peers to quiesce, and a barrier may never come.
 func (g *ShardGroup) Global(p *Proc, fn func(at Time)) {
-	shard := -1
-	for i, k := range g.shards {
-		if k == p.k {
-			shard = i
-			break
-		}
-	}
+	shard := g.ShardOf(p.k)
 	if shard < 0 {
 		panic("sim: Global from a process outside the group")
 	}

@@ -66,8 +66,7 @@ func DistributedLU(ctx context.Context, dim, n int, a [][]float64) (DLUResult, e
 	if n <= 0 || n > memory.F64PerRow {
 		return DLUResult{}, fmt.Errorf("workloads: DLU size 1..%d", memory.F64PerRow)
 	}
-	k := sim.NewKernelCtx(ctx)
-	m, err := machine.New(k, dim)
+	m, err := machine.NewAuto(ctx, dim, KernelShardsFrom(ctx))
 	if err != nil {
 		return DLUResult{}, err
 	}
@@ -97,18 +96,13 @@ func DistributedLU(ctx context.Context, dim, n int, a [][]float64) (DLUResult, e
 	for i := range res.Perm {
 		res.Perm[i] = i
 	}
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-
+	errs := make([]error, nNodes)
 	for id := range m.Nodes {
 		nodeID := id
 		e := m.Endpoint(nodeID)
 		nd := m.Nodes[nodeID]
-		k.Go(fmt.Sprintf("dlu/n%d", nodeID), func(p *sim.Proc) {
+		fail := func(err error) { errs[nodeID] = err }
+		m.GoNode(nodeID, fmt.Sprintf("dlu/n%d", nodeID), func(p *sim.Proc) {
 			var scratch memory.VectorReg
 			for kk := 0; kk < n; kk++ {
 				tagBase := 10000 + kk*64
@@ -202,15 +196,15 @@ func DistributedLU(ctx context.Context, dim, n int, a [][]float64) (DLUResult, e
 			}
 		})
 	}
-	end := k.Run(0)
-	if err := k.Err(); err != nil {
+	end := m.Run(0)
+	if err := m.Err(); err != nil {
 		return DLUResult{}, err // canceled: results are partial
 	}
-	if firstErr != nil {
-		return DLUResult{}, firstErr
+	if err := firstErr(errs); err != nil {
+		return DLUResult{}, err
 	}
 	res.Elapsed = sim.Duration(end)
-	res.Stats = k.Stats()
+	res.Stats = m.SimStats()
 
 	// Collect factors.
 	res.L = make([][]float64, n)

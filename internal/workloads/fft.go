@@ -86,8 +86,7 @@ func DistributedFFT(ctx context.Context, dim int, in []complex128) (FFTResult, e
 	if n == 0 || n&(n-1) != 0 {
 		return FFTResult{}, fmt.Errorf("workloads: FFT size must be a power of two")
 	}
-	k := sim.NewKernelCtx(ctx)
-	m, err := machine.New(k, dim)
+	m, err := machine.NewAuto(ctx, dim, KernelShardsFrom(ctx))
 	if err != nil {
 		return FFTResult{}, err
 	}
@@ -117,16 +116,12 @@ func DistributedFFT(ctx context.Context, dim int, in []complex128) (FFTResult, e
 		rom[j] = Complex{fparith.FromFloat64(math.Cos(ang)), fparith.FromFloat64(math.Sin(ang))}
 	}
 
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
+	errs := make([]error, nNodes)
 	for id := range m.Nodes {
 		nodeID := id
 		e := m.Endpoint(nodeID)
-		k.Go(fmt.Sprintf("fft/n%d", nodeID), func(p *sim.Proc) {
+		fail := func(err error) { errs[nodeID] = err }
+		m.GoNode(nodeID, fmt.Sprintf("fft/n%d", nodeID), func(p *sim.Proc) {
 			mine := blocks[nodeID]
 			// Distributed stages: butterfly distance D = N/2 … local.
 			stage := 0
@@ -189,16 +184,16 @@ func DistributedFFT(ctx context.Context, dim int, in []complex128) (FFTResult, e
 			}
 		})
 	}
-	end := k.Run(0)
-	if err := k.Err(); err != nil {
+	end := m.Run(0)
+	if err := m.Err(); err != nil {
 		return FFTResult{}, err // canceled: results are partial
 	}
-	if firstErr != nil {
-		return FFTResult{}, firstErr
+	if err := firstErr(errs); err != nil {
+		return FFTResult{}, err
 	}
 
 	// Collect; DIF leaves results in bit-reversed order.
-	res := FFTResult{N: n, Nodes: nNodes, Elapsed: sim.Duration(end), Stats: k.Stats()}
+	res := FFTResult{N: n, Nodes: nNodes, Elapsed: sim.Duration(end), Stats: m.SimStats()}
 	res.Out = make([]complex128, n)
 	total := bits.Len(uint(n)) - 1
 	for id := range blocks {

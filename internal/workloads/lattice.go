@@ -140,9 +140,9 @@ func latticeInit(seed int64, site int) fparith.F64 {
 // distributed over the 2^dim-node machine. Each node holds a
 // (N/px0)×(N/px1)×(N/px2)×(N/px3) block in its own node memory (two
 // copies, current and next, swapped each sweep) and exchanges the eight
-// face halos with its mesh neighbors each iteration. The machine builds
-// partitioned (one logical shard per module) above one module, so the
-// same run exercises the conservative parallel kernel at every scale.
+// face halos with its mesh neighbors each iteration. The machine runs
+// one logical shard per module, so above one module the same run
+// exercises the conservative parallel kernel at every scale.
 func DistributedLattice4D(ctx context.Context, dim, side, iters int, seed int64) (LatticeResult, error) {
 	px := latticeAxes(dim)
 	mesh, err := cube.NewMesh(px[0], px[1], px[2], px[3])
@@ -332,10 +332,8 @@ func DistributedLattice4D(ctx context.Context, dim, side, iters int, seed int64)
 	if err := m.Err(); err != nil {
 		return LatticeResult{}, err
 	}
-	for _, e := range errs {
-		if e != nil {
-			return LatticeResult{}, e
-		}
+	if err := firstErr(errs); err != nil {
+		return LatticeResult{}, err
 	}
 
 	res := LatticeResult{

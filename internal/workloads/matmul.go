@@ -69,8 +69,7 @@ func (r MatMulResult) MFLOPS() float64 {
 // N must be ≤ 128 (one memory row per matrix row) and divisible by the
 // node count.
 func DistributedMatMul(ctx context.Context, dim int, n int, a, b [][]float64) (MatMulResult, error) {
-	k := sim.NewKernelCtx(ctx)
-	m, err := machine.New(k, dim)
+	m, err := machine.NewAuto(ctx, dim, KernelShardsFrom(ctx))
 	if err != nil {
 		return MatMulResult{}, err
 	}
@@ -114,19 +113,14 @@ func DistributedMatMul(ctx context.Context, dim int, n int, a, b [][]float64) (M
 	}
 
 	res := MatMulResult{N: n, Nodes: nNodes}
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	done := sim.NewChan(k, "matmul/done", nNodes)
+	flops := make([]int64, nNodes)
+	errs := make([]error, nNodes)
 	for id := range m.Nodes {
 		nodeID := id
 		e := m.Endpoint(nodeID)
 		nd := m.Nodes[nodeID]
-		k.Go(fmt.Sprintf("matmul/n%d", nodeID), func(p *sim.Proc) {
-			defer done.Send(p, struct{}{})
+		fail := func(err error) { errs[nodeID] = err }
+		m.GoNode(nodeID, fmt.Sprintf("matmul/n%d", nodeID), func(p *sim.Proc) {
 			for gk := 0; gk < n; gk++ {
 				owner := gk / per
 				// Owner reads its staged row; everyone receives the
@@ -163,26 +157,21 @@ func DistributedMatMul(ctx context.Context, dim int, n int, a, b [][]float64) (M
 						fail(err)
 						return
 					}
-					res.Flops += int64(rr.Flops)
+					flops[nodeID] += int64(rr.Flops)
 				}
 			}
 		})
 	}
-	collect := k.Go("matmul/join", func(p *sim.Proc) {
-		for i := 0; i < nNodes; i++ {
-			done.Recv(p)
-		}
-	})
-	end := k.Run(0)
-	if err := k.Err(); err != nil {
+	end := m.Run(0)
+	if err := m.Err(); err != nil {
 		return MatMulResult{}, err // canceled: results are partial
 	}
-	_ = collect
-	if firstErr != nil {
-		return MatMulResult{}, firstErr
+	if err := firstErr(errs); err != nil {
+		return MatMulResult{}, err
 	}
+	res.Flops = sum64(flops)
 	res.Elapsed = sim.Duration(end)
-	res.Stats = k.Stats()
+	res.Stats = m.SimStats()
 	// Gather C for verification (host-side, untimed).
 	res.C = make([][]float64, n)
 	for id, nd := range m.Nodes {

@@ -34,7 +34,7 @@ func reportBytes(t *testing.T, name string, cfg Config) []byte {
 // must produce a byte-identical report at shard counts {1, 2, 3,
 // NumCPU}. The partition is fixed by the workload's geometry, never by
 // the knob: pring shards per station, the machine workloads shard one
-// logical shard per module (serial at single-module dimensions like
+// logical shard per module (one shard at single-module dimensions like
 // this config's), and KernelShards picks only how many host workers
 // execute the fixed shard set.
 func TestWorkloadsShardInvariant(t *testing.T) {
@@ -141,6 +141,49 @@ func TestMachineSoakChaosShardInvariantDim4(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		if got := reportBytes(t, "soak", mkCfg(shards)); string(got) != string(want) {
 			t.Errorf("dim-4 chaos soak at shards=%d differs from workers=1\n  one: %s\n  got: %s", shards, want, got)
+		}
+	}
+}
+
+// TestPortedWorkloadsShardInvariantDim4 runs the machine workloads that
+// once built a single kernel — saxpy, matmul, fft, stencil and dlu — at
+// dim 4, where the machine has two modules and so two shards: every
+// process runs on its node's shard and every result that several shards
+// produce lands in per-node slots. The report must be byte-identical at
+// 1, 2 and 4 host workers; under the race detector this also catches Go
+// state shared across shards.
+func TestPortedWorkloadsShardInvariantDim4(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"saxpy", Config{Dim: 4, Rows: 20, Reps: 1}},
+		{"matmul", Config{Dim: 4, N: 32, Seed: 3}},
+		{"fft", Config{Dim: 4, N: 256, Seed: 3}},
+		{"stencil", Config{Dim: 4, N: 32, Iters: 3, Seed: 3}},
+		{"dlu", Config{Dim: 4, N: 32, Seed: 3}},
+	}
+	for _, c := range cases {
+		one := c.cfg
+		one.KernelShards = 1
+		want := reportBytes(t, c.name, one)
+		var rep Report
+		if err := json.Unmarshal(want, &rep); err != nil {
+			t.Fatal(err)
+		}
+		// saxpy never leaves its nodes; the others exchange across the
+		// module boundary.
+		if len(rep.Kernel.Shards) != 2 || (rep.Kernel.CrossShard == 0) != (c.name == "saxpy") {
+			t.Errorf("%s: %d shards, %d cross-shard events; want the two-module machine's two shards in use",
+				c.name, len(rep.Kernel.Shards), rep.Kernel.CrossShard)
+		}
+		for _, workers := range []int{2, 4} {
+			got := c.cfg
+			got.KernelShards = workers
+			if raw := reportBytes(t, c.name, got); string(raw) != string(want) {
+				t.Errorf("%s at dim 4: report at workers=%d differs from workers=1\n  one: %s\n  got: %s",
+					c.name, workers, want, raw)
+			}
 		}
 	}
 }

@@ -41,10 +41,9 @@ type Config struct {
 	// many host workers (sim.ShardGroup physical parallelism). It is a
 	// hosting knob, not a model parameter: a workload's logical shard
 	// partition is fixed by its geometry (Dim), so its Report is
-	// byte-identical at every KernelShards value — 0 and 1 both mean
-	// serial. The machine workloads build partitioned (one logical shard
-	// per module; see machine.NewAuto) whenever the geometry has more
-	// than one module, and map this knob onto the worker count that
+	// byte-identical at every KernelShards value — 0 and 1 both mean one
+	// worker. The machine workloads run one logical shard per module
+	// (see machine.NewAuto) and map this knob onto the worker count that
 	// executes the fixed shard set. Like Ctx it is excluded from
 	// result-cache keys.
 	KernelShards int `json:"-"`
@@ -158,6 +157,27 @@ func newReport(name string, nodes int, elapsed sim.Duration, flops int64, ks sim
 		Metrics:  map[string]float64{},
 		Kernel:   ks,
 	}
+}
+
+// firstErr returns the lowest-numbered node's error, or nil. Workload
+// processes record failures in per-node slots: processes on different
+// shards of a machine must not share a Go variable.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sum64 totals per-node counters.
+func sum64(vs []int64) int64 {
+	var t int64
+	for _, v := range vs {
+		t += v
+	}
+	return t
 }
 
 // Runner is one registered workload. Run must be deterministic for a

@@ -5,9 +5,9 @@
 // a shared-bus baseline machine used to reproduce the paper's argument
 // that distributed memory scales where a shared interconnect saturates.
 //
-// Each workload builds its own kernel and machine, runs to completion,
-// and reports simulated time and operation counts; results are verified
-// against host-arithmetic references in the package tests.
+// Each workload builds its own machine, runs to completion, and reports
+// simulated time and operation counts; results are verified against
+// host-arithmetic references in the package tests.
 package workloads
 
 import (
@@ -60,8 +60,7 @@ func (r SAXPYResult) MFLOPS() float64 {
 // aggregate-throughput workload behind the paper's 128 MFLOPS module
 // and 1 GFLOPS cabinet figures.
 func DistributedSAXPY(ctx context.Context, dim, rowsPerNode, reps int) (SAXPYResult, error) {
-	k := sim.NewKernelCtx(ctx)
-	m, err := machine.New(k, dim)
+	m, err := machine.NewAuto(ctx, dim, KernelShardsFrom(ctx))
 	if err != nil {
 		return SAXPYResult{}, err
 	}
@@ -75,10 +74,11 @@ func DistributedSAXPY(ctx context.Context, dim, rowsPerNode, reps int) (SAXPYRes
 	res.Nodes = len(m.Nodes)
 	res.Rows = rowsPerNode
 	res.Reps = reps
-	var firstErr error
-	for _, nd := range m.Nodes {
-		n := nd
-		k.Go(n.Name+"/saxpy", func(p *sim.Proc) {
+	flops := make([]int64, len(m.Nodes))
+	errs := make([]error, len(m.Nodes))
+	for id, nd := range m.Nodes {
+		id, n := id, nd
+		m.GoNode(id, n.Name+"/saxpy", func(p *sim.Proc) {
 			for rep := 0; rep < reps; rep++ {
 				for r := 0; r < rowsPerNode; r++ {
 					out := 301 + r%400
@@ -86,24 +86,25 @@ func DistributedSAXPY(ctx context.Context, dim, rowsPerNode, reps int) (SAXPYRes
 						Form: fpu.SAXPY, Prec: fpu.P64,
 						X: 0, Y: 300, Z: out, A: fparith.FromFloat64(2),
 					})
-					if err != nil && firstErr == nil {
-						firstErr = err
+					if err != nil {
+						errs[id] = err
 						return
 					}
-					res.Flops += int64(rr.Flops)
+					flops[id] += int64(rr.Flops)
 				}
 			}
 		})
 	}
-	end := k.Run(0)
-	if err := k.Err(); err != nil {
+	end := m.Run(0)
+	if err := m.Err(); err != nil {
 		return SAXPYResult{}, err // canceled: results are partial
 	}
-	if firstErr != nil {
-		return SAXPYResult{}, firstErr
+	if err := firstErr(errs); err != nil {
+		return SAXPYResult{}, err
 	}
+	res.Flops = sum64(flops)
 	res.Elapsed = sim.Duration(end)
-	res.Stats = k.Stats()
+	res.Stats = m.SimStats()
 	return res, nil
 }
 

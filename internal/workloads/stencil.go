@@ -68,8 +68,7 @@ func DistributedStencil(ctx context.Context, dimX, dimY int, grid int, init [][]
 		return StencilResult{}, err
 	}
 	dim := mesh.CubeDim()
-	k := sim.NewKernelCtx(ctx)
-	m, err := machine.New(k, dim)
+	m, err := machine.NewAuto(ctx, dim, KernelShardsFrom(ctx))
 	if err != nil {
 		return StencilResult{}, err
 	}
@@ -106,18 +105,14 @@ func DistributedStencil(ctx context.Context, dimX, dimY int, grid int, init [][]
 	}
 
 	quarter := fparith.FromFloat64(0.25)
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
+	errs := make([]error, len(m.Nodes))
 	for id := range m.Nodes {
 		nodeID := id
 		e := m.Endpoint(nodeID)
 		b := blocks[nodeID]
 		cx, cy := coordOf[nodeID][0], coordOf[nodeID][1]
-		k.Go(fmt.Sprintf("stencil/n%d", nodeID), func(p *sim.Proc) {
+		fail := func(err error) { errs[nodeID] = err }
+		m.GoNode(nodeID, fmt.Sprintf("stencil/n%d", nodeID), func(p *sim.Proc) {
 			for it := 0; it < iters; it++ {
 				tag := 3000 + it*8
 				// Exchange halos with up to four mesh neighbors; mesh
@@ -215,15 +210,15 @@ func DistributedStencil(ctx context.Context, dimX, dimY int, grid int, init [][]
 			}
 		})
 	}
-	end := k.Run(0)
-	if err := k.Err(); err != nil {
+	end := m.Run(0)
+	if err := m.Err(); err != nil {
 		return StencilResult{}, err // canceled: results are partial
 	}
-	if firstErr != nil {
-		return StencilResult{}, firstErr
+	if err := firstErr(errs); err != nil {
+		return StencilResult{}, err
 	}
 
-	res := StencilResult{Grid: grid, Nodes: len(m.Nodes), Iters: iters, Elapsed: sim.Duration(end), Stats: k.Stats()}
+	res := StencilResult{Grid: grid, Nodes: len(m.Nodes), Iters: iters, Elapsed: sim.Duration(end), Stats: m.SimStats()}
 	res.Field = make([][]float64, grid)
 	for i := range res.Field {
 		res.Field[i] = make([]float64, grid)

@@ -11,8 +11,8 @@
 // either as Go functions running as simulated processes or in the
 // bundled Occam subset, and read results and timings off the simulated
 // clock. The experiment harness (Experiments, RunExperiment) regenerates
-// every quantitative claim and figure of the paper; `go test -bench .`
-// and cmd/tbench drive it.
+// every quantitative claim and figure of the paper; `tsim -experiment`
+// and `go test -bench .` drive it.
 package tseries
 
 import (
@@ -59,9 +59,11 @@ type FaultCounters = stats.FaultCounters
 func ParseFaultPlan(spec string) (*FaultPlan, error) { return fault.Parse(spec) }
 
 // New builds a 2^dim-node machine with its hypercube network, modules,
-// system ring and disks. Simulable dimensions are 0..8; use SpecFor for
-// the paper's larger configurations, whose properties derive from module
-// homogeneity without instantiation.
+// system ring and disks, one simulation shard per module. Simulable
+// dimensions are 0..12 (up to the 12-cube's 4096 nodes); use SpecFor
+// for larger configurations, whose properties derive from module
+// homogeneity without instantiation. System.Go states the
+// shard-ownership rule that programs on a multi-module system follow.
 func New(dim int) (*System, error) { return core.NewSystem(dim) }
 
 // SpecFor derives the specification of any configuration up to the
@@ -102,11 +104,11 @@ type KernelStats = sim.Stats
 // SweepPoint is one cube dimension of a workload sweep.
 type SweepPoint = core.SweepPoint
 
-// Experiments lists the full reproduction suite (E1..E17 plus the
+// Experiments lists the full reproduction suite (E1..E20 plus the
 // ablations A1..A6) in paper order.
 func Experiments() []Experiment { return core.All() }
 
-// RunExperiment runs one experiment by ID ("E1".."E17", "A1".."A6").
+// RunExperiment runs one experiment by ID ("E1".."E20", "A1".."A6").
 // Canceling ctx aborts the experiment at its kernel's next event
 // boundary and returns the context's error.
 func RunExperiment(ctx context.Context, id string) (*Result, error) {
