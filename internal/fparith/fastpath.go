@@ -1,215 +1,54 @@
 package fparith
 
-import "math/bits"
+import "math"
 
-// Fast paths for the overwhelmingly common case: both operands normal.
-// The public Add/Sub/Mul entry points test the operands' biased exponents
-// with one branch and, when both lie in [1, expMax-1], run these
-// specialized routines — the same algorithm as the generic add/mul with
-// the format constants folded, the class dispatch gone, and no unpacked
-// struct — producing bit-identical results. Zeros, denormals (flushed),
-// infinities and NaNs take the generic slow path.
-
-const (
-	frac64Mask uint64 = 1<<52 - 1
-	hidden64   uint64 = 1 << 52
-	bias64            = 1023
-	expMax64          = 0x7FF
-
-	frac32Mask uint32 = 1<<23 - 1
-	hidden32   uint32 = 1 << 23
-	bias32            = 127
-	expMax32          = 0xFF
-)
+// The host path. The T Series' adder and multiplier follow IEEE 754
+// round-to-nearest-even in both precisions and depart from it in one
+// place: no gradual underflow. So when both operands are normal, the
+// public Add/Sub/Mul entry points run the operation on the host's own
+// IEEE unit and keep its result whenever the result's biased exponent is
+// at least 2 (±Inf included). That result is the T Series' exact bits:
+//
+//   - Rounding is monotone, so a host result of at least 2·minNormal
+//     comes from an exact result above minNormal. There both sides round
+//     the same full significand, and the host's denormal grid never
+//     enters.
+//   - Overflow rounds alike: both give ±Inf exactly when the rounded
+//     significand's exponent passes the largest normal one.
+//
+// A result with biased exponent 0 or 1 lies in the band where the two
+// regimes can disagree. The host rounds a tiny exact result on the
+// denormal grid and may reach ±minNormal, while the T Series rounds the
+// full significand first and flushes what stays below minNormal to a
+// signed zero. Those results, and every zero, denormal, Inf or NaN
+// operand, take the generic bit-level add/mul, which is also the
+// reference the differential tests hold the host path to.
+//
+// Each host operation is wrapped in an explicit float64(...) or
+// float32(...) conversion. The Go spec lets a port fuse a multiply into
+// a later add (one rounding instead of two); the conversion forces the
+// rounding that the T Series' separate multiplier and adder each apply.
 
 // isNorm64 reports whether x has a biased exponent in [1, 0x7FE]: a
-// normal number, the fast-path precondition.
+// normal number.
 func isNorm64(x uint64) bool {
-	e := x >> 52 & expMax64
-	return e-1 < expMax64-1
+	e := x >> 52 & 0x7FF
+	return e-1 < 0x7FE
 }
 
 func isNorm32(x uint32) bool {
-	e := x >> 23 & expMax32
-	return e-1 < expMax32-1
+	e := x >> 23 & 0xFF
+	return e-1 < 0xFE
 }
 
-// roundPack64 is roundPack with fmt64's constants folded: sig carries the
-// value with three guard/round/sticky bits below the fraction (leading
-// bit nominally at position 55), exp is the unbiased exponent of the
-// leading bit. Round-to-nearest-even, overflow to ±Inf, underflow
-// flushed to signed zero.
-func roundPack64(sign uint64, exp int, sig uint64) uint64 {
-	top := 63 - bits.LeadingZeros64(sig)
-	const want = 52 + 3
-	if top > want {
-		shift := uint(top - want)
-		var sticky uint64
-		if sig&(1<<shift-1) != 0 {
-			sticky = 1
-		}
-		sig = sig>>shift | sticky
-		exp += top - want
-	} else if top < want {
-		sig <<= uint(want - top)
-		exp -= want - top
-	}
-	lsb, guard, roundBit, sticky := sig>>3&1, sig>>2&1, sig>>1&1, sig&1
-	sig >>= 3
-	if guard == 1 && roundBit|sticky|lsb != 0 {
-		sig++
-		if sig == hidden64<<1 {
-			sig >>= 1
-			exp++
-		}
-	}
-	biased := exp + bias64
-	if biased >= expMax64 {
-		return sign<<63 | uint64(expMax64)<<52
-	}
-	if biased <= 0 {
-		return sign << 63
-	}
-	return sign<<63 | uint64(biased)<<52 | sig&^hidden64
+// host64 returns the bits of a host result of two normal operands and
+// whether they are the T Series' result: biased exponent at least 2.
+func host64(h float64) (F64, bool) {
+	u := math.Float64bits(h)
+	return F64(u), u>>52&0x7FF >= 2
 }
 
-func roundPack32(sign uint32, exp int, sig uint64) uint32 {
-	top := 63 - bits.LeadingZeros64(sig)
-	const want = 23 + 3
-	if top > want {
-		shift := uint(top - want)
-		var sticky uint64
-		if sig&(1<<shift-1) != 0 {
-			sticky = 1
-		}
-		sig = sig>>shift | sticky
-		exp += top - want
-	} else if top < want {
-		sig <<= uint(want - top)
-		exp -= want - top
-	}
-	lsb, guard, roundBit, sticky := sig>>3&1, sig>>2&1, sig>>1&1, sig&1
-	sig >>= 3
-	if guard == 1 && roundBit|sticky|lsb != 0 {
-		sig++
-		if sig == uint64(hidden32)<<1 {
-			sig >>= 1
-			exp++
-		}
-	}
-	biased := exp + bias32
-	if biased >= expMax32 {
-		return sign<<31 | uint32(expMax32)<<23
-	}
-	if biased <= 0 {
-		return sign << 31
-	}
-	return sign<<31 | uint32(biased)<<23 | uint32(sig)&^hidden32
-}
-
-// addNorm64 computes a+b for two normal operands. To subtract, flip b's
-// sign bit first (a normal stays normal).
-func addNorm64(a, b uint64) uint64 {
-	sa, sb := a>>63, b>>63
-	ea, eb := int(a>>52&expMax64), int(b>>52&expMax64)
-	siga := a&frac64Mask | hidden64
-	sigb := b&frac64Mask | hidden64
-	// Order so |a| >= |b|.
-	if ea < eb || (ea == eb && siga < sigb) {
-		sa, sb = sb, sa
-		ea, eb = eb, ea
-		siga, sigb = sigb, siga
-	}
-	// Give both operands 3 GRS bits, align b.
-	sigA := siga << 3
-	sigB := sigb << 3
-	if shift := uint(ea - eb); shift > 0 {
-		if shift > 52+4 {
-			sigB = 1 // pure sticky
-		} else {
-			var sticky uint64
-			if sigB&(1<<shift-1) != 0 {
-				sticky = 1
-			}
-			sigB = sigB>>shift | sticky
-		}
-	}
-	var sum uint64
-	if sa == sb {
-		sum = sigA + sigB
-	} else {
-		sum = sigA - sigB
-		if sum == 0 {
-			return 0 // exact cancellation → +0 under RNE
-		}
-	}
-	return roundPack64(sa, ea-bias64, sum)
-}
-
-func addNorm32(a, b uint32) uint32 {
-	sa, sb := a>>31, b>>31
-	ea, eb := int(a>>23&expMax32), int(b>>23&expMax32)
-	siga := a&frac32Mask | hidden32
-	sigb := b&frac32Mask | hidden32
-	if ea < eb || (ea == eb && siga < sigb) {
-		sa, sb = sb, sa
-		ea, eb = eb, ea
-		siga, sigb = sigb, siga
-	}
-	sigA := uint64(siga) << 3
-	sigB := uint64(sigb) << 3
-	if shift := uint(ea - eb); shift > 0 {
-		if shift > 23+4 {
-			sigB = 1
-		} else {
-			var sticky uint64
-			if sigB&(1<<shift-1) != 0 {
-				sticky = 1
-			}
-			sigB = sigB>>shift | sticky
-		}
-	}
-	var sum uint64
-	if sa == sb {
-		sum = sigA + sigB
-	} else {
-		sum = sigA - sigB
-		if sum == 0 {
-			return 0
-		}
-	}
-	return roundPack32(sa, ea-bias32, sum)
-}
-
-// mulNorm64 computes a*b for two normal operands.
-func mulNorm64(a, b uint64) uint64 {
-	sign := (a ^ b) >> 63
-	ea, eb := int(a>>52&expMax64), int(b>>52&expMax64)
-	hi, lo := bits.Mul64(a&frac64Mask|hidden64, b&frac64Mask|hidden64)
-	// Product of two 53-bit significands is 105 or 106 bits, so hi is
-	// never zero and the leading bit sits at 104 or 105.
-	top := 127 - bits.LeadingZeros64(hi)
-	exp := ea + eb - 2*bias64 + top - 104
-	shift := uint(top + 1 - (52 + 4)) // 49 or 50
-	var sticky uint64
-	if lo&(1<<shift-1) != 0 {
-		sticky = 1
-	}
-	sig := lo>>shift | hi<<(64-shift)
-	return roundPack64(sign, exp, sig|sticky)
-}
-
-func mulNorm32(a, b uint32) uint32 {
-	sign := (a ^ b) >> 31
-	ea, eb := int(a>>23&expMax32), int(b>>23&expMax32)
-	// Product of two 24-bit significands is 47 or 48 bits: one uint64.
-	p := uint64(a&frac32Mask|hidden32) * uint64(b&frac32Mask|hidden32)
-	top := 63 - bits.LeadingZeros64(p)
-	exp := ea + eb - 2*bias32 + top - 46
-	shift := uint(top + 1 - (23 + 4)) // 20 or 21
-	var sticky uint64
-	if p&(1<<shift-1) != 0 {
-		sticky = 1
-	}
-	return roundPack32(sign, exp, p>>shift|sticky)
+func host32(h float32) (F32, bool) {
+	u := math.Float32bits(h)
+	return F32(u), u>>23&0xFF >= 2
 }

@@ -6,11 +6,16 @@ import (
 	"testing"
 )
 
-// The fast paths must be bit-exact replacements: for every input, the
-// public Add/Sub/Mul must return exactly what the generic slow path
+// The public Add/Sub/Mul run two normal operands on the host's IEEE unit
+// and keep its result unless the result falls in the underflow band
+// (biased exponent 0 or 1), where the generic bit-level add/mul take
+// over. The host path must be a bit-exact replacement: for every input,
+// the public entry points must return exactly what the generic path
 // returns, and for normal operands both must agree with the host's IEEE
-// arithmetic (after the T Series' flush-to-zero is applied to the host
-// result). These tests drive all three against each other.
+// arithmetic after the T Series' flush-to-zero is applied to the host
+// result. These tests drive all three against each other, with the
+// underflow band and the ±minNormal double-rounding boundary aimed at
+// directly in TestUnderflowBoundary.
 
 // checkAgainstGeneric compares one 64-bit operation against the generic
 // path for one operand pair.
@@ -130,6 +135,7 @@ var special32 = []uint32{
 	0x00000000, 0x80000000, // ±0
 	0x00000001, 0x007FFFFF, // denormals
 	0x00800000, 0x00800001, // min normals
+	0x00FFFFFF, 0x80FFFFFF, // ±largest significand at the minimum exponent
 	0x3F800000, 0xBF800000, // ±1
 	0x3F800001, 0x40000000, 0x3F000000,
 	0x7F7FFFFF, 0xFF7FFFFF, // ±max normal
@@ -155,7 +161,7 @@ func TestFastPathSpecials(t *testing.T) {
 	}
 }
 
-// TestFastPathDifferential compares fast, generic and host arithmetic on
+// TestFastPathDifferential compares public, generic and host arithmetic on
 // a deterministic stream of random bit patterns, biased toward nearby
 // exponents so cancellation, alignment-shift and rounding paths all get
 // exercised.
@@ -184,6 +190,41 @@ func TestFastPathDifferential(t *testing.T) {
 		b32 := uint32(b)
 		checkAgainstGeneric32(t, F32(a32), F32(b32))
 		checkAgainstHost32(t, F32(a32), F32(b32))
+	}
+}
+
+// TestUnderflowBoundary aims products and sums at ±minNormal, where
+// the host's gradual underflow and the T Series' flush-to-zero round
+// differently, and compares the public entry points against the generic
+// path there in both precisions.
+func TestUnderflowBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x0B0DE7))
+	const (
+		minNormal64 = uint64(1) << 52
+		minNormal32 = uint32(1) << 23
+		span        = 1 << 20 // operand distance from minNormal, in ulps
+	)
+	for i := 0; i < 200000; i++ {
+		nudge := rng.Intn(9) - 4
+		s1, s2 := rng.Uint64()&(1<<63), rng.Uint64()&(1<<63)
+
+		// Products: b = minNormal/a, nudged by −4..+4 ulps, so a*b lands
+		// within a few ulps of ±minNormal. a lies in [2^-20, 1), which
+		// keeps b normal.
+		a := rng.Uint64()&(1<<52-1) | uint64(1023-20+rng.Intn(20))<<52
+		b := math.Float64bits(math.Float64frombits(minNormal64)/math.Float64frombits(a)) + uint64(nudge)
+		checkAgainstGeneric64(t, F64(a|s1), F64(b|s2))
+
+		a32 := uint32(a>>29)&(1<<23-1) | uint32(127-20+rng.Intn(20))<<23
+		b32 := math.Float32bits(math.Float32frombits(minNormal32)/math.Float32frombits(a32)) + uint32(nudge)
+		checkAgainstGeneric32(t, F32(a32|uint32(s1>>32)), F32(b32|uint32(s2>>32)))
+
+		// Opposite-signed sums of operands within 2^20 ulps of minNormal.
+		d1, d2 := rng.Intn(2*span+1)-span, rng.Intn(2*span+1)-span
+		x, y := minNormal64+uint64(d1)|s1, minNormal64+uint64(d2)|s1^(1<<63)
+		checkAgainstGeneric64(t, F64(x), F64(y))
+		x32, y32 := minNormal32+uint32(d1)|uint32(s1>>32), minNormal32+uint32(d2)|uint32(s1>>32)^(1<<31)
+		checkAgainstGeneric32(t, F32(x32), F32(y32))
 	}
 }
 

@@ -15,7 +15,9 @@ type F32 uint32
 // Add64 returns a + b with round-to-nearest-even and flush-to-zero.
 func Add64(a, b F64) F64 {
 	if isNorm64(uint64(a)) && isNorm64(uint64(b)) {
-		return F64(addNorm64(uint64(a), uint64(b)))
+		if h, ok := host64(float64(a.Float64() + b.Float64())); ok {
+			return h
+		}
 	}
 	return F64(add(fmt64, uint64(a), uint64(b), false))
 }
@@ -23,7 +25,9 @@ func Add64(a, b F64) F64 {
 // Sub64 returns a - b.
 func Sub64(a, b F64) F64 {
 	if isNorm64(uint64(a)) && isNorm64(uint64(b)) {
-		return F64(addNorm64(uint64(a), uint64(b)^fmt64.signMask()))
+		if h, ok := host64(float64(a.Float64() - b.Float64())); ok {
+			return h
+		}
 	}
 	return F64(add(fmt64, uint64(a), uint64(b), true))
 }
@@ -31,7 +35,9 @@ func Sub64(a, b F64) F64 {
 // Mul64 returns a * b.
 func Mul64(a, b F64) F64 {
 	if isNorm64(uint64(a)) && isNorm64(uint64(b)) {
-		return F64(mulNorm64(uint64(a), uint64(b)))
+		if h, ok := host64(float64(a.Float64() * b.Float64())); ok {
+			return h
+		}
 	}
 	return F64(mul(fmt64, uint64(a), uint64(b)))
 }
@@ -50,7 +56,9 @@ func Abs64(a F64) F64 { return a &^ F64(fmt64.signMask()) }
 // Add32 returns a + b.
 func Add32(a, b F32) F32 {
 	if isNorm32(uint32(a)) && isNorm32(uint32(b)) {
-		return F32(addNorm32(uint32(a), uint32(b)))
+		if h, ok := host32(float32(a.Float32() + b.Float32())); ok {
+			return h
+		}
 	}
 	return F32(add(fmt32, uint64(a), uint64(b), false))
 }
@@ -58,7 +66,9 @@ func Add32(a, b F32) F32 {
 // Sub32 returns a - b.
 func Sub32(a, b F32) F32 {
 	if isNorm32(uint32(a)) && isNorm32(uint32(b)) {
-		return F32(addNorm32(uint32(a), uint32(b)^uint32(fmt32.signMask())))
+		if h, ok := host32(float32(a.Float32() - b.Float32())); ok {
+			return h
+		}
 	}
 	return F32(add(fmt32, uint64(a), uint64(b), true))
 }
@@ -66,7 +76,9 @@ func Sub32(a, b F32) F32 {
 // Mul32 returns a * b.
 func Mul32(a, b F32) F32 {
 	if isNorm32(uint32(a)) && isNorm32(uint32(b)) {
-		return F32(mulNorm32(uint32(a), uint32(b)))
+		if h, ok := host32(float32(a.Float32() * b.Float32())); ok {
+			return h
+		}
 	}
 	return F32(mul(fmt32, uint64(a), uint64(b)))
 }

@@ -87,7 +87,7 @@ func TestSAXPYValuesAndTiming(t *testing.T) {
 	k.Run(0)
 	got := rowVals64(m, 401, n)
 	for i := range got {
-		want := a*xs[i] + ys[i]
+		want := float64(a*xs[i]) + ys[i] // unfused, as the multiplier and adder each round
 		if got[i] != want {
 			t.Fatalf("z[%d] = %g, want %g", i, got[i], want)
 		}
