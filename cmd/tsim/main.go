@@ -15,7 +15,6 @@
 //	tsim -workload pring  -dim 3 -kernel-shards 4
 //	tsim -workload recovery -dim 2 -phases 6 -faults seed=7,ber=1e-6,crash=2@12s -ckpt 8s
 //	tsim -workload soak -dim 3 -reps 2 -phases 2 -chaos seed=7,dur=60s,crashes=2
-//	tsim -bench -short -benchdir . -bench-baseline BENCH_kernel.json -bench-suite-baseline BENCH_suite.json
 //	tsim -experiment all -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
@@ -67,11 +66,6 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 	sweep := fs.String("sweep", "", `sweep the workload across cube sizes, e.g. "dim=2..6"`)
 	parallel := fs.Int("parallel", 1, "worker goroutines for multi-run invocations (<1: one per CPU)")
 	jsonOut := fs.Bool("json", false, "emit results as JSON")
-	benchMode := fs.Bool("bench", false, "measure kernel hot paths and suite wall-clock; write BENCH_kernel.json and BENCH_suite.json")
-	benchDir := fs.String("benchdir", ".", "directory for -bench output files")
-	benchBaseline := fs.String("bench-baseline", "", "previous BENCH_kernel.json; with -bench, exit 1 if ns/op regressed >25%")
-	benchSuiteBaseline := fs.String("bench-suite-baseline", "", "previous BENCH_suite.json; with -bench, exit 1 if a workload's wall-clock grew >3x (recovery-workload gate)")
-	short := fs.Bool("short", false, "with -bench, use a reduced measurement budget (CI smoke)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 
@@ -136,8 +130,6 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 	case *list:
 		printLists(stdout)
 		return 0
-	case *benchMode:
-		return runBench(stdout, stderr, *benchDir, *benchBaseline, *benchSuiteBaseline, *short)
 	case *experiment != "":
 		// Machine workloads inside experiments partition by geometry (one
 		// logical shard per module) and take the flag as their host worker

@@ -285,74 +285,6 @@ func TestKernelShardsFlagIsOutputInvariant(t *testing.T) {
 	}
 }
 
-// TestBenchWritesTrajectories exercises the -bench path end to end:
-// both JSON documents land in -benchdir, parse, and carry the expected
-// schemas, and a generous baseline passes the regression gate.
-func TestBenchWritesTrajectories(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench mode times the full suite; too slow for -short")
-	}
-	dir := t.TempDir()
-	// A baseline so slow nothing can regress against it.
-	baseline := filepath.Join(dir, "baseline.json")
-	base := map[string]interface{}{
-		"schema": "tseries-bench-kernel/v1",
-		"results": []map[string]interface{}{
-			{"name": "at_now", "ns_per_op": 1e9},
-			{"name": "park_unpark", "ns_per_op": 1e9},
-		},
-	}
-	raw, _ := json.Marshal(base)
-	if err := os.WriteFile(baseline, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := runCLI(t, "-bench", "-short", "-benchdir", dir, "-bench-baseline", baseline)
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr: %s\n%s", code, stderr, stdout)
-	}
-	var kt struct {
-		Schema  string `json:"schema"`
-		Results []struct {
-			Name    string  `json:"name"`
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"results"`
-	}
-	kb, err := os.ReadFile(filepath.Join(dir, "BENCH_kernel.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(kb, &kt); err != nil {
-		t.Fatalf("BENCH_kernel.json: %v", err)
-	}
-	if kt.Schema != "tseries-bench-kernel/v1" || len(kt.Results) < 7 {
-		t.Fatalf("unexpected kernel trajectory: schema=%q results=%d", kt.Schema, len(kt.Results))
-	}
-	for _, r := range kt.Results {
-		if r.NsPerOp <= 0 {
-			t.Fatalf("%s: ns_per_op = %g", r.Name, r.NsPerOp)
-		}
-	}
-	var st struct {
-		Schema      string                   `json:"schema"`
-		Experiments []map[string]interface{} `json:"experiments"`
-		Workloads   []map[string]interface{} `json:"workloads"`
-	}
-	sb, err := os.ReadFile(filepath.Join(dir, "BENCH_suite.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(sb, &st); err != nil {
-		t.Fatalf("BENCH_suite.json: %v", err)
-	}
-	if st.Schema != "tseries-bench-suite/v1" || len(st.Experiments) == 0 || len(st.Workloads) == 0 {
-		t.Fatalf("unexpected suite trajectory: schema=%q exps=%d wls=%d",
-			st.Schema, len(st.Experiments), len(st.Workloads))
-	}
-	if !strings.Contains(stdout, "vs baseline") {
-		t.Fatalf("expected a baseline comparison section:\n%s", stdout)
-	}
-}
-
 // TestProfileFlagsWriteFiles checks -cpuprofile/-memprofile wrap a
 // normal run and leave non-empty pprof files behind.
 func TestProfileFlagsWriteFiles(t *testing.T) {

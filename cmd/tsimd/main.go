@@ -98,7 +98,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tsimd:", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "tsimd: serving on %s (queue %d, workers %d)\n", ln.Addr(), *queue, *workers)
@@ -124,4 +124,24 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "tsimd: drained cleanly")
+}
+
+// Timeouts of the public listener. A client that sends half a request
+// and stops would otherwise hold its connection and goroutine forever
+// (slowloris). There is no write timeout, so a slow reader of a large
+// result is not cut off.
+const (
+	headerTimeout = 5 * time.Second  // request line and header
+	readTimeout   = 30 * time.Second // whole request, body included
+	idleTimeout   = 2 * time.Minute  // keep-alive wait for the next request
+)
+
+// newHTTPServer returns the public listener's server for h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: headerTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

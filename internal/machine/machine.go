@@ -163,7 +163,7 @@ func NewAuto(ctx context.Context, dim, workers int) (*Machine, error) {
 		// windows by the lookahead and mirrors remote state at barriers.
 		g.SetLookahead(plan.Lookahead)
 		m.rtxMirror = make([]int64, len(m.Nodes)*link.LinksPerNode)
-		g.SetWindowObserver(&machineObserver{m: m})
+		g.SetWindowObserver(m.syncShardState)
 		m.syncShardState()
 	}
 	return m, nil
@@ -206,15 +206,10 @@ func (m *Machine) shardOfProc(p *sim.Proc) int {
 	return s
 }
 
-// machineObserver syncs the barrier-frozen shard state after every
-// window: the retransmit mirror always, and the topology views (staged
-// sublink outage mirrors plus the comm netView) whenever some channel
-// changed state since the last sync.
-type machineObserver struct{ m *Machine }
-
-func (o *machineObserver) Window(n int64, end sim.Time)     { o.m.syncShardState() }
-func (o *machineObserver) Staged(src, dst int, at sim.Time) {}
-
+// syncShardState runs after every window barrier and syncs the
+// barrier-frozen shard state: the retransmit mirror always, and the
+// topology views (staged sublink outage mirrors plus the comm netView)
+// whenever some channel changed state since the last sync.
 func (m *Machine) syncShardState() {
 	i := 0
 	for _, nd := range m.Nodes {

@@ -59,7 +59,7 @@ type Kernel struct {
 	procs   int           // live (not yet finished) non-daemon processes
 	running *Proc         // process currently executing, nil in kernel context
 
-	// Execution metrics (see Stats) and the optional observer surface.
+	// Execution metrics (see Stats).
 	events      int64
 	spawned     int64
 	finished    int64
@@ -70,7 +70,6 @@ type Kernel struct {
 	counterKeys []string // cache of the counters' keys; sorted on demand
 	keysDirty   bool     // counterKeys needs a re-sort (new key inserted)
 	resources   []*Resource
-	observer    Observer
 }
 
 // laneSlot is one same-instant event: a kernel callback or a process to
@@ -450,9 +449,6 @@ func (k *Kernel) dispatchLoop(self *Proc) bool {
 			k.freeEvent(e)
 		}
 		k.events++
-		if k.observer != nil {
-			k.observer.Event(k.now)
-		}
 		if next != nil {
 			if next.done {
 				continue // stale resume for a finished process
@@ -632,9 +628,6 @@ func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 func (p *Proc) park(what string) {
 	p.waiting = what
 	p.k.parks++
-	if p.k.observer != nil {
-		p.k.observer.Park(p, what)
-	}
 	p.k.running = nil
 	if !p.k.dispatch(p) {
 		<-p.resume
@@ -650,9 +643,6 @@ func (p *Proc) park(what string) {
 // same-instant lane. Kernel context only.
 func (p *Proc) unpark() {
 	p.k.unparks++
-	if p.k.observer != nil {
-		p.k.observer.Unpark(p)
-	}
 	p.k.pushLane(nil, p)
 }
 

@@ -60,7 +60,7 @@ type ShardGroup struct {
 	stall      []Duration // per-shard simulated barrier idle time
 	staged     []int64    // per-shard cross-shard sends originated
 
-	winObs WindowObserver
+	barrier func() // runs after every window barrier; see SetWindowObserver
 
 	// Pending Global calls, appended by shard processes mid-window and
 	// drained by the coordinator at each barrier. globalMu guards the
@@ -75,7 +75,7 @@ type ShardGroup struct {
 	// Worker pool state, live only during Run.
 	feed    chan windowJob
 	results chan windowResult
-	pooled  int // goroutines started
+	pool    sync.WaitGroup // the workers, so stopPool returns once they exit
 
 	// Scratch buffers reused across windows to keep the barrier
 	// allocation-free in steady state.
@@ -94,18 +94,6 @@ type windowJob struct {
 type windowResult struct {
 	shard    int
 	panicked interface{}
-}
-
-// WindowObserver receives barrier-time callbacks from a ShardGroup run.
-// Both fire on the group's coordinating goroutine, never concurrently,
-// and must not block. Install with SetWindowObserver.
-type WindowObserver interface {
-	// Window fires after each window barrier with the window's ordinal
-	// (from 1) and its exclusive end instant.
-	Window(n int64, end Time)
-	// Staged fires once per cross-shard event as it is merged into its
-	// destination shard, in the deterministic merge order.
-	Staged(src, dst int, at Time)
 }
 
 // NewShardGroup returns a group of n empty shards at time zero.
@@ -199,8 +187,10 @@ func (g *ShardGroup) SetLookahead(d Duration) {
 // Lookahead reports the effective window width (0 = unbounded).
 func (g *ShardGroup) Lookahead() Duration { return g.lookahead }
 
-// SetWindowObserver installs a barrier observer (nil removes it).
-func (g *ShardGroup) SetWindowObserver(o WindowObserver) { g.winObs = o }
+// SetWindowObserver installs fn to run after every window barrier (nil
+// removes it). fn runs on the group's coordinating goroutine while every
+// shard is stopped, so it may read any shard's state; it must not block.
+func (g *ShardGroup) SetWindowObserver(fn func()) { g.barrier = fn }
 
 // Canceled reports whether the run was torn down by the bound context.
 func (g *ShardGroup) Canceled() bool { return g.canceled }
@@ -491,8 +481,8 @@ func (g *ShardGroup) Run(horizon Duration) Time {
 			g.advanceClocks(at)
 			g.runGlobals(at)
 		}
-		if g.winObs != nil {
-			g.winObs.Window(g.windows, wEnd)
+		if g.barrier != nil {
+			g.barrier()
 		}
 	}
 }
@@ -573,10 +563,11 @@ func (g *ShardGroup) startPool() {
 	feed := make(chan windowJob, len(g.shards))
 	results := make(chan windowResult, len(g.shards))
 	g.feed, g.results = feed, results
-	g.pooled = g.workers
 	shards := g.shards
+	g.pool.Add(g.workers)
 	for w := 0; w < g.workers; w++ {
 		go func() {
+			defer g.pool.Done()
 			for job := range feed {
 				results <- windowResult{shard: job.shard, panicked: shards[job.shard].runWindow(job.wEnd)}
 			}
@@ -584,12 +575,14 @@ func (g *ShardGroup) startPool() {
 	}
 }
 
+// stopPool closes the feed and waits for every worker to exit, so a
+// finished Run leaves no pool goroutine behind.
 func (g *ShardGroup) stopPool() {
 	if g.feed != nil {
 		close(g.feed)
 		g.feed = nil
 		g.results = nil
-		g.pooled = 0
+		g.pool.Wait()
 	}
 }
 
@@ -618,9 +611,6 @@ func (g *ShardGroup) mergeStaged() {
 		x, v := a.x, a.v
 		dst := g.shards[x.dst]
 		dst.atFuture(a.at, func() { x.inner.push(v) }, nil)
-		if g.winObs != nil {
-			g.winObs.Staged(x.src, x.dst, a.at)
-		}
 	}
 	for i := range arrivals {
 		arrivals[i].v = nil

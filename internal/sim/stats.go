@@ -109,25 +109,6 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// Observer receives kernel lifecycle callbacks as they happen; install
-// one with Kernel.SetObserver to trace or profile a run without touching
-// component code. Callbacks run on whichever goroutine holds the
-// execution slot at that moment (the kernel goroutine or a process
-// goroutine mid-handoff) — never concurrently — and must not block.
-type Observer interface {
-	// Event fires as each event is dispatched, exactly once per executed
-	// event.
-	Event(at Time)
-	// Park fires when a process blocks; reason is what it is waiting on.
-	Park(p *Proc, reason string)
-	// Unpark fires when a blocked process is scheduled to resume.
-	Unpark(p *Proc)
-}
-
-// SetObserver installs a lifecycle observer (nil removes it). The
-// built-in Stats counters accumulate regardless.
-func (k *Kernel) SetObserver(o Observer) { k.observer = o }
-
 // Count adds delta to the named component counter. Components use this
 // to publish quantities (bytes moved, frames sent) that runs report
 // uniformly through Stats without bespoke plumbing. The counters map is

@@ -5,21 +5,8 @@ import (
 	"testing"
 )
 
-// recordingObserver counts callbacks to cross-check the built-in stats.
-type recordingObserver struct {
-	events, parks, unparks int
-	reasons                []string
-}
-
-func (o *recordingObserver) Event(at Time)          { o.events++ }
-func (o *recordingObserver) Park(p *Proc, r string) { o.parks++; o.reasons = append(o.reasons, r) }
-func (o *recordingObserver) Unpark(p *Proc)         { o.unparks++ }
-
 func TestKernelStatsCounts(t *testing.T) {
 	k := NewKernel()
-	obs := &recordingObserver{}
-	k.SetObserver(obs)
-
 	ch := NewChan(k, "ch", 0)
 	k.Go("producer", func(p *Proc) {
 		p.Wait(Microsecond)
@@ -36,24 +23,15 @@ func TestKernelStatsCounts(t *testing.T) {
 	if s.Spawned != 2 || s.Finished != 2 {
 		t.Fatalf("spawned=%d finished=%d, want 2/2", s.Spawned, s.Finished)
 	}
-	if s.Events == 0 || int(s.Events) != obs.events {
-		t.Fatalf("events=%d observer saw %d", s.Events, obs.events)
-	}
-	if s.Parks == 0 || int(s.Parks) != obs.parks {
-		t.Fatalf("parks=%d observer saw %d", s.Parks, obs.parks)
-	}
-	if int(s.Unparks) != obs.unparks {
-		t.Fatalf("unparks=%d observer saw %d", s.Unparks, obs.unparks)
+	// The rendezvous blocks at least one side, and something wakes it.
+	if s.Events == 0 || s.Parks == 0 || s.Unparks == 0 {
+		t.Fatalf("events=%d parks=%d unparks=%d, want all > 0", s.Events, s.Parks, s.Unparks)
 	}
 	if s.MaxQueue < 1 {
 		t.Fatalf("maxqueue=%d", s.MaxQueue)
 	}
 	if s.Now != k.Now() {
 		t.Fatalf("snapshot clock %v != %v", s.Now, k.Now())
-	}
-	// The rendezvous blocks at least one side: a park with a reason.
-	if len(obs.reasons) == 0 {
-		t.Fatal("no park reasons recorded")
 	}
 }
 

@@ -55,13 +55,13 @@ type LatticeResult struct {
 	Stats   sim.Stats
 }
 
-// LatticeSide clamps a requested lattice side to the largest feasible
+// latticeSide clamps a requested lattice side to the largest feasible
 // one for dim: a multiple of the widest mesh axis (which every narrower
 // power-of-two axis then also divides) whose per-node block stays within
 // the site cap. The registry runner clamps so `-workload lattice` works
 // at any -dim/-n combination; direct DistributedLattice4D callers get
 // strict errors instead.
-func LatticeSide(dim, want int) int {
+func latticeSide(dim, want int) int {
 	px := latticeAxes(dim)
 	if want > 256 {
 		want = 256 // side^4 stays far from overflow
@@ -78,7 +78,7 @@ func LatticeSide(dim, want int) int {
 
 func init() {
 	RegisterFunc("lattice", []string{"dim", "n", "iters", "seed"}, func(cfg Config) (Report, error) {
-		res, err := DistributedLattice4D(cfg.Context(), cfg.Dim, LatticeSide(cfg.Dim, cfg.N), cfg.Iters, cfg.Seed)
+		res, err := DistributedLattice4D(cfg.Context(), cfg.Dim, latticeSide(cfg.Dim, cfg.N), cfg.Iters, cfg.Seed)
 		if err != nil {
 			return Report{}, err
 		}
