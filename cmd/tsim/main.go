@@ -78,7 +78,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 	fs.IntVar(&cfg.Phases, "phases", cfg.Phases, "recovery workload phases")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "input generator seed")
 	fs.IntVar(&cfg.KernelShards, "kernel-shards", cfg.KernelShards,
-		"logical kernel shards per simulation (0/1 = serial); output is byte-identical at any value")
+		"host workers per simulation (0/1 = one); the machine geometry fixes the logical shards, so output is byte-identical at any value")
 	faults := fs.String("faults", "", "fault plan, e.g. seed=7,ber=1e-6,crash=2@12s,down=0.1@5s+2s,flip=1:4096.3@9s,disk=0.5@14s")
 	chaos := fs.String("chaos", "", "randomized chaos recipe for -workload soak, e.g. seed=7,dur=60s,crashes=2,hangs=1")
 	ckpt := fs.Duration("ckpt", 0, "periodic checkpoint interval for -workload recovery (0 = initial checkpoint only)")

@@ -247,9 +247,9 @@ func assertGolden(t *testing.T, name, got string) {
 
 // TestKernelShardsFlagIsOutputInvariant pins the CLI-level determinism
 // contract: -kernel-shards changes only how many host workers execute
-// the simulation, never a byte of output. The shard-native pring
-// workload genuinely partitions; experiments degrade to the serial
-// plan (machine.PartitionPlan.Buildable) with a stderr note.
+// the simulation, never a byte of output. pring shards one station per
+// shard; experiments build their machines one shard per module, and
+// print nothing about the flag on stderr.
 func TestKernelShardsFlagIsOutputInvariant(t *testing.T) {
 	base := []string{"-workload", "pring", "-dim", "3", "-rows", "40", "-iters", "3", "-json"}
 	code, want, stderr := runCLI(t, base...)

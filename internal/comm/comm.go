@@ -21,14 +21,6 @@ import (
 // header is the wire prefix of every message.
 const headerBytes = 16
 
-// HopLookahead reports the guaranteed minimum latency of one network
-// hop: even an empty-payload message pays the DMA startup plus the wire
-// time of its 16-byte header. A conservative parallel scheduler
-// (sim.ShardGroup) partitioning the machine at node granularity may use
-// it as the cross-shard synchronization window — no message injected at
-// time t can reach a neighbouring node before t+HopLookahead.
-func HopLookahead() sim.Duration { return link.TransferTime(headerBytes) }
-
 // tagMask limits tags to 24 bits: the top byte of the tag word carries
 // the hop counter that bounds detour routing.
 const tagMask = 0xffffff
@@ -107,8 +99,8 @@ func CubeSublink(d int) int { return cubeSublink[d] }
 // an ordinary link.Connect pair; a cross-shard edge becomes a staged
 // pair (link.ConnectStaged) whose frames travel through XChan edges with
 // the link-layer lookahead — the DMA startup plus one byte time that
-// even the smallest frame pays, exactly the latency floor
-// machine.PlanPartition derives.
+// even the smallest frame pays, which is what bounds the group's
+// windows.
 //
 // Shard ownership rule: every router daemon, mailbox, and counter of a
 // node lives on that node's kernel and is only ever touched from there.

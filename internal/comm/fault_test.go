@@ -62,6 +62,25 @@ func TestRouteRestoredAfterLinkUp(t *testing.T) {
 	}
 }
 
+// TestRouteTableIgnoresOtherNetworks: a one-shard network caches its
+// route table against its own links' change counts, so an outage in
+// another network of the same process — another job's machine — leaves
+// the table in place, and only a change of its own rebuilds it.
+func TestRouteTableIgnoresOtherNetworks(t *testing.T) {
+	_, a := buildNet(t, 2)
+	a.Nodes[0].Sublink(CubeSublink(0)).SetDown(true)
+	cached := a.refreshRoutes()
+	_, b := buildNet(t, 2)
+	b.Nodes[1].Sublink(CubeSublink(1)).SetDown(true)
+	if a.refreshRoutes() != cached {
+		t.Fatal("an outage in another network rebuilt this network's route table")
+	}
+	a.Nodes[0].Sublink(CubeSublink(0)).SetDown(false)
+	if rt := a.refreshRoutes(); rt == cached || !rt.healthy {
+		t.Fatal("this network's own repair did not rebuild its route table")
+	}
+}
+
 func TestSendToCrashedNodeFailsFast(t *testing.T) {
 	k, net := buildNet(t, 2)
 	net.Nodes[3].Crash()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"tseries/internal/cube"
-	"tseries/internal/link"
 )
 
 // Live-graph routing. The fault-free network routes pure e-cube: correct
@@ -16,9 +15,10 @@ import (
 // its hop budget dies. So whenever the topology is damaged, forwarding
 // switches to a next-hop table computed by breadth-first search over the
 // live graph — the nodes still in service and the channels still up.
-// The table is cached against link.TopologyEpoch and rebuilt only when
-// some channel actually changed state; with the machine healthy the fast
-// path is byte-identical to the fault-free simulator.
+// The table is cached against the network's own link change count
+// (topoChanges) and rebuilt only when one of its channels actually
+// changed state; with the machine healthy the fast path is
+// byte-identical to the fault-free simulator.
 
 // UnreachableError reports that no sequence of live channels connects
 // this node to the destination: the failures have partitioned the cube.
@@ -38,20 +38,35 @@ func IsUnreachable(err error) bool {
 
 // routeTable is one generation of live-graph routing state.
 type routeTable struct {
-	epoch   int64
+	changes int64    // topoChanges when the table was built
 	healthy bool     // every node alive, every channel up: use pure e-cube
 	nextHop [][]int8 // [src][dst] → outbound dimension, -1 unreachable
 }
 
-// refreshRoutes revalidates the cached routing table against the global
-// topology epoch, rebuilding it if any channel changed state. On the
-// fault-free fast path this is one atomic load and one comparison.
+// topoChanges sums the change counts of the network's node links: it
+// moves whenever one of this network's channels goes up, goes down, or
+// is rewired, and never because of another simulation in the process.
+// Only a one-shard network calls it, mid-window, and its links all live
+// on that shard.
+func (n *Network) topoChanges() int64 {
+	var sum int64
+	for _, nd := range n.Nodes {
+		for _, l := range nd.Links {
+			sum += l.Changes()
+		}
+	}
+	return sum
+}
+
+// refreshRoutes revalidates the cached routing table against the
+// network's link change count, rebuilding it if any channel changed
+// state.
 func (n *Network) refreshRoutes() *routeTable {
-	epoch := link.TopologyEpoch()
-	if t := n.routes; t != nil && t.epoch == epoch {
+	changes := n.topoChanges()
+	if t := n.routes; t != nil && t.changes == changes {
 		return t
 	}
-	t := &routeTable{epoch: epoch, healthy: true}
+	t := &routeTable{changes: changes, healthy: true}
 scan:
 	for _, nd := range n.Nodes {
 		if !nd.Alive() {

@@ -84,7 +84,7 @@ func (s *System) SPMD(fn func(p *sim.Proc, e *comm.Endpoint)) sim.Duration {
 }
 
 // Checkpoint snapshots every module in parallel, each on its own shard;
-// p may run on any shard.
+// p must run on shard 0 (s.Go spawns there).
 func (s *System) Checkpoint(p *sim.Proc) ([]*module.Snapshot, error) {
 	return s.M.SnapshotAll(p)
 }

@@ -121,7 +121,7 @@ func E11Checkpoint(ctx context.Context) (*Result, error) {
 		took := make([]sim.Duration, len(m.Modules))
 		for i, mod := range m.Modules {
 			i, mod := i, mod
-			m.Group.Shard(m.Plan.Assign[i]).Go(fmt.Sprintf("snap/mod%d", i), func(p *sim.Proc) {
+			m.Group.Shard(i).Go(fmt.Sprintf("snap/mod%d", i), func(p *sim.Proc) {
 				if _, err := mod.Snapshot(p); err != nil {
 					panic(err)
 				}

@@ -55,13 +55,24 @@ type StoreStats struct {
 
 // OpenStore opens (creating if needed) a result store rooted at dir.
 // faults may be nil; when set, planned host-disk failures are injected
-// into writes.
+// into writes. A data dir has one owner, so any temp file left in a
+// fan-out directory is the remains of a Put that a crash cut short
+// between write and rename; OpenStore deletes them.
 func OpenStore(dir string, faults *DiskFaults) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(filepath.Join(dir, "quarantine"), 0o755); err != nil {
 		return nil, err
+	}
+	stranded, err := filepath.Glob(filepath.Join(dir, "[0-9a-f][0-9a-f]", "*.tmp"))
+	if err != nil {
+		return nil, err
+	}
+	for _, tmp := range stranded {
+		if err := os.Remove(tmp); err != nil {
+			return nil, err
+		}
 	}
 	return &Store{dir: dir, faults: faults}, nil
 }

@@ -59,6 +59,40 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenStoreRemovesStrandedTemp: a crash between a Put's write and
+// its rename leaves a temp file in the fan-out directory. Reopening the
+// store deletes it, and leaves the stored result and the quarantine
+// evidence alone.
+func TestOpenStoreRemovesStrandedTemp(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "workload=dlu;seed=5"
+	if err := s.Put(key, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	tmp := s.path(key) + ".123456.tmp"
+	quarantined := filepath.Join(dir, "quarantine", filepath.Base(s.path("other")))
+	for _, f := range []string{tmp, quarantined} {
+		if err := os.WriteFile(f, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noTempFiles(t, dir)
+	if _, err := os.Stat(quarantined); err != nil {
+		t.Errorf("quarantined file gone after reopen: %v", err)
+	}
+	if got, ok := s2.Get(key); !ok || string(got) != "kept" {
+		t.Errorf("stored result after reopen = %q ok=%v, want kept", got, ok)
+	}
+}
+
 // TestStoreCorruptionQuarantined flips a byte in a stored result: the
 // read must miss, move the file to quarantine/, and count a corruption
 // — never return wrong bytes.

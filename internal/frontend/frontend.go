@@ -8,8 +8,10 @@
 // front end treats any size machine uniformly — the paper's homogeneity
 // argument applied to system management. It obeys the machine's shard
 // ownership rule: every step that touches a module's nodes runs in a
-// process on that module's shard (machine.EachModule), and results that
-// several modules produce land in per-node slots.
+// process on that module's shard (machine.EachModule), results that
+// several modules produce land in per-node slots, and the process that
+// calls LoadAll, RunAll or Collect runs on shard 0, where the fan-outs
+// join.
 package frontend
 
 import (
@@ -44,8 +46,8 @@ func New(m *machine.Machine) *FrontEnd { return &FrontEnd{M: m} }
 // LoadAll streams the same program image into every node's memory at
 // BootCodeBase, all modules in parallel (each through its own system
 // board, from a process on that module's shard), and writes each node's
-// identity words. It blocks p, which may run on any shard, until every
-// node is loaded.
+// identity words. It blocks p, which must run on shard 0 (the machine's
+// K), until every node is loaded.
 func (f *FrontEnd) LoadAll(p *sim.Proc, code []byte) error {
 	nodes := len(f.M.Nodes)
 	return f.M.EachModule(p, "frontend/load", func(lp *sim.Proc, mod *module.Module) error {

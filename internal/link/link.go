@@ -16,23 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 
 	"tseries/internal/sim"
 )
-
-// topoEpoch counts wiring and outage transitions across every link in
-// the process. Routing layers cache reachability tables against this
-// value: as long as it is unchanged, no channel anywhere has gone up,
-// down, or been rewired, so a cached table is still valid. It is a
-// process-wide atomic rather than per-kernel state so that it can be
-// bumped from SetDown without threading a kernel reference through
-// every call site; a bump caused by an unrelated kernel merely forces a
-// harmless table rebuild.
-var topoEpoch atomic.Int64
-
-// TopologyEpoch returns the current wiring/outage generation.
-func TopologyEpoch() int64 { return topoEpoch.Load() }
 
 // Protocol constants.
 const (
@@ -149,6 +135,7 @@ type Link struct {
 	wire     *sim.Resource
 	subs     [SublinksPerLink]*Sublink
 	injector Injector
+	changes  int64 // wiring and outage transitions; see Changes
 
 	BytesSent int64
 	Transfers int64
@@ -160,6 +147,14 @@ type Link struct {
 	Timeouts    int64 // attempts lost to a dead wire or dead peer
 	Drops       int64 // sends abandoned with a DownError
 }
+
+// Changes counts the wiring and outage transitions of this link's
+// sublinks. Counts only grow, so a sum of them over a set of links
+// moves exactly when one of those links changed: routing layers cache
+// reachability against such a sum. Every transition runs before the
+// run starts, on the link's own shard, or at a window barrier, so a sum
+// taken on that shard or at a barrier needs no synchronisation.
+func (l *Link) Changes() int64 { return l.changes }
 
 // SetInjector attaches a fault injector to every transfer on this
 // link's outbound wire (nil detaches).
@@ -176,7 +171,7 @@ func (l *Link) SetDown(down bool) {
 		}
 	}
 	if changed {
-		topoEpoch.Add(1)
+		l.changes++
 	}
 }
 
@@ -224,7 +219,8 @@ func Connect(a, b *Sublink) error {
 		return fmt.Errorf("link: sublink already connected (%s ↔ %s)", a.Name(), b.Name())
 	}
 	a.peer, b.peer = b, a
-	topoEpoch.Add(1)
+	a.parent.changes++
+	b.parent.changes++
 	return nil
 }
 
@@ -238,13 +234,12 @@ func Rewire(a, b *Sublink) error {
 	if a == b {
 		return fmt.Errorf("link: cannot rewire %s to itself", a.Name())
 	}
-	if a.peer != nil {
-		a.peer.peer = nil
-		a.peer = nil
-	}
-	if b.peer != nil {
-		b.peer.peer = nil
-		b.peer = nil
+	for _, s := range []*Sublink{a, b} {
+		if s.peer != nil {
+			s.peer.parent.changes++
+			s.peer.peer = nil
+			s.peer = nil
+		}
 	}
 	return Connect(a, b)
 }
@@ -264,7 +259,7 @@ func (s *Sublink) Peer() *Sublink { return s.peer }
 func (s *Sublink) SetDown(down bool) {
 	if s.down != down {
 		s.down = down
-		topoEpoch.Add(1)
+		s.parent.changes++
 	}
 }
 

@@ -54,7 +54,8 @@ func ConnectStaged(a, b *Sublink, ab, ba *sim.XChan) error {
 	}
 	a.staged = &stagedPeer{x: ab, remote: b}
 	b.staged = &stagedPeer{x: ba, remote: a}
-	topoEpoch.Add(1)
+	a.parent.changes++
+	b.parent.changes++
 	return nil
 }
 
@@ -64,18 +65,11 @@ func (s *Sublink) StagedConnected() bool { return s.staged != nil }
 
 // SyncStagedMirror refreshes the sender-side outage mirror from the
 // remote end's actual state. It must be called only when both shards
-// are quiescent — at a ShardGroup window barrier — and returns whether
-// the mirror changed (callers bump routing epochs on change).
-func (s *Sublink) SyncStagedMirror() bool {
-	if s.staged == nil {
-		return false
+// are quiescent — at a ShardGroup window barrier.
+func (s *Sublink) SyncStagedMirror() {
+	if s.staged != nil {
+		s.staged.downMirror = s.staged.remote.down
 	}
-	d := s.staged.remote.down
-	if d == s.staged.downMirror {
-		return false
-	}
-	s.staged.downMirror = d
-	return true
 }
 
 // attemptStaged is the cross-shard variant of attempt: same timing and

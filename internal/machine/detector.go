@@ -225,7 +225,7 @@ func (d *Detector) evaluate(now sim.Time) {
 		d.M.K.Count("heal.detect_events", 1)
 		d.M.K.Count("heal.detect_ns", int64(best.stall/sim.Nanosecond))
 		d.M.K.Count("heal.hang_count", 1)
-		d.sv.post(&DetectedHang{Node: best.id, Stall: best.stall})
+		d.sv.post(0, &DetectedHang{Node: best.id, Stall: best.stall})
 	}
 	d.scanLossy()
 }
@@ -274,7 +274,7 @@ func (d *Detector) evaluateModule(now sim.Time, mod *module.Module, hs module.He
 				sil := d.silence(now, s)
 				d.M.K.Count("heal.detect_events", 1)
 				d.M.K.Count("heal.detect_ns", int64(sil/sim.Nanosecond))
-				d.sv.post(&DetectedDeath{Node: id, Silence: sil})
+				d.sv.post(0, &DetectedDeath{Node: id, Silence: sil})
 				return nil, true // lower slots are shadowed: re-evaluate after bypass
 			}
 			return nil, false

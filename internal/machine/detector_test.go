@@ -94,7 +94,7 @@ func TestDetectorConfirmsCutPointOnly(t *testing.T) {
 		d.Start()
 		p.Wait(2 * sim.Second)
 		m.Nodes[3].Crash()
-		which, v := sim.Select(p, sv.alarm, sim.NewChan(k, "never", 1))
+		which, v := sim.Select(p, sv.alarm.ch, sim.NewChan(k, "never", 1))
 		if which == 0 {
 			verdict = v.(error)
 		}

@@ -161,15 +161,8 @@ func (h *Healer) Run(p *sim.Proc, body func(bp *sim.Proc, img int) error) error 
 			for _, img := range imgs {
 				img := img
 				phys := h.physOf[img]
-				shard := m.Plan.ShardOfNode(phys)
-				pr := m.Group.Shard(shard).Go(fmt.Sprintf("healer/img%d", img), func(bp *sim.Proc) {
-					if err := body(bp, img); err != nil {
-						sv.noteFault(err)
-						sv.raise(bp, shard, err)
-						return
-					}
-					sv.okDone(bp, shard, gen)
-				})
+				pr := sv.spawnBody(fmt.Sprintf("healer/img%d", img), phys, gen,
+					func(bp *sim.Proc) error { return body(bp, img) })
 				sv.procs[phys] = pr
 				if sv.hung[phys] {
 					// The board wedged before this body ever ran; it stops

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"tseries/internal/comm"
@@ -25,19 +24,20 @@ const MaxSimDim = 12
 
 // Machine is an instantiated, runnable T Series configuration.
 //
-// Every machine is a shard group with one logical shard per module: the
-// eight nodes of a module (and its system board) live on one kernel,
-// and every intermodule path — cabled hypercube sublinks and the system
-// ring — crosses shards through staged edges with the link-layer
-// latency floor as lookahead, exactly the geometry PlanPartition
-// derives. Because the partition is fixed by the machine dimension, not
-// by the host, the event order is identical at every worker count; the
-// worker count picks only how many host cores execute the fixed shard
-// set. A single-module machine is a one-shard group, which differs from
-// a multi-shard one in exactly four rules, each decided from the plan's
-// shard count:
+// Module m is shard m. Every machine is a shard group with one shard
+// per module: the eight nodes of module m (nodes 8m..8m+7) and its
+// system board live on shard m's kernel, and every intermodule path —
+// cabled hypercube sublinks and the system ring — crosses shards
+// through staged edges whose latency, link.Lookahead, bounds the
+// windows. The partition is fixed by the machine dimension, not by the
+// host, so the event order is identical at every worker count; the
+// worker count picks only how many host cores execute the shard set. A
+// single-module machine is a one-shard group, which differs from a
+// multi-module one in exactly four rules, each decided from the module
+// count:
 //
-//  1. it sets no lookahead, so the group runs one unbounded window;
+//  1. it has no cross-shard edge, so the group runs one unbounded
+//     window;
 //  2. it keeps no barrier-synced mirrors of remote state (no comm
 //     netView, no retransmit mirror, no window observer) and reads the
 //     live objects;
@@ -52,10 +52,11 @@ const MaxSimDim = 12
 //     counters, mailboxes — is touched only from X's shard kernel. A
 //     process that touches a node runs on that node's shard (GoNode),
 //     and results that several shards produce go into per-node slots.
-//   - Shard 0 (module 0's shard) anchors the control plane: the
-//     supervisor alarm channel, ok-token collection, and the failure
-//     detector all live there. Other shards reach them through
-//     persistent staged uplink edges.
+//   - Shard 0 (module 0's shard) is the control plane: the fan-out join
+//     channel, the supervisor's alarm and ok channels, and the failure
+//     detector all live there, and the processes that join through them
+//     (EachModule's caller, Supervisor.Run) must run there too. Every
+//     other shard reaches each channel through one staged uplink edge.
 //   - State that crosses shards without a message — spawn/kill of body
 //     processes, snapshot aborts, remap walks, topology repair — runs
 //     in ShardGroup.Global sections, which execute at window barriers
@@ -72,29 +73,28 @@ type Machine struct {
 	Modules []*module.Module
 	Net     *comm.Network
 
-	// Group executes the shard kernels and Plan maps modules onto them.
-	// K is shard 0's kernel: module 0's shard, where the control plane
-	// (supervisor alarms, failure detector) anchors.
+	// Group executes one shard per module. K is shard 0's kernel, where
+	// the control plane lives.
 	Group *sim.ShardGroup
-	Plan  *PartitionPlan
 	K     *sim.Kernel
 
-	ctl     []*sim.Chan    // per-shard control-token inbox
-	ctlEdge [][]*sim.XChan // [from][to] staged control edges
-	ctlGen  int64          // join generation; stale tokens are ignored
+	ctl    *shard0Chan // fan-out join tokens
+	ctlGen int64       // join generation; stale tokens are ignored
 
-	rtxMirror []int64 // [node*links+i] barrier-synced link retransmit counts; nil on one shard
-	epochSeen int64   // last topology epoch the shard views were synced at
-	faults    *fault.Sharded
+	rtxMirror   []int64 // [node*links+i] barrier-synced link retransmit counts; nil on one shard
+	changesSeen int64   // link change count the shard views were last synced at
+	faults      *fault.Sharded
 }
+
+// shardOf reports the shard that owns node id: its module's.
+func shardOf(id int) int { return id / module.NodesPerModule }
 
 // NewAuto builds a 2^dim-node machine — nodes, hypercube network on
 // sublinks 0..dim-1, modules of eight nodes with system threads on
 // sublinks 14/15, and the system ring joining the module system boards
-// — partitioned one shard per module across a new shard group bound to
-// ctx, with `workers` host workers executing the windows. workers < 1
-// leaves the group's default of one worker; the output is identical
-// either way.
+// — one shard per module in a new shard group bound to ctx, with
+// `workers` host workers executing the windows. workers < 1 leaves the
+// group's default of one worker; the output is identical either way.
 func NewAuto(ctx context.Context, dim, workers int) (*Machine, error) {
 	spec, err := SpecFor(dim)
 	if err != nil {
@@ -104,20 +104,13 @@ func NewAuto(ctx context.Context, dim, workers int) (*Machine, error) {
 		return nil, fmt.Errorf("machine: %d-cube exceeds the simulator's %d-cube instantiation cap (use SpecFor for larger derivations)", dim, MaxSimDim)
 	}
 	mods := (spec.Nodes + module.NodesPerModule - 1) / module.NodesPerModule
-	plan, err := PlanPartition(dim, mods)
-	if err != nil {
-		return nil, err
-	}
-	if ok, why := plan.Buildable(); !ok {
-		return nil, errors.New(why)
-	}
-	g := sim.NewShardGroupCtx(ctx, plan.Shards)
+	g := sim.NewShardGroupCtx(ctx, mods)
 	if workers > 0 {
 		g.SetWorkers(workers)
 	}
-	m := &Machine{Dim: dim, Spec: spec, K: g.Shard(0), Group: g, Plan: plan}
+	m := &Machine{Dim: dim, Spec: spec, K: g.Shard(0), Group: g}
 	for i := 0; i < spec.Nodes; i++ {
-		m.Nodes = append(m.Nodes, node.New(g.Shard(plan.ShardOfNode(i)), i))
+		m.Nodes = append(m.Nodes, node.New(g.Shard(shardOf(i)), i))
 	}
 	net, err := comm.BuildCube(g, m.Nodes)
 	if err != nil {
@@ -127,46 +120,62 @@ func NewAuto(ctx context.Context, dim, workers int) (*Machine, error) {
 	// Modules: consecutive groups of eight (a 3-subcube each, so the
 	// three intramodule hypercube dimensions stay on the backplane).
 	for i := 0; i < spec.Nodes; i += module.NodesPerModule {
-		end := i + module.NodesPerModule
-		if end > spec.Nodes {
-			end = spec.Nodes
-		}
+		end := min(i+module.NodesPerModule, spec.Nodes)
 		idx := len(m.Modules)
-		mod, err := module.New(g.Shard(plan.Assign[idx]), idx, m.Nodes[i:end])
+		mod, err := module.New(g.Shard(idx), idx, m.Nodes[i:end])
 		if err != nil {
 			return nil, err
 		}
 		m.Modules = append(m.Modules, mod)
 	}
-	if len(m.Modules) > 1 {
+	if mods > 1 {
 		if err := module.ConnectRing(g, m.Modules); err != nil {
 			return nil, err
 		}
 	}
-	// Control-token mesh: every shard can join operations fanned out to
-	// every other shard (the joiner may run on any shard).
-	m.ctl = make([]*sim.Chan, plan.Shards)
-	for s := range m.ctl {
-		m.ctl[s] = sim.NewChan(g.Shard(s), fmt.Sprintf("machine/ctl%d", s), 4*len(m.Modules))
-	}
-	m.ctlEdge = make([][]*sim.XChan, plan.Shards)
-	for a := 0; a < plan.Shards; a++ {
-		m.ctlEdge[a] = make([]*sim.XChan, plan.Shards)
-		for b := 0; b < plan.Shards; b++ {
-			if a != b {
-				m.ctlEdge[a][b] = g.ConnectInto(a, b, fmt.Sprintf("machine/ctl%d-%d", a, b), plan.Lookahead, m.ctl[b])
-			}
-		}
-	}
-	if plan.Shards > 1 {
-		// One-shard rules 1 and 2: only a multi-shard machine bounds its
-		// windows by the lookahead and mirrors remote state at barriers.
-		g.SetLookahead(plan.Lookahead)
+	m.ctl = m.shard0Chans(sim.NewChan(m.K, "machine/ctl", 4*mods))[0]
+	if mods > 1 {
+		// One-shard rule 2: only a multi-module machine mirrors remote
+		// state at barriers.
 		m.rtxMirror = make([]int64, len(m.Nodes)*link.LinksPerNode)
 		g.SetWindowObserver(m.syncShardState)
 		m.syncShardState()
 	}
 	return m, nil
+}
+
+// shard0Chan is a channel on shard 0 that a process on any shard can
+// send to: directly from shard 0, through a staged uplink edge from any
+// other shard.
+type shard0Chan struct {
+	ch *sim.Chan
+	up []*sim.XChan // up[s] stages sends from shard s; up[0] is nil
+}
+
+// shard0Chans gives each of chs, which must belong to shard 0, an
+// uplink from every other shard. The edges register shard by shard,
+// interleaving the channels: the barrier merge breaks timestamp ties by
+// edge registration order, so the order is part of the timeline.
+func (m *Machine) shard0Chans(chs ...*sim.Chan) []*shard0Chan {
+	out := make([]*shard0Chan, len(chs))
+	for i, ch := range chs {
+		out[i] = &shard0Chan{ch: ch, up: make([]*sim.XChan, m.Group.Shards())}
+	}
+	for s := 1; s < m.Group.Shards(); s++ {
+		for _, c := range out {
+			c.up[s] = m.Group.ConnectInto(s, 0, c.ch.Name(), link.Lookahead, c.ch)
+		}
+	}
+	return out
+}
+
+// send delivers v into the channel from p, a process on shard s.
+func (c *shard0Chan) send(p *sim.Proc, s int, v interface{}) {
+	if s == 0 {
+		c.ch.Send(p, v)
+		return
+	}
+	c.up[s].Send(p, v)
 }
 
 // Endpoint returns node id's message-passing endpoint.
@@ -176,7 +185,7 @@ func (m *Machine) Endpoint(id int) *comm.Endpoint { return m.Net.Endpoint(id) }
 // that touches a node's state must run on the kernel that owns it;
 // spawning before Run starts is deterministic.
 func (m *Machine) GoNode(id int, name string, fn func(*sim.Proc)) *sim.Proc {
-	return m.Group.Shard(m.Plan.ShardOfNode(id)).Go(name, fn)
+	return m.Nodes[id].K.Go(name, fn)
 }
 
 // Run executes the simulation to the horizon (0 = until drained) and
@@ -191,38 +200,34 @@ func (m *Machine) Err() error { return m.Group.Err() }
 // a single-module machine reports its kernel's own statistics, the
 // shape every single-kernel report has always had.
 func (m *Machine) SimStats() sim.Stats {
-	if m.Plan.Shards == 1 {
+	if len(m.Modules) == 1 {
 		return m.K.Stats()
 	}
 	return m.Group.Stats()
 }
 
-// shardOfProc identifies which shard kernel p runs on.
-func (m *Machine) shardOfProc(p *sim.Proc) int {
-	s := m.Group.ShardOf(p.Kernel())
-	if s < 0 {
-		panic("machine: process not on any shard of this machine")
-	}
-	return s
-}
-
 // syncShardState runs after every window barrier and syncs the
 // barrier-frozen shard state: the retransmit mirror always, and the
 // topology views (staged sublink outage mirrors plus the comm netView)
-// whenever some channel changed state since the last sync.
+// whenever one of the machine's channels changed state since the last
+// sync, which the sum of its links' change counts tells.
 func (m *Machine) syncShardState() {
+	var changes int64
 	i := 0
 	for _, nd := range m.Nodes {
 		for _, l := range nd.Links {
 			m.rtxMirror[i] = l.Retransmits
+			changes += l.Changes()
 			i++
 		}
 	}
-	ep := link.TopologyEpoch()
-	if ep == m.epochSeen {
+	for _, mod := range m.Modules {
+		changes += mod.Sys.Link.Changes()
+	}
+	if changes == m.changesSeen {
 		return
 	}
-	m.epochSeen = ep
+	m.changesSeen = changes
 	for _, nd := range m.Nodes {
 		for s := 0; s < link.SublinksPerNode; s++ {
 			nd.Sublink(s).SyncStagedMirror()
@@ -241,51 +246,34 @@ func (m *Machine) syncShardState() {
 // generation lets the next joiner skip them.
 type ctlTok struct{ gen int64 }
 
-// ctlPost sends a join token from shard `from` to the joiner on shard
-// `to`.
-func (m *Machine) ctlPost(sp *sim.Proc, from, to int, gen int64) {
-	if from == to {
-		m.ctl[to].Send(sp, ctlTok{gen: gen})
-		return
-	}
-	m.ctlEdge[from][to].Send(sp, ctlTok{gen: gen})
-}
-
-// ctlJoin collects `want` tokens of generation gen on p's shard,
-// discarding stale ones. Machine-level fan-outs are issued by one
-// process at a time, so tokens of a different generation are always
-// leftovers of an aborted earlier operation.
-func (m *Machine) ctlJoin(p *sim.Proc, shard int, gen int64, want int) {
-	for got := 0; got < want; {
-		if tok := m.ctl[shard].Recv(p).(ctlTok); tok.gen == gen {
-			got++
-		}
-	}
-}
-
 // EachModule runs fn once per module, all modules in parallel, each in
 // a process named name/modN on its module's own shard, and blocks p
-// until every call has returned. The workers are spawned in a Global
-// section, so spawn order never races, and report back through the
-// control mesh to whatever shard p runs on. It returns the error of the
-// lowest-indexed module that failed. Fan-outs are issued by one process
-// at a time.
+// until every call has returned. p must run on shard 0, where the join
+// channel lives. The workers are spawned in a Global section, so spawn
+// order never races, and report back through the shard-0 uplinks. It
+// returns the error of the lowest-indexed module that failed. Fan-outs
+// are issued by one process at a time, so tokens of another generation
+// are always leftovers of an aborted earlier operation.
 func (m *Machine) EachModule(p *sim.Proc, name string, fn func(sp *sim.Proc, mod *module.Module) error) error {
-	shard := m.shardOfProc(p)
+	if p.Kernel() != m.K {
+		panic("machine: EachModule (" + name + ") must be called from a process on shard 0, the control shard")
+	}
 	m.ctlGen++
 	gen := m.ctlGen
 	errs := make([]error, len(m.Modules))
 	m.Group.Global(p, func(sim.Time) {
 		for i, mod := range m.Modules {
-			idx, mm := i, mod
-			ms := m.Plan.Assign[idx]
-			m.Group.Shard(ms).Go(fmt.Sprintf("%s/mod%d", name, idx), func(sp *sim.Proc) {
-				errs[idx] = fn(sp, mm)
-				m.ctlPost(sp, ms, shard, gen)
+			m.Group.Shard(i).Go(fmt.Sprintf("%s/mod%d", name, i), func(sp *sim.Proc) {
+				errs[i] = fn(sp, mod)
+				m.ctl.send(sp, i, ctlTok{gen: gen})
 			})
 		}
 	})
-	m.ctlJoin(p, shard, gen, len(m.Modules))
+	for got := 0; got < len(m.Modules); {
+		if tok := m.ctl.ch.Recv(p).(ctlTok); tok.gen == gen {
+			got++
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -3,8 +3,10 @@ package machine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
+	"tseries/internal/link"
 	"tseries/internal/sim"
 )
 
@@ -34,12 +36,12 @@ func TestShardedMachineBuilds(t *testing.T) {
 	}
 }
 
-func TestShardedSnapshotAllFromAnyShard(t *testing.T) {
-	// SnapshotAll still takes ≈15 s wall (modules snapshot in parallel,
-	// each on its own shard) and may be issued from a non-control shard.
-	m := newMachine(t, 4)
+func TestShardedSnapshotAllRunsOnShard0(t *testing.T) {
+	// SnapshotAll takes ≈15 s wall on four modules too (each snapshots
+	// on its own shard), joined on shard 0.
+	m := newMachine(t, 5)
 	var elapsed sim.Duration
-	m.Group.Shard(1).Go("snap", func(p *sim.Proc) {
+	m.K.Go("snap", func(p *sim.Proc) {
 		start := p.Now()
 		if _, err := m.SnapshotAll(p); err != nil {
 			t.Errorf("snapall: %v", err)
@@ -48,8 +50,19 @@ func TestShardedSnapshotAllFromAnyShard(t *testing.T) {
 	})
 	m.Run(0)
 	if s := elapsed.Seconds(); s < 13 || s > 17 {
-		t.Fatalf("machine snapshot took %.2f s, want ≈15 regardless of partition", s)
+		t.Fatalf("machine snapshot took %.2f s, want ≈15 regardless of module count", s)
 	}
+
+	// The join channel lives on shard 0: a fan-out issued from any other
+	// shard is a programming error, and the panic says where to call it.
+	m = newMachine(t, 4)
+	m.Group.Shard(1).Go("snap", func(p *sim.Proc) { m.SnapshotAll(p) })
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "shard 0") {
+			t.Fatalf("SnapshotAll from shard 1: panic %v, want one naming shard 0", r)
+		}
+	}()
+	m.Run(0)
 }
 
 func TestNewAutoPicksGeometry(t *testing.T) {
@@ -68,9 +81,16 @@ func TestNewAutoPicksGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sharded.Group.Shards() != 4 || sharded.Group.Lookahead() <= 0 {
-		t.Fatalf("dim-5 machine: shards=%d lookahead=%v, want 4 shards (one per module) with a lookahead",
-			sharded.Group.Shards(), sharded.Group.Lookahead())
+	// Module m is shard m, and every cross-shard edge is a link, so the
+	// window width is the link floor.
+	if sharded.Group.Shards() != 4 || sharded.Group.Lookahead() != link.Lookahead {
+		t.Fatalf("dim-5 machine: shards=%d lookahead=%v, want 4 shards (one per module) with lookahead %v",
+			sharded.Group.Shards(), sharded.Group.Lookahead(), link.Lookahead)
+	}
+	for id, nd := range sharded.Nodes {
+		if nd.K != sharded.Group.Shard(id/8) {
+			t.Fatalf("node %d runs on shard %d, want shard %d", id, sharded.Group.ShardOf(nd.K), id/8)
+		}
 	}
 }
 

@@ -32,7 +32,13 @@ type Supervisor struct {
 	// router activity settle after halting, before flushing state.
 	DrainTime sim.Duration
 
-	alarm *sim.Chan
+	// alarm and ok are shard-0 channels fed from every shard: alarm
+	// carries body errors and fault alarms, ok body-completed tokens.
+	// gen tags ok tokens so leftovers of a halted restart are skipped.
+	alarm *shard0Chan
+	ok    *shard0Chan
+	gen   int64
+
 	procs []*sim.Proc
 	// hung marks boards wedged by a hang fault. The wedge is a property
 	// of the BOARD, not of whatever process happened to be running: a
@@ -45,15 +51,6 @@ type Supervisor struct {
 	lastSnaps []*module.Snapshot
 	prevSnaps []*module.Snapshot
 	lastCkpt  sim.Time
-
-	// okc collects body-completed tokens on shard 0; up[s]/okUp[s]
-	// deliver alarms and ok tokens from shard s ≥ 1 into the alarm and
-	// okc channels. gen tags ok tokens so leftovers of a halted restart
-	// are skipped.
-	okc  *sim.Chan
-	up   []*sim.XChan
-	okUp []*sim.XChan
-	gen  int64
 
 	// det, when a Healer is attached, is suspended around checkpoints
 	// and recovery so the thread congestion they cause is not read as
@@ -76,46 +73,24 @@ type Supervisor struct {
 // policy from the machine's Spec.Recovery.
 func NewSupervisor(m *Machine) *Supervisor {
 	r := m.Spec.Recovery
-	shards := m.Group.Shards()
-	sv := &Supervisor{
+	chans := m.shard0Chans(
+		sim.NewChan(m.K, "supervisor/alarm", 1024),
+		sim.NewChan(m.K, "supervisor/ok", 4*m.Spec.Nodes))
+	return &Supervisor{
 		M:           m,
 		MaxRestarts: r.MaxRestarts,
 		DrainTime:   r.DrainTime,
-		alarm:       sim.NewChan(m.K, "supervisor/alarm", 1024),
-		okc:         sim.NewChan(m.K, "supervisor/ok", 4*m.Spec.Nodes),
-		up:          make([]*sim.XChan, shards),
-		okUp:        make([]*sim.XChan, shards),
+		alarm:       chans[0],
+		ok:          chans[1],
 		hung:        make([]bool, m.Spec.Nodes),
 	}
-	// Persistent uplink edges from every non-control shard into the
-	// shard-0 alarm and ok channels, with the plan's lookahead.
-	for s := 1; s < shards; s++ {
-		sv.up[s] = m.Group.ConnectInto(s, 0, fmt.Sprintf("sv/alarmup%d", s), m.Plan.Lookahead, sv.alarm)
-		sv.okUp[s] = m.Group.ConnectInto(s, 0, fmt.Sprintf("sv/okup%d", s), m.Plan.Lookahead, sv.okc)
-	}
-	return sv
 }
 
-// post raises an alarm from kernel (event-callback) context, where no
-// process is running to block on the channel send.
-func (sv *Supervisor) post(err error) {
-	sv.M.K.Go("supervisor/alarmpost", func(p *sim.Proc) {
-		sv.alarm.Send(p, err)
-	})
-}
-
-// postNode raises an alarm about node id from that node's shard: the
-// posting process runs on the owning shard's kernel, and off shard 0
-// the alarm travels the staged uplink edge.
-func (sv *Supervisor) postNode(id int, err error) {
-	s := sv.M.Plan.ShardOfNode(id)
-	if s == 0 {
-		sv.post(err)
-		return
-	}
-	up := sv.up[s]
+// post raises an alarm from kernel (event-callback) context on shard s,
+// where no process is running to block on the channel send.
+func (sv *Supervisor) post(s int, err error) {
 	sv.M.Group.Shard(s).Go("supervisor/alarmpost", func(p *sim.Proc) {
-		up.Send(p, err)
+		sv.alarm.send(p, s, err)
 	})
 }
 
@@ -143,7 +118,7 @@ func (sv *Supervisor) NodeCrashed(id int, declared bool) {
 	atomic.AddInt64(&sv.Crashes, 1)
 	sv.killBody(id)
 	if declared {
-		sv.postNode(id, &comm.CrashedError{Node: id})
+		sv.post(shardOf(id), &comm.CrashedError{Node: id})
 	}
 }
 
@@ -169,10 +144,10 @@ func (sv *Supervisor) killBody(id int) {
 // corruption.
 func (sv *Supervisor) Checkpoint(p *sim.Proc) error {
 	// A snapshot floods the module threads for seconds; a detector left
-	// watching would read the delayed beats as silence. The detector
-	// state lives on shard 0, while the checkpointing process may run
-	// anywhere — a Global section flips the suspension with every shard
-	// quiescent.
+	// watching would read the delayed beats as silence. A Global section
+	// flips the suspension at a window barrier, with every shard
+	// quiescent. p runs on shard 0 with the detector, as SnapshotAll
+	// requires.
 	if sv.det != nil {
 		sv.M.Group.Global(p, func(sim.Time) { sv.det.Suspend() })
 		defer sv.M.Group.Global(p, func(sim.Time) { sv.det.Resume() })
@@ -216,16 +191,8 @@ func (sv *Supervisor) Run(p *sim.Proc, body func(bp *sim.Proc, id int) error) er
 		sv.procs = make([]*sim.Proc, n)
 		m.Group.Global(p, func(sim.Time) {
 			for id := 0; id < n; id++ {
-				nodeID := id
-				shard := m.Plan.ShardOfNode(id)
-				sv.procs[id] = m.Group.Shard(shard).Go(fmt.Sprintf("supervisor/n%d", nodeID), func(bp *sim.Proc) {
-					if err := body(bp, nodeID); err != nil {
-						sv.noteFault(err)
-						sv.raise(bp, shard, err)
-						return
-					}
-					sv.okDone(bp, shard, gen)
-				})
+				sv.procs[id] = sv.spawnBody(fmt.Sprintf("supervisor/n%d", id), id, gen,
+					func(bp *sim.Proc) error { return body(bp, id) })
 			}
 		})
 		faultErr := sv.await(p, n, gen)
@@ -242,11 +209,26 @@ func (sv *Supervisor) Run(p *sim.Proc, body func(bp *sim.Proc, id int) error) er
 	}
 }
 
+// spawnBody starts run as a process on node phys's shard, from a Global
+// section. A body that fails raises its error as an alarm; one that
+// returns cleanly posts an ok token of generation gen.
+func (sv *Supervisor) spawnBody(name string, phys int, gen int64, run func(bp *sim.Proc) error) *sim.Proc {
+	s := shardOf(phys)
+	return sv.M.Nodes[phys].K.Go(name, func(bp *sim.Proc) {
+		if err := run(bp); err != nil {
+			sv.noteFault(err)
+			sv.alarm.send(bp, s, err)
+			return
+		}
+		sv.ok.send(bp, s, okTok{gen: gen})
+	})
+}
+
 // await collects `want` ok tokens of generation gen, or the first alarm
 // that arrives before them, which it returns.
 func (sv *Supervisor) await(p *sim.Proc, want int, gen int64) error {
 	for oks := 0; oks < want; {
-		which, v := sim.Select(p, sv.alarm, sv.okc)
+		which, v := sim.Select(p, sv.alarm.ch, sv.ok.ch)
 		if which == 0 {
 			return v.(error)
 		}
@@ -281,24 +263,6 @@ func (sv *Supervisor) noteFault(err error) {
 // okTok is one body-completed token, tagged with the restart
 // generation so tokens of a halted restart are skipped.
 type okTok struct{ gen int64 }
-
-// raise sends a body error toward the shard-0 alarm channel.
-func (sv *Supervisor) raise(bp *sim.Proc, shard int, err error) {
-	if shard == 0 {
-		sv.alarm.Send(bp, err)
-		return
-	}
-	sv.up[shard].Send(bp, err)
-}
-
-// okDone sends a body-completed token toward the shard-0 ok channel.
-func (sv *Supervisor) okDone(bp *sim.Proc, shard int, gen int64) {
-	if shard == 0 {
-		sv.okc.Send(bp, okTok{gen: gen})
-		return
-	}
-	sv.okUp[shard].Send(bp, okTok{gen: gen})
-}
 
 // recover is the rollback sequence: halt, drain, flush, repair,
 // restore, and clear stale alarms. The halt/flush/repair steps mutate
@@ -358,7 +322,7 @@ func (sv *Supervisor) restoreLatest(p *sim.Proc) error {
 
 func (sv *Supervisor) drainAlarms() {
 	for {
-		if _, ok := sv.alarm.TryRecv(); !ok {
+		if _, ok := sv.alarm.ch.TryRecv(); !ok {
 			break
 		}
 	}
@@ -392,7 +356,7 @@ func (m *Machine) ArmFaultsSink(plan *fault.Plan, sink FaultSink) {
 		return
 	}
 	injector := func(string) link.Injector { return plan }
-	if m.Plan.Shards > 1 {
+	if len(m.Modules) > 1 {
 		m.faults = fault.NewSharded(plan)
 		injector = func(name string) link.Injector { return m.faults.ForLink(name) }
 	}
@@ -410,11 +374,11 @@ func (m *Machine) ArmFaultsSink(plan *fault.Plan, sink FaultSink) {
 		switch ev.Kind {
 		case fault.DiskCorrupt:
 			if ev.Mod < len(m.Modules) {
-				shard = m.Plan.Assign[ev.Mod]
+				shard = ev.Mod
 			}
 		default:
 			if ev.Node < len(m.Nodes) {
-				shard = m.Plan.ShardOfNode(ev.Node)
+				shard = shardOf(ev.Node)
 			}
 		}
 		m.Group.Shard(shard).At(sim.Time(ev.At), func() { m.applyFault(ev, sink) })

@@ -46,9 +46,9 @@ type ShardGroup struct {
 	edges   []*XChan
 
 	// lookahead is the window width: the minimum latency over every
-	// registered edge, or the explicit SetLookahead floor when no edge
-	// carries less. Zero with no edges means windows are unbounded (the
-	// shards cannot interact, so each may run to completion).
+	// registered cross-shard edge. Zero with no such edge means windows
+	// are unbounded (the shards cannot interact, so each may run to
+	// completion).
 	lookahead Duration
 
 	ctx      context.Context
@@ -170,20 +170,6 @@ func (g *ShardGroup) SetWorkers(p int) {
 // Workers reports the configured physical parallelism.
 func (g *ShardGroup) Workers() int { return g.workers }
 
-// SetLookahead installs an explicit lookahead floor for groups whose
-// minimum cross-shard latency is known to the caller (for example from
-// the link DMA-startup constant) before any edge exists. The effective
-// window width remains the minimum over this floor and every edge
-// latency.
-func (g *ShardGroup) SetLookahead(d Duration) {
-	if d <= 0 {
-		panic("sim: lookahead must be positive")
-	}
-	if g.lookahead == 0 || d < g.lookahead {
-		g.lookahead = d
-	}
-}
-
 // Lookahead reports the effective window width (0 = unbounded).
 func (g *ShardGroup) Lookahead() Duration { return g.lookahead }
 
@@ -230,21 +216,13 @@ func (g *ShardGroup) Now() Time {
 // channel — so partition-agnostic component code can connect first and
 // place later.
 func (g *ShardGroup) Connect(src, dst int, name string, latency Duration, capacity int) *XChan {
-	if src < 0 || src >= len(g.shards) || dst < 0 || dst >= len(g.shards) {
-		panic(fmt.Sprintf("sim: xchan %s connects shard %d→%d outside group of %d", name, src, dst, len(g.shards)))
+	// An out-of-range dst leaves the channel without a kernel;
+	// ConnectInto rejects the edge before that matters.
+	var k *Kernel
+	if dst >= 0 && dst < len(g.shards) {
+		k = g.shards[dst]
 	}
-	if latency <= 0 {
-		panic("sim: xchan " + name + " needs a positive latency (it is the lookahead)")
-	}
-	x := &XChan{
-		g: g, src: src, dst: dst, latency: latency,
-		inner: NewChan(g.shards[dst], name, capacity),
-	}
-	g.edges = append(g.edges, x)
-	if src != dst && (g.lookahead == 0 || latency < g.lookahead) {
-		g.lookahead = latency
-	}
-	return x
+	return g.ConnectInto(src, dst, name, latency, NewChan(k, name, capacity))
 }
 
 // ConnectInto registers a cross-shard edge like Connect, but delivers
@@ -700,7 +678,6 @@ type XChan struct {
 	latency  Duration
 	inner    *Chan
 	staged   []stagedMsg // outbox: written by src shard in-window, drained at the barrier
-	sent     int64
 }
 
 // stagedMsg is one staged cross-shard event.
@@ -715,9 +692,6 @@ func (x *XChan) Name() string { return x.inner.Name() }
 // Latency reports the edge's modelled transfer time.
 func (x *XChan) Latency() Duration { return x.latency }
 
-// Sent reports how many values have been sent on this edge.
-func (x *XChan) Sent() int64 { return x.sent }
-
 // Src and Dst report the edge's endpoints.
 func (x *XChan) Src() int { return x.src }
 func (x *XChan) Dst() int { return x.dst }
@@ -729,12 +703,8 @@ func (x *XChan) Send(p *Proc, v interface{}) {
 	if p.k != x.g.shards[x.src] {
 		panic(fmt.Sprintf("sim: xchan %s: send from a process of the wrong shard", x.Name()))
 	}
-	x.post(v)
+	x.postAfter(v, x.latency)
 }
-
-// Post stages v from source-shard kernel context (an At callback or a
-// router hook running on the source shard).
-func (x *XChan) Post(v interface{}) { x.postAfter(v, x.latency) }
 
 // PostDelayed stages v with an explicit transfer time d ≥ the edge
 // latency, for senders whose modelled delivery time varies with the
@@ -748,12 +718,9 @@ func (x *XChan) PostDelayed(v interface{}, d Duration) {
 	x.postAfter(v, d)
 }
 
-func (x *XChan) post(v interface{}) { x.postAfter(v, x.latency) }
-
 func (x *XChan) postAfter(v interface{}, d Duration) {
 	src := x.g.shards[x.src]
 	at := src.now.Add(d)
-	x.sent++
 	if x.src == x.dst {
 		// Degenerate local edge: no staging needed, but identical timing.
 		x.inner.k.At(at, func() { x.inner.push(v) })
@@ -764,12 +731,6 @@ func (x *XChan) postAfter(v interface{}, d Duration) {
 
 // Recv blocks the destination-shard process p until a value arrives.
 func (x *XChan) Recv(p *Proc) interface{} { return x.inner.Recv(p) }
-
-// TryRecv returns a delivered value if one is already queued.
-func (x *XChan) TryRecv() (interface{}, bool) { return x.inner.TryRecv() }
-
-// Ready reports whether a Recv would not block.
-func (x *XChan) Ready() bool { return x.inner.Ready() }
 
 // Inbox exposes the destination-side channel for Select constructs.
 func (x *XChan) Inbox() *Chan { return x.inner }

@@ -362,6 +362,31 @@ func TestShardWrongShardSend(t *testing.T) {
 	g.Run(0)
 }
 
+// TestShardConnectRejectsBadEdges: an edge outside the group or without
+// a positive latency (the lookahead) is a programming error that Connect
+// refuses loudly, naming what is wrong.
+func TestShardConnectRejectsBadEdges(t *testing.T) {
+	g := NewShardGroup(2)
+	for _, c := range []struct {
+		src, dst int
+		lat      Duration
+		want     string
+	}{
+		{0, 2, Microsecond, "outside group"},
+		{-1, 1, Microsecond, "outside group"},
+		{0, 1, 0, "positive latency"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.want) {
+					t.Errorf("Connect(%d, %d, %v): panic %v, want one containing %q", c.src, c.dst, c.lat, r, c.want)
+				}
+			}()
+			g.Connect(c.src, c.dst, "bad", c.lat, 1)
+		}()
+	}
+}
+
 // TestShardRandomTopology is the randomized property test at the sim
 // layer: arbitrary shard counts, edge sets, and timer loads must give
 // worker-count-invariant stats.

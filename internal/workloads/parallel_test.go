@@ -1,7 +1,9 @@
 package workloads
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -184,6 +186,70 @@ func TestPortedWorkloadsShardInvariantDim4(t *testing.T) {
 				t.Errorf("%s at dim 4: report at workers=%d differs from workers=1\n  one: %s\n  got: %s",
 					c.name, workers, want, raw)
 			}
+		}
+	}
+}
+
+// TestLatticeShardInvariantDim8 carries the worker-invariance contract
+// to a 32-module machine: the dim-8 lattice exchanges halos across
+// every cube dimension, so most of its traffic crosses shards, and its
+// report must be byte-identical at 1, 2 and 4 host workers.
+func TestLatticeShardInvariantDim8(t *testing.T) {
+	cfg := Config{Dim: 8, N: 8, Iters: 2, Seed: 1, KernelShards: 1}
+	want := reportBytes(t, "lattice", cfg)
+	var rep Report
+	if err := json.Unmarshal(want, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Kernel.Shards) != 32 || rep.Kernel.CrossShard == 0 {
+		t.Fatalf("dim-8 lattice: %d shards, %d cross-shard events; want 32 shards exchanging",
+			len(rep.Kernel.Shards), rep.Kernel.CrossShard)
+	}
+	for _, workers := range []int{2, 4} {
+		cfg.KernelShards = workers
+		if got := reportBytes(t, "lattice", cfg); string(got) != string(want) {
+			t.Errorf("dim-8 lattice at workers=%d differs from workers=1\n  one: %s\n  got: %s", workers, want, got)
+		}
+	}
+}
+
+// TestConcurrentMachinesShareNoTopology runs two dim-4 machines at
+// once, one of them taking cross-module link outages. Each machine
+// counts its own link changes, so the quiet machine's report must match
+// a solo run byte for byte however the two interleave; under the race
+// detector this also shows that they share no link state.
+func TestConcurrentMachinesShareNoTopology(t *testing.T) {
+	quiet := Config{Dim: 4, N: 256, Seed: 3}
+	want := reportBytes(t, "fft", quiet)
+	done := make(chan error, 1)
+	go func() {
+		for rep := 0; rep < 3; rep++ {
+			plan := &fault.Plan{Seed: 9, Events: []fault.Event{
+				{At: 9 * sim.Second, Kind: fault.LinkDown, Node: 0, Dim: 3},
+				{At: 20 * sim.Second, Kind: fault.LinkUp, Node: 0, Dim: 3},
+			}}
+			res, err := FaultTolerantSAXPY(context.Background(), 4, 6, 1, 2*sim.Second, 0, plan)
+			if err == nil && (!res.Correct || res.Faults.Detours == 0) {
+				err = fmt.Errorf("outage run: correct=%v detours=%d", res.Correct, res.Faults.Detours)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for {
+		if got := reportBytes(t, "fft", quiet); string(got) != string(want) {
+			t.Fatalf("fft beside an outage run differs from a solo run\n  solo: %s\n  got:  %s", want, got)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
 		}
 	}
 }

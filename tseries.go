@@ -77,18 +77,6 @@ func SpecFor(dim int) (Spec, error) { return machine.SpecFor(dim) }
 // reports byte-identical to a serial run at every value.
 type WorkloadConfig = workloads.Config
 
-// PartitionPlan is the logical shard map for a conservative parallel
-// run of one machine: module→shard assignment plus the cross-shard
-// lookahead the synchronization windows may use. Plans are pure
-// geometry — host-independent — so equal plans imply equal results.
-type PartitionPlan = machine.PartitionPlan
-
-// PlanPartition derives the module→shard map for a dim-cube split into
-// at most wantShards shards (clamped to the module count).
-func PlanPartition(dim, wantShards int) (*PartitionPlan, error) {
-	return machine.PlanPartition(dim, wantShards)
-}
-
 // ShardStats is one kernel shard's execution summary in a sharded
 // KernelStats snapshot.
 type ShardStats = sim.ShardStats

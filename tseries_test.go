@@ -107,15 +107,15 @@ func TestFaultPlanSAXPYSmoke(t *testing.T) {
 }
 
 // TestParallelKernelFacade drives the conservative parallel kernel
-// through the public surface: the partition plan is pure geometry, and
+// through the public surface: a System has one shard per module, and
 // RunWorkload reports are byte-equal at every KernelShards value.
 func TestParallelKernelFacade(t *testing.T) {
-	plan, err := PlanPartition(6, 4)
+	sys, err := New(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Shards != 4 || plan.Modules != 8 || plan.Lookahead <= 0 {
-		t.Fatalf("unexpected plan: %+v", plan)
+	if got := sys.M.Group.Shards(); got != 8 {
+		t.Fatalf("a 6-cube has 8 modules but %d shards", got)
 	}
 
 	cfg := DefaultWorkloadConfig()
