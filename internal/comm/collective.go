@@ -40,15 +40,7 @@ func (e *Endpoint) AllReduceF64(p *sim.Proc, tag int, op func(a, b fparith.F64) 
 		if err != nil {
 			return nil, err
 		}
-		var pay []byte
-		if e.id == root {
-			pay = packF64(acc)
-		}
-		got, err := e.Broadcast(p, root, tag+e.net.Size()+e.net.Dim+1, pay)
-		if err != nil {
-			return nil, err
-		}
-		return unpackF64(got), nil
+		return e.BroadcastF64(p, root, tag+e.net.Size()+e.net.Dim+1, acc)
 	}
 	acc := append([]fparith.F64(nil), vals...)
 	for d := 0; d < e.net.Dim; d++ {
@@ -359,11 +351,3 @@ func (e *Endpoint) AllToAllF64(p *sim.Proc, tag int, vals []fparith.F64) ([]fpar
 
 // AddF64 is the usual reduction operator.
 func AddF64(a, b fparith.F64) fparith.F64 { return fparith.Add64(a, b) }
-
-// MaxF64 keeps the larger operand (NaNs lose).
-func MaxF64(a, b fparith.F64) fparith.F64 {
-	if fparith.Cmp64(a, b) == 1 {
-		return a
-	}
-	return b
-}

@@ -32,15 +32,13 @@ type Network struct {
 	Nodes []*node.Node
 	eps   []*Endpoint
 
-	// routes is the cached live-graph routing table (see route.go). It
-	// is only consulted when some channel is down or some node crashed;
-	// a healthy network routes pure e-cube without ever building it.
-	routes *routeTable
-
-	// view is the barrier-frozen topology view of a network spread over
-	// more than one shard (see shard.go); nil on a one-shard network,
-	// where every code path below reads the live objects directly.
-	view *netView
+	// topo is the network's topology view (see route.go). frozen marks
+	// a network spread over several shards, whose view only SyncView
+	// rebuilds, at window barriers; a one-shard network rebuilds its
+	// view on read once its links changed. frozen is the one place comm
+	// tells shard counts apart.
+	topo   *topology
+	frozen bool
 }
 
 // Endpoint is one node's interface to the network.
@@ -104,10 +102,9 @@ func CubeSublink(d int) int { return cubeSublink[d] }
 //
 // Shard ownership rule: every router daemon, mailbox, and counter of a
 // node lives on that node's kernel and is only ever touched from there.
-// Above one shard, the one piece of genuinely global state — which
-// nodes are alive and which channels are up — is read from a netView
-// frozen at window barriers (see shard.go); a one-shard network reads
-// the live objects.
+// The one piece of genuinely global state — which nodes are alive and
+// which channels are up — is read from the network's topology view
+// (see route.go), which above one shard is frozen at window barriers.
 func BuildCube(g *sim.ShardGroup, nodes []*node.Node) (*Network, error) {
 	dim, err := cube.DimOf(len(nodes))
 	if err != nil {
@@ -177,50 +174,21 @@ func BuildCube(g *sim.ShardGroup, nodes []*node.Node) (*Network, error) {
 			})
 		}
 	}
-	if g.Shards() > 1 {
-		n.view = &netView{alive: make([]bool, len(nodes))}
-		n.SyncView()
-	}
+	n.frozen = g.Shards() > 1
+	n.SyncView()
 	return n, nil
 }
 
-// alive reports whether node id is in service. A network spread over
-// several shards answers from the barrier-frozen view so no shard reads
-// another shard's node state mid-window.
-func (n *Network) alive(id int) bool {
-	if n.view != nil {
-		return n.view.alive[id]
-	}
-	return n.Nodes[id].Alive()
-}
+// alive reports whether node id is in service.
+func (n *Network) alive(id int) bool { return n.view().alive[id] }
 
 // anyCrashed reports whether any node is out of service. While false —
 // the overwhelmingly common case — every code path is identical to the
 // fault-free simulator.
-func (n *Network) anyCrashed() bool {
-	if n.view != nil {
-		return n.view.anyDead
-	}
-	for _, nd := range n.Nodes {
-		if !nd.Alive() {
-			return true
-		}
-	}
-	return false
-}
+func (n *Network) anyCrashed() bool { return n.view().anyDead }
 
 // lowestAlive returns the smallest id of an in-service node, or -1.
-func (n *Network) lowestAlive() int {
-	if n.view != nil {
-		return n.view.lowest
-	}
-	for id, nd := range n.Nodes {
-		if nd.Alive() {
-			return id
-		}
-	}
-	return -1
-}
+func (n *Network) lowestAlive() int { return n.view().lowest }
 
 // Flush discards all in-flight traffic: every sublink inbox and every
 // endpoint mailbox. The recovery supervisor calls it after halting the
@@ -314,65 +282,41 @@ func (e *Endpoint) route(p *sim.Proc, raw []byte, arriveDim int) {
 // forward picks the outbound channel for a message to dst and sends it.
 // On a healthy network the choice is pure e-cube: the lowest differing
 // dimension, whose channel is up, so exactly one Send runs. With any
-// channel down or node crashed, the choice comes from the live-graph
-// next-hop table instead, which either lies on a shortest live path or
-// proves the destination unreachable (a typed UnreachableError).
+// channel down or node crashed, the choice comes from the topology
+// view's live-graph next-hop table instead, which either lies on a
+// shortest live path or proves the destination unreachable (a typed
+// UnreachableError). A channel that changes state after the view was
+// built can fail the table's hop with a DownError; the candidates loop,
+// which reads this node's own channel state, then gets one try.
 func (e *Endpoint) forward(p *sim.Proc, raw []byte, dst, arriveDim int) error {
 	diff := e.id ^ dst
 	bumpHops(raw)
-	if v := e.net.view; v != nil {
-		// Several shards: route from the barrier-frozen view. The
-		// candidates loop reads only this shard's own channel state
-		// (staged peers through their mirrors), so it stays usable; the
-		// live-graph table is frozen until the next barrier, so a
-		// channel dying mid-window falls back to the candidates loop
-		// instead of a rebuild.
-		if v.healthy {
-			return e.sendCandidates(p, raw, dst, arriveDim, diff)
-		}
-		d := v.nextHop[e.id][dst]
-		if d < 0 {
-			return &UnreachableError{Src: e.id, Dst: dst}
-		}
-		err := e.nd.Sublink(CubeSublink(int(d))).Send(p, raw)
-		if err == nil {
-			if diff&(1<<uint(d)) == 0 {
-				e.Detours++
-			}
-			return nil
-		}
-		if !link.IsDown(err) {
-			return err
-		}
-		if e.sendCandidates(p, raw, dst, arriveDim, diff) == nil {
-			return nil
-		}
-		return &UnreachableError{Src: e.id, Dst: dst}
-	}
-	t := e.net.refreshRoutes()
+	t := e.net.view()
 	if t.healthy {
 		return e.sendCandidates(p, raw, dst, arriveDim, diff)
 	}
-	// Damaged topology: follow the table, allowing one rebuild-and-retry
-	// if a channel died between the table build and this hop.
-	for attempt := 0; attempt < 2; attempt++ {
-		d := t.nextHop[e.id][dst]
-		if d < 0 {
-			return &UnreachableError{Src: e.id, Dst: dst}
-		}
-		err := e.nd.Sublink(CubeSublink(int(d))).Send(p, raw)
-		if err == nil {
-			if diff&(1<<uint(d)) == 0 {
-				e.Detours++
-			}
-			return nil
-		}
-		if !link.IsDown(err) {
-			return err
-		}
-		t = e.net.refreshRoutes()
+	d := t.nextHop[e.id][dst]
+	if d < 0 {
+		return &UnreachableError{Src: e.id, Dst: dst}
+	}
+	err := e.sendDim(p, raw, int(d), diff)
+	if err == nil || !link.IsDown(err) {
+		return err
+	}
+	if e.sendCandidates(p, raw, dst, arriveDim, diff) == nil {
+		return nil
 	}
 	return &UnreachableError{Src: e.id, Dst: dst}
+}
+
+// sendDim sends raw on dimension d, counting a detour when d corrects
+// no differing address bit.
+func (e *Endpoint) sendDim(p *sim.Proc, raw []byte, d, diff int) error {
+	err := e.nd.Sublink(CubeSublink(d)).Send(p, raw)
+	if err == nil && diff&(1<<uint(d)) == 0 {
+		e.Detours++
+	}
+	return err
 }
 
 // sendCandidates walks the deterministic candidate order, sending on
@@ -380,14 +324,8 @@ func (e *Endpoint) forward(p *sim.Proc, raw []byte, dst, arriveDim int) error {
 func (e *Endpoint) sendCandidates(p *sim.Proc, raw []byte, dst, arriveDim, diff int) error {
 	var lastErr error
 	for _, d := range e.candidates(dst, arriveDim) {
-		err := e.nd.Sublink(CubeSublink(d)).Send(p, raw)
-		if err == nil {
-			if diff&(1<<uint(d)) == 0 {
-				e.Detours++
-			}
-			return nil
-		}
-		if !link.IsDown(err) {
+		err := e.sendDim(p, raw, d, diff)
+		if err == nil || !link.IsDown(err) {
 			return err
 		}
 		lastErr = err
@@ -475,6 +413,16 @@ func (e *Endpoint) SendF64(p *sim.Proc, dst, tag int, vals []fparith.F64) error 
 func (e *Endpoint) RecvF64(p *sim.Proc, tag int) (int, []fparith.F64) {
 	src, payload := e.Recv(p, tag)
 	return src, unpackF64(payload)
+}
+
+// BroadcastF64 broadcasts root's vector of 64-bit elements (see
+// Broadcast); every node returns root's vector.
+func (e *Endpoint) BroadcastF64(p *sim.Proc, root, tag int, vals []fparith.F64) ([]fparith.F64, error) {
+	got, err := e.Broadcast(p, root, tag, packF64(vals))
+	if err != nil {
+		return nil, err
+	}
+	return unpackF64(got), nil
 }
 
 func packF64(vals []fparith.F64) []byte {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tseries/internal/fparith"
+	"tseries/internal/link"
 	"tseries/internal/sim"
 )
 
@@ -62,22 +63,74 @@ func TestRouteRestoredAfterLinkUp(t *testing.T) {
 	}
 }
 
-// TestRouteTableIgnoresOtherNetworks: a one-shard network caches its
-// route table against its own links' change counts, so an outage in
+// TestRouteTableIgnoresOtherNetworks: a one-shard network stamps its
+// topology view with its own links' change count, so an outage in
 // another network of the same process — another job's machine — leaves
-// the table in place, and only a change of its own rebuilds it.
+// the view and its route table in place, and only a change of its own
+// rebuilds them.
 func TestRouteTableIgnoresOtherNetworks(t *testing.T) {
 	_, a := buildNet(t, 2)
 	a.Nodes[0].Sublink(CubeSublink(0)).SetDown(true)
-	cached := a.refreshRoutes()
+	cached := a.view()
 	_, b := buildNet(t, 2)
 	b.Nodes[1].Sublink(CubeSublink(1)).SetDown(true)
-	if a.refreshRoutes() != cached {
-		t.Fatal("an outage in another network rebuilt this network's route table")
+	if a.view() != cached {
+		t.Fatal("an outage in another network rebuilt this network's topology view")
 	}
 	a.Nodes[0].Sublink(CubeSublink(0)).SetDown(false)
-	if rt := a.refreshRoutes(); rt == cached || !rt.healthy {
-		t.Fatal("this network's own repair did not rebuild its route table")
+	if v := a.view(); v == cached || !v.healthy {
+		t.Fatal("this network's own repair did not rebuild its topology view")
+	}
+}
+
+// nackFirst rejects the first frame it sees with a one-bit flip, which
+// the receiver's CRC always catches, and passes every later frame.
+type nackFirst struct{ fired bool }
+
+func (f *nackFirst) Corrupt(string, int) []int {
+	if f.fired {
+		return nil
+	}
+	f.fired = true
+	return []int{0}
+}
+
+// TestTableHopDownAfterHeal: on a damaged one-shard network a table hop
+// that ends in a DownError after the topology has healed falls back to
+// the e-cube candidates and delivers. Channel 2↔3 is down, so 0→1
+// routes by the table over channel 0↔1. That channel goes down during
+// the first (nacked) attempt, so every retransmit times out, and both
+// channels come back during the last attempt, after its down check and
+// before its DownError.
+func TestTableHopDownAfterHeal(t *testing.T) {
+	k, net := buildNet(t, 2)
+	far := net.Nodes[2].Sublink(CubeSublink(0))
+	far.SetDown(true)
+	hop := net.Nodes[0].Sublink(CubeSublink(0))
+	net.Nodes[0].Links[CubeSublink(0)/link.SublinksPerLink].SetInjector(&nackFirst{})
+	payload := []byte("healed")
+	last := link.TransferTime(headerBytes + len(payload))
+	for a := 1; a < link.MaxSendAttempts; a++ {
+		last += link.DMAStartup + link.AckTimeout + link.RetryBackoff(a)
+	}
+	k.After(sim.Microsecond, func() { hop.SetDown(true) })
+	k.After(last+(link.DMAStartup+link.AckTimeout)/2, func() {
+		hop.SetDown(false)
+		far.SetDown(false)
+	})
+	var got []byte
+	k.Go("tx", func(p *sim.Proc) {
+		if err := net.Endpoint(0).Send(p, 1, 5, payload); err != nil {
+			t.Errorf("send: %v", err)
+		}
+	})
+	k.Go("rx", func(p *sim.Proc) { _, got = net.Endpoint(1).Recv(p, 5) })
+	k.Run(0)
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("got %q, want %q", got, payload)
+	}
+	if drops := net.Nodes[0].Links[0].Drops; drops != 1 {
+		t.Fatalf("link drops = %d, want 1: the table hop did not end in a DownError", drops)
 	}
 }
 

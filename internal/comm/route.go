@@ -15,10 +15,9 @@ import (
 // its hop budget dies. So whenever the topology is damaged, forwarding
 // switches to a next-hop table computed by breadth-first search over the
 // live graph — the nodes still in service and the channels still up.
-// The table is cached against the network's own link change count
-// (topoChanges) and rebuilt only when one of its channels actually
-// changed state; with the machine healthy the fast path is
-// byte-identical to the fault-free simulator.
+// The table is part of the network's topology view, which every shard
+// count builds the same way (SyncView); with the machine healthy the
+// fast path is byte-identical to the fault-free simulator.
 
 // UnreachableError reports that no sequence of live channels connects
 // this node to the destination: the failures have partitioned the cube.
@@ -36,18 +35,27 @@ func IsUnreachable(err error) bool {
 	return errors.As(err, &ue)
 }
 
-// routeTable is one generation of live-graph routing state.
-type routeTable struct {
-	changes int64    // topoChanges when the table was built
-	healthy bool     // every node alive, every channel up: use pure e-cube
-	nextHop [][]int8 // [src][dst] → outbound dimension, -1 unreachable
+// topology is one generation of a network's view of itself: which
+// nodes are in service, which channels are up, and the live-graph
+// next-hop table. Send's fail-fast check, the collectives'
+// degraded-mode re-rooting, and forward's choice of table or e-cube all
+// read it; only the candidates loop reads live channel state.
+type topology struct {
+	changes int64    // topoChanges when the view was built
+	healthy bool     // every node alive, every cube channel up: route pure e-cube
+	anyDead bool     // some node crashed
+	lowest  int      // lowest alive node id, -1 if none
+	alive   []bool   // per-node liveness
+	nextHop [][]int8 // [src][dst] → outbound dimension, -1 unreachable; nil while healthy
 }
 
 // topoChanges sums the change counts of the network's node links: it
 // moves whenever one of this network's channels goes up, goes down, or
 // is rewired, and never because of another simulation in the process.
-// Only a one-shard network calls it, mid-window, and its links all live
-// on that shard.
+// A node crash or repair always moves it too, because it flips the
+// node's system-thread sublinks 14 and 15, which nothing else takes
+// down. It reads every node's links, so mid-window only a one-shard
+// network may call it.
 func (n *Network) topoChanges() int64 {
 	var sum int64
 	for _, nd := range n.Nodes {
@@ -58,33 +66,45 @@ func (n *Network) topoChanges() int64 {
 	return sum
 }
 
-// refreshRoutes revalidates the cached routing table against the
-// network's link change count, rebuilding it if any channel changed
-// state.
-func (n *Network) refreshRoutes() *routeTable {
-	changes := n.topoChanges()
-	if t := n.routes; t != nil && t.changes == changes {
-		return t
-	}
-	t := &routeTable{changes: changes, healthy: true}
-scan:
-	for _, nd := range n.Nodes {
+// SyncView rebuilds the topology view and stamps it with the network's
+// link change count. On a network spread over several shards it must
+// be called only when every shard is quiescent — at a ShardGroup window
+// barrier, or from host/Global context — and after the staged sublink
+// mirrors have been synced, so Up() reads are coherent.
+func (n *Network) SyncView() {
+	t := &topology{changes: n.topoChanges(), healthy: true, lowest: -1, alive: make([]bool, len(n.Nodes))}
+	for id, nd := range n.Nodes {
 		if !nd.Alive() {
-			t.healthy = false
-			break
+			t.anyDead, t.healthy = true, false
+			continue
 		}
-		for d := 0; d < n.Dim; d++ {
+		t.alive[id] = true
+		if t.lowest < 0 {
+			t.lowest = id
+		}
+		for d := 0; d < n.Dim && t.healthy; d++ {
 			if !nd.Sublink(CubeSublink(d)).Up() {
 				t.healthy = false
-				break scan
 			}
 		}
 	}
 	if !t.healthy {
 		t.nextHop = n.buildNextHop()
 	}
-	n.routes = t
-	return t
+	n.topo = t
+}
+
+// view returns the topology view. A network spread over several shards
+// reads the view its last window barrier froze, so mid-window code
+// touches no other shard's state; a crash becomes visible to remote
+// shards at most one window late, a lag identical at every worker
+// count. A one-shard network runs one unbounded window, so it rebuilds
+// its view here whenever its links' change count has moved.
+func (n *Network) view() *topology {
+	if !n.frozen && n.topo.changes != n.topoChanges() {
+		n.SyncView()
+	}
+	return n.topo
 }
 
 // buildNextHop runs one BFS per destination over the live graph and
@@ -138,23 +158,4 @@ func (n *Network) buildNextHop() [][]int8 {
 		}
 	}
 	return hop
-}
-
-// Reachable reports whether dst can currently be reached from src over
-// live channels. On a healthy network it is always true.
-func (n *Network) Reachable(src, dst int) bool {
-	if src == dst {
-		return n.alive(src)
-	}
-	if v := n.view; v != nil {
-		if v.healthy {
-			return true
-		}
-		return n.alive(src) && n.alive(dst) && v.nextHop[src][dst] >= 0
-	}
-	t := n.refreshRoutes()
-	if t.healthy {
-		return true
-	}
-	return n.alive(src) && n.alive(dst) && t.nextHop[src][dst] >= 0
 }

@@ -59,10 +59,6 @@ func ConnectStaged(a, b *Sublink, ab, ba *sim.XChan) error {
 	return nil
 }
 
-// StagedConnected reports whether the sublink is the local end of a
-// cross-shard pair.
-func (s *Sublink) StagedConnected() bool { return s.staged != nil }
-
 // SyncStagedMirror refreshes the sender-side outage mirror from the
 // remote end's actual state. It must be called only when both shards
 // are quiescent — at a ShardGroup window barrier.

@@ -38,9 +38,10 @@ const MaxSimDim = 12
 //
 //  1. it has no cross-shard edge, so the group runs one unbounded
 //     window;
-//  2. it keeps no barrier-synced mirrors of remote state (no comm
-//     netView, no retransmit mirror, no window observer) and reads the
-//     live objects;
+//  2. it keeps no barrier-synced mirrors of remote state (no
+//     retransmit mirror, no window observer), and its comm topology
+//     view rebuilds on read whenever one of its links changed, not at
+//     window barriers;
 //  3. its fault plan is the single corruption stream on every link,
 //     consumed in kernel order (ArmFaultsSink);
 //  4. it reports its kernel's own statistics (SimStats), so its reports
@@ -62,8 +63,8 @@ const MaxSimDim = 12
 //     in ShardGroup.Global sections, which execute at window barriers
 //     with every shard quiescent (inline on one shard).
 //   - Reads of remote state from mid-window code go through
-//     barrier-synced copies: the comm netView (liveness/routing), the
-//     staged sublink outage mirrors, and the retransmit mirror the
+//     barrier-synced copies: the comm topology view (liveness/routing),
+//     the staged sublink outage mirrors, and the retransmit mirror the
 //     lossy-link scanner reads. All of them lag a mid-window change by
 //     at most one window, which is deterministic for a fixed partition.
 type Machine struct {
@@ -208,7 +209,7 @@ func (m *Machine) SimStats() sim.Stats {
 
 // syncShardState runs after every window barrier and syncs the
 // barrier-frozen shard state: the retransmit mirror always, and the
-// topology views (staged sublink outage mirrors plus the comm netView)
+// topology views (staged sublink outage mirrors plus the comm view)
 // whenever one of the machine's channels changed state since the last
 // sync, which the sum of its links' change counts tells.
 func (m *Machine) syncShardState() {

@@ -82,11 +82,6 @@ func (n *Node) RunForm(p *sim.Proc, op fpu.Op) (fpu.Result, error) {
 	return n.FPU.Run(p, op)
 }
 
-// StartForm launches a vector form that overlaps with CP work.
-func (n *Node) StartForm(op fpu.Op) *fpu.Pending {
-	return n.FPU.Start(op)
-}
-
 // BalanceRatio measures the paper's §II ratio
 // (arithmetic time) : (gather time) : (link transfer time)
 // for one 64-bit word, in units of the arithmetic time.

@@ -26,10 +26,6 @@ type Channel interface {
 // code (drivers, collectors in examples and tests).
 func RecvValue(p *sim.Proc, ch Channel) (interface{}, error) { return ch.recv(p) }
 
-// SendValue sends one value into an Occam channel on behalf of host code.
-// Supported values: int32, fparith.F64, bool.
-func SendValue(p *sim.Proc, ch Channel, v interface{}) error { return ch.send(p, v) }
-
 // internalChan is a same-node rendezvous channel.
 type internalChan struct{ ch *sim.Chan }
 

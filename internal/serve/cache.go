@@ -69,7 +69,7 @@ func (c *resultCache) len() int {
 }
 
 // keyDigest is the short content hash used as the public cache
-// identifier and the retry-jitter seed — stable across processes.
+// identifier — stable across processes.
 func keyDigest(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:8])

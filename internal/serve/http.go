@@ -18,7 +18,6 @@ type JobStatus struct {
 	Name      string `json:"name"`
 	Key       string `json:"key"`
 	Cached    bool   `json:"cached"`
-	Attempts  int    `json:"attempts"`
 	Error     string `json:"error,omitempty"`
 	Submitted string `json:"submitted,omitempty"`
 	Started   string `json:"started,omitempty"`
@@ -31,15 +30,14 @@ func (s *Server) status(j *job) JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := JobStatus{
-		ID:       j.id,
-		State:    j.state,
-		Tenant:   j.tenant,
-		Kind:     j.task.kind,
-		Name:     j.task.name,
-		Key:      keyDigest(j.task.key),
-		Cached:   j.cached,
-		Attempts: j.attempts,
-		Error:    j.errMsg,
+		ID:     j.id,
+		State:  j.state,
+		Tenant: j.tenant,
+		Kind:   j.task.kind,
+		Name:   j.task.name,
+		Key:    keyDigest(j.task.key),
+		Cached: j.cached,
+		Error:  j.errMsg,
 	}
 	stamp := func(t time.Time) string {
 		if t.IsZero() {
@@ -189,7 +187,6 @@ type Stats struct {
 	Timeouts          int64 `json:"timeouts"`
 	Canceled          int64 `json:"canceled"`
 	Panics            int64 `json:"panics"`
-	Retries           int64 `json:"retries"`
 	QueueDepth        int   `json:"queue_depth"`
 	Draining          bool  `json:"draining"`
 
@@ -274,7 +271,6 @@ func (s *Server) Snapshot() Stats {
 		Timeouts:            s.ctr.timeouts.Load(),
 		Canceled:            s.ctr.canceled.Load(),
 		Panics:              s.ctr.panics.Load(),
-		Retries:             s.ctr.retries.Load(),
 		QueueDepth:          len(s.queue),
 		Draining:            s.Draining(),
 	}

@@ -172,17 +172,20 @@ func resolveWorkload(spec *JobSpec, r workloads.Runner) (task, *APIError) {
 }
 
 // applyFlag sets one Config field from its tsim flag name. Values use
-// the same syntax as the tsim command line.
+// the same syntax as the tsim command line: integers parse as the flag
+// package parses them (base prefix, underscores, sign), durations as
+// time.ParseDuration.
 func applyFlag(cfg *workloads.Config, faultStr, chaosStr *string, name, val string) *APIError {
 	badVal := func(err error) *APIError {
 		return badRequest("bad_flag", "flag %q: bad value %q: %v", name, val, err)
 	}
 	switch name {
 	case "dim", "n", "rows", "iters", "reps", "phases":
-		v, err := strconv.Atoi(val)
+		v64, err := strconv.ParseInt(val, 0, strconv.IntSize)
 		if err != nil {
 			return badVal(err)
 		}
+		v := int(v64)
 		switch name {
 		case "dim":
 			cfg.Dim = v
@@ -198,7 +201,7 @@ func applyFlag(cfg *workloads.Config, faultStr, chaosStr *string, name, val stri
 			cfg.Phases = v
 		}
 	case seedFlag:
-		v, err := strconv.ParseInt(val, 10, 64)
+		v, err := strconv.ParseInt(val, 0, 64)
 		if err != nil {
 			return badVal(err)
 		}

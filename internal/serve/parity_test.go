@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -52,6 +53,36 @@ func TestCacheKeyIgnoresFlagOrderAndExplicitDefaults(t *testing.T) {
 	for flag, val := range map[string]string{"dim": "4", "rows": "51", "reps": "9", "seed": "2"} {
 		if got := keyOf(t, "saxpy", map[string]string{flag: val}); got == keyOf(t, "saxpy", nil) {
 			t.Fatalf("changing %s=%s did not change the key", flag, val)
+		}
+	}
+}
+
+// TestIntegerFlagsParseLikeTsim: an integer flag value means the same
+// in a job spec as on the tsim command line, whose flag package reads
+// base prefixes, underscores and signs: "010" is 8, "0x10" is 16.
+func TestIntegerFlagsParseLikeTsim(t *testing.T) {
+	for _, val := range []string{"010", "0x10", "1_000", "-2"} {
+		for _, name := range []string{"dim", "n", "rows", "iters", "reps", "phases", "seed"} {
+			want := workloads.DefaultConfig()
+			fs := flag.NewFlagSet("tsim", flag.ContinueOnError)
+			fs.IntVar(&want.Dim, "dim", want.Dim, "")
+			fs.IntVar(&want.N, "n", want.N, "")
+			fs.IntVar(&want.Rows, "rows", want.Rows, "")
+			fs.IntVar(&want.Iters, "iters", want.Iters, "")
+			fs.IntVar(&want.Reps, "reps", want.Reps, "")
+			fs.IntVar(&want.Phases, "phases", want.Phases, "")
+			fs.Int64Var(&want.Seed, "seed", want.Seed, "")
+			if err := fs.Parse([]string{"-" + name + "=" + val}); err != nil {
+				t.Fatalf("flag package rejects -%s=%s: %v", name, val, err)
+			}
+			got := workloads.DefaultConfig()
+			var faultStr, chaosStr string
+			if apiErr := applyFlag(&got, &faultStr, &chaosStr, name, val); apiErr != nil {
+				t.Fatalf("applyFlag rejects %s=%s: %v", name, val, apiErr)
+			}
+			if got != want {
+				t.Fatalf("%s=%s: applyFlag gives %+v, the flag package %+v", name, val, got, want)
+			}
 		}
 	}
 }

@@ -3,12 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
-	"math/rand"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -32,13 +30,6 @@ const (
 	StateCanceled = "canceled"
 )
 
-// ErrTransient marks a failure worth retrying with backoff. The
-// simulator's own workloads never return it — a deterministic run that
-// failed once fails every time — but runner implementations injected
-// through Options.Lookup (fault-injection harnesses, future remote
-// executors) wrap flaky errors in it.
-var ErrTransient = errors.New("serve: transient failure")
-
 // PanicError records a panic that escaped a job's runner. The job is
 // marked failed with the stack attached; the worker, its pool, and
 // every other job are unaffected.
@@ -59,8 +50,6 @@ type Options struct {
 	Rate        float64       // per-tenant submissions/sec (default 50)
 	Burst       float64       // per-tenant burst (default 100)
 	MaxInFlight int           // per-tenant queued+running ceiling (default 32)
-	RetryMax    int           // retries for transient failures (default 3)
-	RetryBase   time.Duration // backoff base, doubled per attempt (default 25ms)
 
 	// DataDir roots the server's crash-safety state: a write-ahead job
 	// journal under <DataDir>/journal and a content-addressed result
@@ -122,14 +111,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 32
 	}
-	if o.RetryMax < 0 {
-		o.RetryMax = 0
-	} else if o.RetryMax == 0 {
-		o.RetryMax = 3
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 25 * time.Millisecond
-	}
 	if o.ShardBudget == 0 {
 		o.ShardBudget = 2 * o.Workers
 	} else if o.ShardBudget < 0 {
@@ -162,7 +143,6 @@ type job struct {
 	// Guarded by Server.mu.
 	state     string
 	cached    bool // satisfied from the result cache at admission
-	attempts  int
 	body      []byte
 	errMsg    string
 	stack     string
@@ -187,7 +167,6 @@ type counters struct {
 	timeouts          atomic.Int64
 	canceled          atomic.Int64
 	panics            atomic.Int64
-	retries           atomic.Int64
 	shardDegraded     atomic.Int64 // jobs granted fewer shard workers than requested
 	simEvents         atomic.Int64 // kernel events executed by completed workload runs
 	simWindows        atomic.Int64 // conservative windows executed by sharded runs
@@ -481,13 +460,9 @@ func (s *Server) worker() {
 	}
 }
 
-// transient reports whether err is worth retrying.
-func transient(err error) bool { return errors.Is(err, ErrTransient) }
-
-// runJob executes one job under the per-job deadline, retrying
-// transient failures with seeded-deterministic jittered exponential
-// backoff: the jitter stream is derived from the job's content key, so
-// a given spec backs off identically on every host.
+// runJob executes one job, once, under the per-job deadline. A run is
+// deterministic for its spec, so a run that failed once fails every
+// time and is never retried.
 func (s *Server) runJob(j *job) {
 	now := s.opts.Now()
 	s.mu.Lock()
@@ -500,32 +475,7 @@ func (s *Server) runJob(j *job) {
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.opts.JobTimeout)
 	defer cancel()
-
-	var seed [8]byte
-	copy(seed[:], keyDigest(j.task.key))
-	rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(seed[:]))))
-
-	var body []byte
-	var err error
-	for attempt := 0; ; attempt++ {
-		body, err = s.execute(ctx, j)
-		if err == nil || !transient(err) || attempt >= s.opts.RetryMax {
-			break
-		}
-		s.ctr.retries.Add(1)
-		backoff := time.Duration(float64(s.opts.RetryBase<<uint(attempt)) * (0.5 + rng.Float64()))
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-		}
-		if ctx.Err() != nil {
-			err = ctx.Err()
-			break
-		}
-		s.mu.Lock()
-		j.attempts++
-		s.mu.Unlock()
-	}
+	body, err := s.execute(ctx, j)
 	s.finish(j, body, err, ctx)
 }
 

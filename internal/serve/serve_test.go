@@ -14,15 +14,13 @@ import (
 )
 
 // fakeRunner scripts workload behavior through the Options.Lookup seam:
-// latency, a countdown of transient failures, a panic, or blocking
-// until the job context is canceled. It lets the admission, retry,
-// isolation, and drain paths be exercised in milliseconds without the
-// real simulator.
+// latency, a failure, a panic, or blocking until the job context is
+// canceled. It lets the admission, failure, isolation, and drain paths
+// be exercised in milliseconds without the real simulator.
 type fakeRunner struct {
 	name      string
 	flags     []string
 	delay     time.Duration
-	transient int32 // failures remaining before success
 	permanent string
 	panicMsg  string
 	block     bool
@@ -48,9 +46,6 @@ func (f *fakeRunner) Run(cfg workloads.Config) (workloads.Report, error) {
 		case <-ctx.Done():
 			return workloads.Report{}, ctx.Err()
 		}
-	}
-	if atomic.AddInt32(&f.transient, -1) >= 0 {
-		return workloads.Report{}, fmt.Errorf("flaky link: %w", ErrTransient)
 	}
 	if f.permanent != "" {
 		return workloads.Report{}, fmt.Errorf("%s", f.permanent)
@@ -125,30 +120,9 @@ func TestJobLifecycleToDone(t *testing.T) {
 	}
 }
 
-func TestTransientFailuresRetryToSuccess(t *testing.T) {
-	fr := &fakeRunner{name: "fake", flags: []string{"dim"}, transient: 2}
-	s := New(Options{Workers: 1, RetryMax: 3, RetryBase: time.Millisecond, Lookup: lookupOf(fr)})
-	defer s.Drain(time.Second)
-
-	j, _, apiErr := s.Submit(spec("fake", nil))
-	if apiErr != nil {
-		t.Fatal(apiErr)
-	}
-	st := waitTerminal(t, s, j.id)
-	if st.State != StateDone {
-		t.Fatalf("state = %s (err %q), want done after retries", st.State, st.Error)
-	}
-	if got := fr.runs.Load(); got != 3 {
-		t.Fatalf("runner ran %d times, want 3 (2 transient failures + success)", got)
-	}
-	if got := s.Snapshot().Retries; got != 2 {
-		t.Fatalf("retries counter = %d, want 2", got)
-	}
-}
-
 func TestPermanentFailureIsNotRetried(t *testing.T) {
 	fr := &fakeRunner{name: "fake", flags: nil, permanent: "verification failed"}
-	s := New(Options{Workers: 1, RetryMax: 5, RetryBase: time.Millisecond, Lookup: lookupOf(fr)})
+	s := New(Options{Workers: 1, Lookup: lookupOf(fr)})
 	defer s.Drain(time.Second)
 
 	j, _, apiErr := s.Submit(spec("fake", nil))

@@ -40,7 +40,6 @@ type Kernel struct {
 
 	limit        Time        // horizon of the active Run (< 0: none)
 	limitExcl    bool        // window mode: the limit is exclusive (events at limit stay queued)
-	stopped      bool        //
 	pendingPanic interface{} // process-body panic awaiting re-delivery on the kernel goroutine
 
 	// Cooperative cancellation (BindContext). The dispatch loop polls
@@ -162,7 +161,6 @@ func (k *Kernel) beginTeardown() {
 // the remaining cleanup rather than masking the original failure.
 func (k *Kernel) teardown() {
 	defer func() { recover() }()
-	k.stopped = false
 	k.beginTeardown()
 	for i := 0; i < 4 && (k.laneLen > 0 || k.q.size > 0); i++ {
 		k.pendingPanic = nil
@@ -289,13 +287,9 @@ func (k *Kernel) After(d Duration, fn func()) {
 	k.At(k.now.Add(d), fn)
 }
 
-// Stop makes Run return after the current event completes. Pending events
-// remain queued.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run executes events until the queue drains, the horizon passes, or Stop
-// is called. A zero horizon means no limit. It returns the time of the
-// last executed event (or the unchanged clock if nothing ran).
+// Run executes events until the queue drains or the horizon passes. A
+// zero horizon means no limit. It returns the time of the last executed
+// event (or the unchanged clock if nothing ran).
 //
 // Run panics if the queue drains while processes are still blocked: that
 // is a deadlock in the simulated system.
@@ -315,16 +309,12 @@ func (k *Kernel) Run(horizon Duration) Time {
 	if horizon > 0 {
 		k.limit = k.now.Add(horizon)
 	}
-	k.stopped = false
 	k.dispatch(nil)
 	if r := k.pendingPanic; r != nil {
 		k.pendingPanic = nil
 		panic(r)
 	}
 	if k.ctxCanceled {
-		return k.now
-	}
-	if k.stopped {
 		return k.now
 	}
 	if k.laneLen == 0 && k.q.size == 0 {
@@ -343,7 +333,7 @@ func (k *Kernel) Run(horizon Duration) Time {
 // the kernel goroutine and parking processes:
 //
 //   - self == nil (kernel goroutine, from Run): runs until the simulation
-//     must end (drain, horizon, Stop, pending panic), handing the slot to
+//     must end (drain, horizon, pending panic), handing the slot to
 //     process goroutines and waiting on k.yielded for it to come back.
 //   - self != nil (a process giving up the slot): runs until the next
 //     event resumes self — then returns true and the caller just keeps
@@ -400,7 +390,7 @@ func (k *Kernel) dispatchLoop(self *Proc) bool {
 			default:
 			}
 		}
-		if k.stopped || k.pendingPanic != nil {
+		if k.pendingPanic != nil {
 			return k.endDispatch(self)
 		}
 		var fn func()
@@ -508,7 +498,6 @@ func (k *Kernel) runWindow(before Time) (r interface{}) {
 	}()
 	k.limit = before
 	k.limitExcl = true
-	k.stopped = false
 	k.dispatch(nil)
 	k.limit = -1
 	k.limitExcl = false
@@ -518,9 +507,6 @@ func (k *Kernel) runWindow(before Time) (r interface{}) {
 	}
 	return nil
 }
-
-// Idle reports whether no events are pending and no processes are live.
-func (k *Kernel) Idle() bool { return k.laneLen == 0 && k.q.size == 0 && k.procs == 0 }
 
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return k.laneLen + k.q.size }

@@ -462,20 +462,6 @@ func TestPanicPropagation(t *testing.T) {
 	k.Run(0)
 }
 
-func TestStop(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	k.After(10*Nanosecond, func() { n++; k.Stop() })
-	k.After(20*Nanosecond, func() { n++ })
-	k.Run(0)
-	if n != 1 {
-		t.Fatalf("n = %d, want 1 (stopped)", n)
-	}
-	if k.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", k.Pending())
-	}
-}
-
 func TestKillBeforeFirstRun(t *testing.T) {
 	// Killing a process that has not yet blocked terminates it at its
 	// first blocking point.

@@ -162,12 +162,11 @@ func DistributedLU(ctx context.Context, dim, n int, a [][]float64) (DLUResult, e
 					}
 					nd.Mem.PokeF64((lBase+slot(kk))*memory.F64PerRow+kk, fparith.FromFloat64(1))
 				}
-				raw, err := e.Broadcast(p, owner(kk), tagBase+24, packF64(payload))
+				prow, err := e.BroadcastF64(p, owner(kk), tagBase+24, payload)
 				if err != nil {
 					fail(err)
 					return
 				}
-				prow := unpackF64(raw)
 				pivot := prow[kk]
 				for j := 0; j < n; j++ {
 					nd.Mem.PokeF64(bRow*memory.F64PerRow+j, prow[j])

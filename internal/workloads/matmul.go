@@ -133,12 +133,11 @@ func DistributedMatMul(ctx context.Context, dim int, n int, a, b [][]float64) (M
 						payload[j] = nd.Mem.PeekF64((bStage+local)*memory.F64PerRow + j)
 					}
 				}
-				raw, err := e.Broadcast(p, owner, 1000+gk, packF64(payload))
+				brow, err := e.BroadcastF64(p, owner, 1000+gk, payload)
 				if err != nil {
 					fail(err)
 					return
 				}
-				brow := unpackF64(raw)
 				for j := 0; j < n; j++ {
 					nd.Mem.PokeF64(bRow*memory.F64PerRow+j, brow[j])
 				}
@@ -184,29 +183,6 @@ func DistributedMatMul(ctx context.Context, dim int, n int, a, b [][]float64) (M
 		}
 	}
 	return res, nil
-}
-
-func packF64(vals []fparith.F64) []byte {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		u := uint64(v)
-		for b := 0; b < 8; b++ {
-			buf[8*i+b] = byte(u >> (8 * uint(b)))
-		}
-	}
-	return buf
-}
-
-func unpackF64(buf []byte) []fparith.F64 {
-	out := make([]fparith.F64, len(buf)/8)
-	for i := range out {
-		var u uint64
-		for b := 7; b >= 0; b-- {
-			u = u<<8 | uint64(buf[8*i+b])
-		}
-		out[i] = fparith.F64(u)
-	}
-	return out
 }
 
 // HostMatMul is the reference multiply in host arithmetic with the same

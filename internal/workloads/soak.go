@@ -195,15 +195,10 @@ func soakRun(ctx context.Context, params SoakParams, plan *fault.Plan) (SoakResu
 		pos[img] = i
 	}
 
-	var verifyErr error
 	var runErr error
 	m.K.Go("soak/supervise", func(p *sim.Proc) {
 		runErr = h.Run(p, func(bp *sim.Proc, img int) error {
-			err := soakBody(bp, h, sv, img, imgs, pos, params, total)
-			if err != nil && verifyErr == nil {
-				verifyErr = err
-			}
-			return err
+			return soakBody(bp, h, sv, img, imgs, pos, params, total)
 		})
 	})
 	end := m.Run(0)
@@ -213,7 +208,6 @@ func soakRun(ctx context.Context, params SoakParams, plan *fault.Plan) (SoakResu
 	if runErr != nil {
 		return SoakResult{}, runErr
 	}
-	_ = verifyErr
 
 	ks := m.SimStats()
 	res := SoakResult{
