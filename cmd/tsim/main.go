@@ -29,11 +29,8 @@ import (
 	"os/signal"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"tseries/internal/core"
-	"tseries/internal/fault"
-	"tseries/internal/sim"
 	"tseries/internal/workloads"
 )
 
@@ -70,41 +67,11 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 
 	cfg := workloads.DefaultConfig()
-	fs.IntVar(&cfg.Dim, "dim", cfg.Dim, "cube dimension (2^dim nodes)")
-	fs.IntVar(&cfg.N, "n", cfg.N, "problem size (matrix order, FFT points, grid side, record count)")
-	fs.IntVar(&cfg.Rows, "rows", cfg.Rows, "SAXPY rows per node")
-	fs.IntVar(&cfg.Iters, "iters", cfg.Iters, "stencil iterations")
-	fs.IntVar(&cfg.Reps, "reps", cfg.Reps, "SAXPY sweep repetitions")
-	fs.IntVar(&cfg.Phases, "phases", cfg.Phases, "recovery workload phases")
-	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "input generator seed")
-	fs.IntVar(&cfg.KernelShards, "kernel-shards", cfg.KernelShards,
-		"host workers per simulation (0/1 = one); the machine geometry fixes the logical shards, so output is byte-identical at any value")
-	faults := fs.String("faults", "", "fault plan, e.g. seed=7,ber=1e-6,crash=2@12s,down=0.1@5s+2s,flip=1:4096.3@9s,disk=0.5@14s")
-	chaos := fs.String("chaos", "", "randomized chaos recipe for -workload soak, e.g. seed=7,dur=60s,crashes=2,hangs=1")
-	ckpt := fs.Duration("ckpt", 0, "periodic checkpoint interval for -workload recovery (0 = initial checkpoint only)")
-	pad := fs.Duration("pad", time.Duration(cfg.Pad/sim.Nanosecond)*time.Nanosecond, "per-phase synthetic compute time for -workload recovery")
+	cfg.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	cfg.Pad = sim.Duration(pad.Nanoseconds()) * sim.Nanosecond
-	cfg.Ckpt = sim.Duration(ckpt.Nanoseconds()) * sim.Nanosecond
 	cfg.Ctx = ctx
-	if *faults != "" {
-		plan, err := fault.Parse(*faults)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		cfg.Faults = plan
-	}
-	if *chaos != "" {
-		recipe, err := fault.ParseChaos(*chaos)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		cfg.Chaos = recipe
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

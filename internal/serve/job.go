@@ -8,16 +8,15 @@ package serve
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
+	"sync"
 
 	"tseries/internal/core"
-	"tseries/internal/fault"
-	"tseries/internal/sim"
 	"tseries/internal/workloads"
 )
 
@@ -145,96 +144,49 @@ const seedFlag = "seed"
 // overrides validated against the runner's declared flag set, then the
 // canonical cache key over the *resolved* values — so flag order never
 // matters and an explicit default hits the same cache line as an
-// omitted flag.
+// omitted flag. Values go through tsim's own flag table
+// (Config.RegisterFlags), so they parse exactly as on its command line.
 func resolveWorkload(spec *JobSpec, r workloads.Runner) (task, *APIError) {
 	allowed := map[string]bool{seedFlag: true}
 	for _, f := range r.Flags() {
 		allowed[f] = true
 	}
-	cfg := workloads.DefaultConfig()
-	var faultStr, chaosStr string
+	jf := jobFlagPool.Get().(*jobFlags)
+	defer jobFlagPool.Put(jf)
+	jf.cfg = workloads.DefaultConfig()
 	for name, val := range spec.Flags {
 		if !allowed[name] {
 			return task{}, badRequest("unknown_flag",
 				"workload %q takes no flag %q (valid: %s, seed)", spec.Workload, name, strings.Join(r.Flags(), ", "))
 		}
-		if err := applyFlag(&cfg, &faultStr, &chaosStr, name, val); err != nil {
-			return task{}, err
+		if err := jf.fs.Set(name, val); err != nil {
+			return task{}, badRequest("bad_flag", "flag %q: bad value %q: %v", name, val, err)
 		}
 	}
+	cfg := jf.cfg
 	// KernelShards lands in the Config but — like Ctx — stays out of the
 	// cache key below: it shapes how the run is hosted, not what it
 	// computes, and sharded runs are byte-identical to serial ones.
 	cfg.KernelShards = spec.KernelShards
 	t := task{kind: "workload", name: r.Name(), runner: r, cfg: cfg}
-	t.key = workloadKey(r, cfg, faultStr, chaosStr)
+	t.key = workloadKey(r, cfg, spec.Flags["faults"], spec.Flags["chaos"])
 	return t, nil
 }
 
-// applyFlag sets one Config field from its tsim flag name. Values use
-// the same syntax as the tsim command line: integers parse as the flag
-// package parses them (base prefix, underscores, sign), durations as
-// time.ParseDuration.
-func applyFlag(cfg *workloads.Config, faultStr, chaosStr *string, name, val string) *APIError {
-	badVal := func(err error) *APIError {
-		return badRequest("bad_flag", "flag %q: bad value %q: %v", name, val, err)
-	}
-	switch name {
-	case "dim", "n", "rows", "iters", "reps", "phases":
-		v64, err := strconv.ParseInt(val, 0, strconv.IntSize)
-		if err != nil {
-			return badVal(err)
-		}
-		v := int(v64)
-		switch name {
-		case "dim":
-			cfg.Dim = v
-		case "n":
-			cfg.N = v
-		case "rows":
-			cfg.Rows = v
-		case "iters":
-			cfg.Iters = v
-		case "reps":
-			cfg.Reps = v
-		case "phases":
-			cfg.Phases = v
-		}
-	case seedFlag:
-		v, err := strconv.ParseInt(val, 0, 64)
-		if err != nil {
-			return badVal(err)
-		}
-		cfg.Seed = v
-	case "pad", "ckpt":
-		d, err := time.ParseDuration(val)
-		if err != nil {
-			return badVal(err)
-		}
-		if name == "pad" {
-			cfg.Pad = sim.Duration(d.Nanoseconds()) * sim.Nanosecond
-		} else {
-			cfg.Ckpt = sim.Duration(d.Nanoseconds()) * sim.Nanosecond
-		}
-	case "faults":
-		plan, err := fault.Parse(val)
-		if err != nil {
-			return badVal(err)
-		}
-		cfg.Faults = plan
-		*faultStr = val
-	case "chaos":
-		recipe, err := fault.ParseChaos(val)
-		if err != nil {
-			return badVal(err)
-		}
-		cfg.Chaos = recipe
-		*chaosStr = val
-	default:
-		return badRequest("unknown_flag", "flag %q is not a Config knob", name)
-	}
-	return nil
+// jobFlags is a Config with the flag table registered on it. Building
+// the table costs more than resolving a job, and journal replay resolves
+// every recorded job at startup, so tables are pooled and reset to the
+// defaults per use.
+type jobFlags struct {
+	cfg workloads.Config
+	fs  *flag.FlagSet
 }
+
+var jobFlagPool = sync.Pool{New: func() any {
+	jf := &jobFlags{fs: flag.NewFlagSet("job", flag.ContinueOnError)}
+	jf.cfg.RegisterFlags(jf.fs)
+	return jf
+}}
 
 // workloadKey is the content address of a workload run: the workload
 // name plus every resolved knob it consumes, in sorted order. Config

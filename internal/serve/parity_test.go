@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -57,32 +56,39 @@ func TestCacheKeyIgnoresFlagOrderAndExplicitDefaults(t *testing.T) {
 	}
 }
 
-// TestIntegerFlagsParseLikeTsim: an integer flag value means the same
-// in a job spec as on the tsim command line, whose flag package reads
-// base prefixes, underscores and signs: "010" is 8, "0x10" is 16.
+// TestIntegerFlagsParseLikeTsim: job flag values go through tsim's own
+// flag table, so an integer means the same in a job spec as on the tsim
+// command line ("010" is 8, "0x10" is 16), and the content keys below —
+// one with a fault plan — are byte-identical to the ones tsimd computed
+// before the table was shared, so stored results keep their addresses.
 func TestIntegerFlagsParseLikeTsim(t *testing.T) {
-	for _, val := range []string{"010", "0x10", "1_000", "-2"} {
-		for _, name := range []string{"dim", "n", "rows", "iters", "reps", "phases", "seed"} {
-			want := workloads.DefaultConfig()
-			fs := flag.NewFlagSet("tsim", flag.ContinueOnError)
-			fs.IntVar(&want.Dim, "dim", want.Dim, "")
-			fs.IntVar(&want.N, "n", want.N, "")
-			fs.IntVar(&want.Rows, "rows", want.Rows, "")
-			fs.IntVar(&want.Iters, "iters", want.Iters, "")
-			fs.IntVar(&want.Reps, "reps", want.Reps, "")
-			fs.IntVar(&want.Phases, "phases", want.Phases, "")
-			fs.Int64Var(&want.Seed, "seed", want.Seed, "")
-			if err := fs.Parse([]string{"-" + name + "=" + val}); err != nil {
-				t.Fatalf("flag package rejects -%s=%s: %v", name, val, err)
-			}
-			got := workloads.DefaultConfig()
-			var faultStr, chaosStr string
-			if apiErr := applyFlag(&got, &faultStr, &chaosStr, name, val); apiErr != nil {
-				t.Fatalf("applyFlag rejects %s=%s: %v", name, val, apiErr)
-			}
-			if got != want {
-				t.Fatalf("%s=%s: applyFlag gives %+v, the flag package %+v", name, val, got, want)
-			}
+	for _, c := range []struct {
+		workload string
+		flags    map[string]string
+		key      string
+	}{
+		{"saxpy", map[string]string{"dim": "010", "rows": "0x10", "reps": "1_000", "seed": "-2"},
+			"dim=8;reps=1000;rows=16;seed=-2;workload=saxpy"},
+		{"recovery", map[string]string{"dim": "2", "phases": "6", "faults": "seed=7,ber=1e-6,crash=2@22s", "ckpt": "8s", "pad": "1500ms"},
+			"ckpt=8000000000000;dim=2;faults=seed=7,ber=1e-6,crash=2@22s;pad=1500000000000;phases=6;rows=100;seed=1;workload=recovery"},
+	} {
+		if got := keyOf(t, c.workload, c.flags); got != c.key {
+			t.Errorf("%s %v: key %q, want %q", c.workload, c.flags, got, c.key)
+		}
+	}
+	r, err := workloads.Get("saxpy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, val, code string }{
+		{"kernel-shards", "2", "unknown_flag"}, // hosting knob: JobSpec.KernelShards carries it
+		{"iters", "2", "unknown_flag"},         // a Config knob saxpy does not read
+		{"dim", "08", "bad_flag"},              // octal, as on the command line
+		{"seed", "x", "bad_flag"},
+	} {
+		_, apiErr := resolveWorkload(&JobSpec{Workload: "saxpy", Flags: map[string]string{c.name: c.val}}, r)
+		if apiErr == nil || apiErr.Code != c.code {
+			t.Errorf("saxpy %s=%s: got %v, want code %s", c.name, c.val, apiErr, c.code)
 		}
 	}
 }

@@ -20,11 +20,17 @@ func eventBefore(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is a binary min-heap ordered by eventBefore. The sift
-// routines are the classic container/heap up/down specialised to the
-// concrete element type: heap operations are the kernel's hottest path,
-// and the interface-based container/heap costs a dynamic dispatch per
+// eventHeap is the kernel's event calendar: every future-time event, in
+// a binary min-heap ordered by eventBefore. The sift routines are the
+// classic container/heap up/down specialised to the concrete element
+// type: heap operations are the kernel's hottest path, and the
+// interface-based container/heap costs a dynamic dispatch per
 // comparison plus an allocation-prone interface{} boxing per push/pop.
+//
+// One heap is enough because the calendar stays shallow: with the
+// same-instant lane in front of it, a shard's pending events peak near a
+// hundred at most (41 for a one-module matmul, 52 per shard in a dim-5
+// checkpointed recovery, 114 per shard on the 12-cube lattice).
 type eventHeap []*event
 
 // hpush appends e and sifts it up. Equivalent to heap.Push.
@@ -66,130 +72,4 @@ func (h *eventHeap) hpop() *event {
 	s[n] = nil
 	*h = s[:n]
 	return e
-}
-
-// Calendar wheel geometry. Most future events in this simulator land
-// within a few microseconds of the clock (bit times, DMA startups, cycle
-// waits), so the wheel spans ≈67 µs in 256 buckets of ≈262 ns. Events
-// beyond the span — checkpoint timers, fault injections — wait in a
-// binary-heap overflow and cascade into the wheel as it turns.
-const (
-	bucketShift = 18 // bucket width exponent: 2^18 ps ≈ 262 ns
-	bucketWidth = Duration(1) << bucketShift
-	numBuckets  = 256
-	bucketMask  = numBuckets - 1
-	wheelSpan   = Duration(numBuckets) << bucketShift
-)
-
-// calendarQueue orders future-time events by (at, seq). It is a timer
-// wheel of small per-bucket heaps plus a binary-heap overflow:
-//
-//   - push is O(log b) into the bucket covering the event's window
-//     (b = bucket population, typically a handful), or O(log n) into the
-//     overflow when the event lies beyond the wheel span;
-//   - peek/pop read the cursor bucket's heap top, advancing the cursor
-//     across empty buckets and cascading due overflow events as the
-//     window slides;
-//   - when the wheel drains entirely, the window jumps straight to the
-//     overflow's earliest instant, so sparse horizons (seconds between
-//     checkpoints) degrade to plain binary-heap behaviour instead of
-//     spinning the wheel.
-//
-// Ordering is identical to a single binary heap keyed on (at, seq):
-// bucket windows partition time, equal instants share a bucket, and each
-// bucket is itself (at, seq)-ordered — so every pop returns the global
-// minimum. The zero value is ready to use: the first push drags the
-// window to its instant.
-type calendarQueue struct {
-	buckets  [numBuckets]eventHeap
-	cur      int  // cursor: index of the bucket whose window starts at `start`
-	start    Time // window start of buckets[cur]
-	wheelEnd Time // start + wheelSpan: first instant beyond the wheel
-	inWheel  int  // events resident in buckets
-	overflow eventHeap
-	size     int // inWheel + len(overflow)
-}
-
-// push inserts an event. Events earlier than the current window start
-// (possible after a jump) clamp to the cursor bucket, whose heap keeps
-// them ordered.
-func (q *calendarQueue) push(e *event) {
-	q.size++
-	if e.at >= q.wheelEnd {
-		if q.size == 1 {
-			// Queue was empty: drag the window so e lands in the wheel.
-			q.start = e.at
-			q.wheelEnd = e.at.Add(wheelSpan)
-			q.buckets[q.cur].hpush(e)
-			q.inWheel++
-			return
-		}
-		q.overflow.hpush(e)
-		return
-	}
-	off := int64(e.at-q.start) >> bucketShift
-	if off < 0 {
-		off = 0
-	}
-	q.buckets[(q.cur+int(off))&bucketMask].hpush(e)
-	q.inWheel++
-}
-
-// peek positions the cursor on the bucket holding the earliest event and
-// returns that event without removing it. Returns nil when empty.
-func (q *calendarQueue) peek() *event {
-	if q.size == 0 {
-		return nil
-	}
-	for len(q.buckets[q.cur]) == 0 {
-		if q.inWheel == 0 {
-			// Wheel drained: jump the window to the overflow's earliest
-			// instant — the sparse-horizon fallback.
-			q.start = q.overflow[0].at
-			q.wheelEnd = q.start.Add(wheelSpan)
-			q.migrate()
-			continue
-		}
-		q.cur = (q.cur + 1) & bucketMask
-		q.start = q.start.Add(bucketWidth)
-		q.wheelEnd = q.wheelEnd.Add(bucketWidth)
-		if len(q.overflow) > 0 {
-			q.migrate()
-		}
-	}
-	return q.buckets[q.cur][0]
-}
-
-// migrate cascades overflow events that now fall inside the wheel window
-// into their buckets.
-func (q *calendarQueue) migrate() {
-	for len(q.overflow) > 0 && q.overflow[0].at < q.wheelEnd {
-		e := q.overflow.hpop()
-		off := int64(e.at-q.start) >> bucketShift
-		if off < 0 {
-			off = 0
-		}
-		q.buckets[(q.cur+int(off))&bucketMask].hpush(e)
-		q.inWheel++
-	}
-}
-
-// popCurrent removes and returns the cursor bucket's earliest event. It
-// must follow a peek (or dueNow) that proved the bucket non-empty.
-func (q *calendarQueue) popCurrent() *event {
-	e := q.buckets[q.cur].hpop()
-	q.inWheel--
-	q.size--
-	return e
-}
-
-// dueNow returns the earliest queued event if it is due at exactly `now`,
-// else nil. Events due at the current instant can only live in the cursor
-// bucket (they were scheduled while their instant was still future, and
-// the cursor never passes a non-empty bucket), so this is O(1).
-func (q *calendarQueue) dueNow(now Time) *event {
-	if b := q.buckets[q.cur]; len(b) > 0 && b[0].at == now {
-		return b[0]
-	}
-	return nil
 }

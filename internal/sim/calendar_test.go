@@ -5,25 +5,23 @@ import (
 	"testing"
 )
 
-// TestCalendarMatchesReferenceOrder drives the calendar queue with random
+// TestCalendarMatchesReferenceOrder drives the event calendar with random
 // push/pop sequences and checks every pop against a brute-force reference
-// minimum by (at, seq). The delta classes are chosen to hit each structural
-// path: within-bucket inserts, wheel-spanning inserts, overflow inserts
-// that cascade back in via migrate, dense near-now ties, and the
-// empty-queue window jump.
+// minimum by (at, seq). The delays mix near-future and far-future events
+// with dense near-now ties, and the queue drains to empty between trials.
 func TestCalendarMatchesReferenceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
-		var q calendarQueue
+		var q eventHeap
 		var model []*event
 		var now Time
 		var seq int64
 
 		pop := func() {
-			e := q.peek()
-			if e == nil {
-				t.Fatalf("trial %d: peek nil with %d modeled events", trial, len(model))
+			if len(q) == 0 {
+				t.Fatalf("trial %d: queue empty with %d modeled events", trial, len(model))
 			}
+			e := q[0]
 			best := 0
 			for i, m := range model {
 				if m.at < model[best].at || (m.at == model[best].at && m.seq < model[best].seq) {
@@ -40,14 +38,19 @@ func TestCalendarMatchesReferenceOrder(t *testing.T) {
 				t.Fatalf("trial %d: time went backwards: %d < %d", trial, e.at, now)
 			}
 			now = e.at
-			q.popCurrent()
-			if q.size != len(model) {
-				t.Fatalf("trial %d: size %d, model %d", trial, q.size, len(model))
+			if got := q.hpop(); got != e {
+				t.Fatalf("trial %d: pop returned (at=%d seq=%d), not the head", trial, got.at, got.seq)
+			}
+			if len(q) != len(model) {
+				t.Fatalf("trial %d: size %d, model %d", trial, len(q), len(model))
 			}
 
-			// dueNow must agree with the model: it returns the head event
-			// exactly when that event's instant equals the clock.
-			due := q.dueNow(now)
+			// The kernel's due-now test (head instant equals the clock)
+			// must agree with the model.
+			var due *event
+			if len(q) > 0 && q[0].at == now {
+				due = q[0]
+			}
 			var wantDue *event
 			for _, m := range model {
 				if m.at == now && (wantDue == nil || m.seq < wantDue.seq) {
@@ -55,7 +58,7 @@ func TestCalendarMatchesReferenceOrder(t *testing.T) {
 				}
 			}
 			if due != wantDue {
-				t.Fatalf("trial %d: dueNow(%d) = %v, want %v", trial, now, due, wantDue)
+				t.Fatalf("trial %d: due at %d = %v, want %v", trial, now, due, wantDue)
 			}
 		}
 
@@ -65,25 +68,23 @@ func TestCalendarMatchesReferenceOrder(t *testing.T) {
 				continue
 			}
 			var d Duration
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0:
-				d = Duration(1 + rng.Int63n(int64(bucketWidth))) // within a bucket or two
+				d = Duration(1 + rng.Int63n(int64(Microsecond))) // near future: bit times, DMA startups
 			case 1:
-				d = Duration(1 + rng.Int63n(int64(wheelSpan))) // anywhere in the wheel
+				d = Duration(1 + rng.Int63n(int64(Millisecond))) // far future: timers, fault injections
 			case 2:
-				d = wheelSpan + Duration(rng.Int63n(int64(10*wheelSpan))) // overflow
-			case 3:
 				d = Duration(1 + rng.Int63n(4)) // dense near-now, forcing (at, seq) ties
 			}
 			seq++
 			e := &event{at: now.Add(d), seq: seq}
-			q.push(e)
+			q.hpush(e)
 			model = append(model, e)
 		}
 		for len(model) > 0 {
 			pop()
 		}
-		if q.peek() != nil {
+		if len(q) != 0 {
 			t.Fatalf("trial %d: queue not empty after draining model", trial)
 		}
 	}
@@ -112,12 +113,12 @@ func TestSameInstantLaneZeroAllocs(t *testing.T) {
 }
 
 // TestFutureEventsZeroAllocsSteadyState checks the event pool: once the
-// free list and bucket heaps are warm, future-time scheduling recycles
-// records instead of allocating.
+// free list and the heap's backing array are warm, future-time
+// scheduling recycles records instead of allocating.
 func TestFutureEventsZeroAllocsSteadyState(t *testing.T) {
 	k := NewKernel()
 	fn := func() {}
-	for i := 0; i < 64; i++ { // warm the pool and bucket capacity
+	for i := 0; i < 64; i++ { // warm the pool and heap capacity
 		k.At(k.Now().Add(Duration(i+1)*Nanosecond), fn)
 	}
 	k.Run(0)

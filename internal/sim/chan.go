@@ -94,27 +94,8 @@ func (c *Chan) Send(p *Proc, v interface{}) {
 
 // Recv blocks p until a value is available and returns it.
 func (c *Chan) Recv(p *Proc) interface{} {
-	if len(c.buf) > 0 {
-		v := c.buf[0]
-		c.buf = c.buf[1:]
-		// A blocked sender can now use the freed slot.
-		c.sendq = dropDead(c.sendq)
-		if len(c.sendq) > 0 {
-			w := c.sendq[0]
-			c.sendq = c.sendq[1:]
-			c.buf = append(c.buf, w.val)
-			w.ok = true
-			w.p.unpark()
-		}
+	if v, ok := c.TryRecv(); ok {
 		return v
-	}
-	c.sendq = dropDead(c.sendq)
-	if len(c.sendq) > 0 {
-		w := c.sendq[0]
-		c.sendq = c.sendq[1:]
-		w.ok = true
-		w.p.unpark()
-		return w.val
 	}
 	w := &p.w
 	w.val, w.ok, w.ch = nil, false, nil
@@ -148,6 +129,7 @@ func (c *Chan) TryRecv() (interface{}, bool) {
 	if len(c.buf) > 0 {
 		v := c.buf[0]
 		c.buf = c.buf[1:]
+		// A blocked sender can now use the freed slot.
 		c.sendq = dropDead(c.sendq)
 		if len(c.sendq) > 0 {
 			w := c.sendq[0]

@@ -10,13 +10,16 @@ import (
 // process blocks, so process bodies may touch shared simulator state
 // without locks.
 //
-// Internally the kernel keeps three event stores, chosen per schedule:
+// Internally the kernel keeps two event stores, chosen per schedule:
 //
 //   - the same-instant lane: a FIFO ring for events scheduled at the
 //     current instant (unpark, Yield, spawn — the vast majority), which
 //     bypass the priority queue entirely;
-//   - a calendar wheel for near-future events (see calendarQueue);
-//   - a binary-heap overflow for events beyond the wheel span.
+//   - the event calendar, a binary heap of every future-time event (see
+//     eventHeap).
+//
+// A kernel dispatches only inside a time window opened by
+// ShardGroup.Run; Kernel.Run is that loop on a group of one.
 //
 // Future-time event records come from a free list, so steady-state
 // simulation allocates nothing per event. Control transfers between
@@ -35,12 +38,12 @@ type Kernel struct {
 	laneHead int
 	laneLen  int
 
-	q    calendarQueue // future-time events
-	pool []*event      // free list of future-time event records
+	q    eventHeap // future-time events
+	pool []*event  // free list of future-time event records
 
-	limit        Time        // horizon of the active Run (< 0: none)
-	limitExcl    bool        // window mode: the limit is exclusive (events at limit stay queued)
+	limit        Time        // exclusive end of the window being dispatched (see runWindow)
 	pendingPanic interface{} // process-body panic awaiting re-delivery on the kernel goroutine
+	solo         *ShardGroup // the one-shard group Run drives, built on first use
 
 	// Cooperative cancellation (BindContext). The dispatch loop polls
 	// cancelCh at the event boundary; once it fires, the kernel tears the
@@ -59,16 +62,14 @@ type Kernel struct {
 	running *Proc         // process currently executing, nil in kernel context
 
 	// Execution metrics (see Stats).
-	events      int64
-	spawned     int64
-	finished    int64
-	parks       int64
-	unparks     int64
-	maxQueue    int
-	counters    map[string]int64
-	counterKeys []string // cache of the counters' keys; sorted on demand
-	keysDirty   bool     // counterKeys needs a re-sort (new key inserted)
-	resources   []*Resource
+	events    int64
+	spawned   int64
+	finished  int64
+	parks     int64
+	unparks   int64
+	maxQueue  int
+	counters  map[string]int64
+	resources []*Resource
 }
 
 // laneSlot is one same-instant event: a kernel callback or a process to
@@ -83,7 +84,6 @@ type laneSlot struct {
 func NewKernel() *Kernel {
 	return &Kernel{
 		yielded:  make(chan struct{}),
-		limit:    -1,
 		counters: make(map[string]int64, 16),
 	}
 }
@@ -162,7 +162,7 @@ func (k *Kernel) beginTeardown() {
 func (k *Kernel) teardown() {
 	defer func() { recover() }()
 	k.beginTeardown()
-	for i := 0; i < 4 && (k.laneLen > 0 || k.q.size > 0); i++ {
+	for i := 0; i < 4 && (k.laneLen > 0 || len(k.q) > 0); i++ {
 		k.pendingPanic = nil
 		k.dispatch(nil)
 	}
@@ -178,7 +178,7 @@ func (k *Kernel) pushLane(fn func(), p *Proc) {
 	}
 	k.lane[(k.laneHead+k.laneLen)&(len(k.lane)-1)] = laneSlot{fn, p}
 	k.laneLen++
-	if n := k.laneLen + k.q.size; n > k.maxQueue {
+	if n := k.laneLen + len(k.q); n > k.maxQueue {
 		k.maxQueue = n
 	}
 }
@@ -251,8 +251,8 @@ func (k *Kernel) atFuture(t Time, fn func(), p *Proc) {
 	if t < k.now {
 		panicPast(t, k.now)
 	}
-	k.q.push(k.newEvent(t, fn, p))
-	if n := k.laneLen + k.q.size; n > k.maxQueue {
+	k.q.hpush(k.newEvent(t, fn, p))
+	if n := k.laneLen + len(k.q); n > k.maxQueue {
 		k.maxQueue = n
 	}
 }
@@ -289,52 +289,27 @@ func (k *Kernel) After(d Duration, fn func()) {
 
 // Run executes events until the queue drains or the horizon passes. A
 // zero horizon means no limit. It returns the time of the last executed
-// event (or the unchanged clock if nothing ran).
+// event, or the horizon when events remain beyond it.
 //
-// Run panics if the queue drains while processes are still blocked: that
-// is a deadlock in the simulated system.
+// Run is ShardGroup.Run on a group of this one kernel, so it follows
+// that loop's rules: it panics if the queue drains while processes are
+// still blocked (a deadlock in the simulated system), and any abnormal
+// exit tears the simulation down before the panic propagates.
 func (k *Kernel) Run(horizon Duration) Time {
-	// Abnormal exits (process panics, deadlock panics) tear the
-	// simulation down before propagating, so a failed run never strands
-	// blocked process goroutines — essential for long-lived hosts that
-	// isolate a panicking job and keep serving.
-	defer func() {
-		if r := recover(); r != nil {
-			k.teardown()
-			panic(r)
-		}
-	}()
-	k.limit = -1
-	k.limitExcl = false
-	if horizon > 0 {
-		k.limit = k.now.Add(horizon)
+	if k.solo == nil {
+		k.solo = newShardGroup([]*Kernel{k})
 	}
-	k.dispatch(nil)
-	if r := k.pendingPanic; r != nil {
-		k.pendingPanic = nil
-		panic(r)
-	}
-	if k.ctxCanceled {
-		return k.now
-	}
-	if k.laneLen == 0 && k.q.size == 0 {
-		if k.procs > 0 {
-			panicDeadlock(k.now, k.procs)
-		}
-		return k.now
-	}
-	// Events remain beyond the horizon: advance the clock to it.
-	k.now = k.limit
-	return k.now
+	return k.solo.Run(horizon)
 }
 
 // dispatch executes ready events on the calling goroutine — the current
 // holder of the execution slot. It is the single scheduling loop for both
 // the kernel goroutine and parking processes:
 //
-//   - self == nil (kernel goroutine, from Run): runs until the simulation
-//     must end (drain, horizon, pending panic), handing the slot to
-//     process goroutines and waiting on k.yielded for it to come back.
+//   - self == nil (the goroutine running the window, from runWindow):
+//     runs until the window must end (drain, window end, pending
+//     panic), handing the slot to process goroutines and waiting on
+//     k.yielded for it to come back.
 //   - self != nil (a process giving up the slot): runs until the next
 //     event resumes self — then returns true and the caller just keeps
 //     executing, with no channel operation at all — or until the slot has
@@ -349,8 +324,8 @@ func (k *Kernel) Run(horizon Duration) Time {
 // (time, sequence) order of a single priority queue.
 func (k *Kernel) dispatch(self *Proc) bool {
 	if self == nil {
-		// Kernel goroutine: callback panics propagate to Run, whose
-		// recover tears the simulation down before re-panicking.
+		// Kernel goroutine: callback panics propagate to runWindow, which
+		// hands them to the group loop for teardown and re-panicking.
 		return k.dispatchLoop(nil)
 	}
 	// Process goroutine: a panic in a kernel callback must not unwind the
@@ -396,9 +371,9 @@ func (k *Kernel) dispatchLoop(self *Proc) bool {
 		var fn func()
 		var next *Proc
 		if k.laneLen > 0 {
-			if e := k.q.dueNow(k.now); e != nil {
+			if len(k.q) > 0 && k.q[0].at == k.now {
+				e := k.q.hpop()
 				fn, next = e.fn, e.proc
-				k.q.popCurrent()
 				k.freeEvent(e)
 			} else {
 				s := k.popLane()
@@ -408,17 +383,17 @@ func (k *Kernel) dispatchLoop(self *Proc) bool {
 				continue // unwinding: queued kernel callbacks are dropped
 			}
 		} else {
-			e := k.q.peek()
-			if e == nil {
+			if len(k.q) == 0 {
 				return k.endDispatch(self)
 			}
+			e := k.q[0]
 			if e.proc != nil && e.proc.done {
 				// A finished process's leftover timer (it was killed
 				// while waiting). The wakeup no longer exists in the
 				// simulated world, so it must not advance the clock —
 				// otherwise every Kill of a sleeping process drags the
 				// drain time out to its next scheduled tick.
-				k.q.popCurrent()
+				k.q.hpop()
 				k.freeEvent(e)
 				continue
 			}
@@ -426,16 +401,16 @@ func (k *Kernel) dispatchLoop(self *Proc) bool {
 				// Unwinding: a pending kernel callback. Dropped without
 				// advancing the clock — only process wakeups still matter,
 				// and only so their parks can deliver the kill.
-				k.q.popCurrent()
+				k.q.hpop()
 				k.freeEvent(e)
 				continue
 			}
-			if k.limit >= 0 && !k.tearing && (e.at > k.limit || (k.limitExcl && e.at >= k.limit)) {
+			if !k.tearing && e.at >= k.limit {
 				return k.endDispatch(self)
 			}
 			k.now = e.at
 			fn, next = e.fn, e.proc
-			k.q.popCurrent()
+			k.q.hpop()
 			k.freeEvent(e)
 		}
 		k.events++
@@ -459,7 +434,7 @@ func (k *Kernel) dispatchLoop(self *Proc) bool {
 }
 
 // endDispatch ends a dispatch loop: a process goroutine wakes the kernel
-// goroutine, which re-evaluates the stop conditions in Run.
+// goroutine, which returns from runWindow to the group loop.
 func (k *Kernel) endDispatch(self *Proc) bool {
 	if self != nil {
 		k.yielded <- struct{}{}
@@ -474,19 +449,19 @@ func (k *Kernel) nextEventTime() (Time, bool) {
 	if k.laneLen > 0 {
 		return k.now, true
 	}
-	if e := k.q.peek(); e != nil {
-		return e.at, true
+	if len(k.q) > 0 {
+		return k.q[0].at, true
 	}
 	return 0, false
 }
 
 // runWindow executes every pending event strictly before `before` and
-// returns with the clock at the last executed event. Unlike Run it does
-// not panic on a local drain with blocked processes — under a ShardGroup
-// a shard's processes may legitimately be waiting for cross-shard
-// traffic that only arrives at the next window barrier — and it returns
-// a process-body panic value instead of re-panicking, so the shard
-// scheduler can tear every shard down before propagating.
+// returns with the clock at the last executed event. It is the only
+// entry into dispatch outside teardown. It does not judge a local drain
+// with blocked processes — a shard's processes may be waiting for
+// cross-shard traffic that only arrives at the next window barrier —
+// and it returns a process-body panic value instead of re-panicking, so
+// the group loop can tear every shard down before propagating.
 func (k *Kernel) runWindow(before Time) (r interface{}) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -497,10 +472,7 @@ func (k *Kernel) runWindow(before Time) (r interface{}) {
 		}
 	}()
 	k.limit = before
-	k.limitExcl = true
 	k.dispatch(nil)
-	k.limit = -1
-	k.limitExcl = false
 	if p := k.pendingPanic; p != nil {
 		k.pendingPanic = nil
 		return p
@@ -509,7 +481,7 @@ func (k *Kernel) runWindow(before Time) (r interface{}) {
 }
 
 // Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return k.laneLen + k.q.size }
+func (k *Kernel) Pending() int { return k.laneLen + len(k.q) }
 
 // killed is the panic value used to unwind a killed process.
 type killed struct{ name string }

@@ -91,11 +91,7 @@ func (r *Resource) Release() {
 // Use acquires the resource, holds it for d, and releases it: the common
 // pattern for a timed hardware transaction. The release is deferred so
 // the unit is returned even if p is killed mid-wait.
-func (r *Resource) Use(p *Proc, d Duration) {
-	r.Acquire(p)
-	defer r.Release()
-	p.Wait(d)
-}
+func (r *Resource) Use(p *Proc, d Duration) { r.UseFunc(p, d, nil) }
 
 // UseFunc is Use with a grant hook: atGrant runs at the instant the unit
 // is acquired, before the hold time elapses. It lets a transaction

@@ -9,7 +9,7 @@ import (
 
 // ShardGroup is a conservative parallel discrete-event scheduler: it
 // partitions one simulation into shards — each an ordinary Kernel with
-// its own calendar wheel and same-instant lane — and advances them in
+// its own event calendar and same-instant lane — and advances them in
 // synchronized time windows bounded by the minimum cross-shard latency
 // (the lookahead). Within a window every shard executes independently,
 // optionally on parallel worker goroutines; events crossing shards are
@@ -39,6 +39,9 @@ import (
 // serial kernel's "exactly one process runs at any instant" guarantee
 // holds per shard, not across the group.
 //
+// Run is the simulator's only run loop: Kernel.Run drives a group of
+// one kernel through it.
+//
 // The zero value is not usable; call NewShardGroup.
 type ShardGroup struct {
 	shards  []*Kernel
@@ -50,9 +53,6 @@ type ShardGroup struct {
 	// are unbounded (the shards cannot interact, so each may run to
 	// completion).
 	lookahead Duration
-
-	ctx      context.Context
-	canceled bool
 
 	// Deterministic run accounting (see Stats).
 	windows    int64
@@ -101,17 +101,24 @@ func NewShardGroup(n int) *ShardGroup {
 	if n < 1 {
 		panic("sim: shard group needs at least one shard")
 	}
-	g := &ShardGroup{
-		shards:    make([]*Kernel, n),
+	shards := make([]*Kernel, n)
+	for i := range shards {
+		shards[i] = NewKernel()
+	}
+	return newShardGroup(shards)
+}
+
+// newShardGroup groups existing kernels, which keep their bound
+// contexts.
+func newShardGroup(shards []*Kernel) *ShardGroup {
+	n := len(shards)
+	return &ShardGroup{
+		shards:    shards,
 		workers:   1,
 		stall:     make([]Duration, n),
 		staged:    make([]int64, n),
 		globalSeq: make([]int64, n),
 	}
-	for i := range g.shards {
-		g.shards[i] = NewKernel()
-	}
-	return g
 }
 
 // NewShardGroupCtx returns a group bound to ctx: cancellation tears the
@@ -128,10 +135,6 @@ func NewShardGroupCtx(ctx context.Context, n int) *ShardGroup {
 // group checks it at every window barrier. Binding after Run has
 // started is not supported.
 func (g *ShardGroup) BindContext(ctx context.Context) {
-	if ctx == nil {
-		return
-	}
-	g.ctx = ctx
 	for _, k := range g.shards {
 		k.BindContext(ctx)
 	}
@@ -179,21 +182,12 @@ func (g *ShardGroup) Lookahead() Duration { return g.lookahead }
 func (g *ShardGroup) SetWindowObserver(fn func()) { g.barrier = fn }
 
 // Canceled reports whether the run was torn down by the bound context.
-func (g *ShardGroup) Canceled() bool { return g.canceled }
+// A cancellation marks every shard, so shard 0 speaks for the group.
+func (g *ShardGroup) Canceled() bool { return g.shards[0].Canceled() }
 
 // Err returns nil for a normal run, or the bound context's error when
 // the run was canceled mid-flight.
-func (g *ShardGroup) Err() error {
-	if !g.canceled {
-		return nil
-	}
-	if g.ctx != nil {
-		if err := g.ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return context.Canceled
-}
+func (g *ShardGroup) Err() error { return g.shards[0].Err() }
 
 // Now reports the latest shard clock: the group's notion of current
 // simulated time.
@@ -356,17 +350,24 @@ func (g *ShardGroup) nextInstant() (Time, bool) {
 	return min, any
 }
 
-// ctxFired reports whether the bound context has been canceled.
+// ctxFired reports whether the bound context has been canceled. A nil
+// channel (no context bound) never fires.
 func (g *ShardGroup) ctxFired() bool {
-	if g.ctx == nil {
-		return false
-	}
 	select {
-	case <-g.ctx.Done():
+	case <-g.shards[0].cancelCh:
 		return true
 	default:
 		return false
 	}
+}
+
+// cancel marks every shard canceled by its context and tears the group
+// down.
+func (g *ShardGroup) cancel() {
+	for _, k := range g.shards {
+		k.ctxCanceled = true
+	}
+	g.teardownAll()
 }
 
 // teardownAll force-unwinds every shard, one at a time on the calling
@@ -386,7 +387,19 @@ func (g *ShardGroup) teardownAll() {
 // blocked somewhere in the group — with no pending events and no staged
 // cross-shard traffic, nothing can ever wake them: a deadlock in the
 // simulated system.
+//
+// Every abnormal exit — that deadlock, a process panic, a panic in a
+// kernel callback, a Global fn, the window observer or the barrier
+// merge — tears every shard down before the panic propagates, so a
+// failed run strands no process goroutine: a long-lived host can
+// isolate a panicking job and keep serving.
 func (g *ShardGroup) Run(horizon Duration) Time {
+	defer func() {
+		if r := recover(); r != nil {
+			g.teardownAll()
+			panic(r)
+		}
+	}()
 	limit := Time(-1)
 	if horizon > 0 {
 		limit = g.Now().Add(horizon)
@@ -397,8 +410,7 @@ func (g *ShardGroup) Run(horizon Duration) Time {
 	}
 	for {
 		if g.ctxFired() {
-			g.canceled = true
-			g.teardownAll()
+			g.cancel()
 			return g.Now()
 		}
 		nextT, any := g.nextInstant()
@@ -423,11 +435,7 @@ func (g *ShardGroup) Run(horizon Duration) Time {
 		}
 		if limit >= 0 && nextT > limit {
 			// Events remain beyond the horizon: advance every clock to it.
-			for _, k := range g.shards {
-				if k.now < limit {
-					k.now = limit
-				}
-			}
+			g.advanceClocks(limit)
 			return limit
 		}
 		// Window end: exclusive. With no cross-shard edges the shards
@@ -480,8 +488,8 @@ func (g *ShardGroup) advanceClocks(t Time) {
 // runShardWindows executes one window on every shard that has work due
 // before wEnd, in parallel when workers allow, and accounts barrier
 // stall. It returns false when the run must stop (context cancellation
-// observed by a shard); a process panic is re-raised after a full
-// teardown so no goroutine is stranded.
+// observed by a shard); a process panic is re-raised once every shard
+// has finished its window, for Run to tear the group down.
 func (g *ShardGroup) runShardWindows(wEnd Time) bool {
 	active := g.activeShards(wEnd)
 	var panicked interface{}
@@ -504,14 +512,12 @@ func (g *ShardGroup) runShardWindows(wEnd Time) bool {
 		}
 	}
 	if panicked != nil {
-		g.teardownAll()
 		panic(panicked)
 	}
 	for _, i := range active {
 		k := g.shards[i]
 		if k.ctxCanceled {
-			g.canceled = true
-			g.teardownAll()
+			g.cancel()
 			return false
 		}
 		if wEnd != maxTime && k.now < wEnd {
@@ -645,12 +651,6 @@ func (g *ShardGroup) Stats() Stats {
 	}
 	if len(counters) > 0 {
 		agg.Counters = counters
-		keys := make([]string, 0, len(counters))
-		for k := range counters {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		agg.keys = keys
 	}
 	return agg
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -200,22 +201,51 @@ func TestShardHorizon(t *testing.T) {
 	}
 }
 
-// TestShardDeadlock: processes blocked across shards with no pending
-// events anywhere must trip the group-level deadlock panic.
-func TestShardDeadlock(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected deadlock panic")
-		}
-		if !strings.Contains(fmt.Sprint(r), "deadlock") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
+// blockedOnXChan builds a 2-shard group with n processes on shard 1
+// blocked on an XChan that never fires.
+func blockedOnXChan(n int) *ShardGroup {
 	g := NewShardGroup(2)
 	x := g.Connect(0, 1, "never", Microsecond, 0)
-	g.Shard(1).Go("waiter", func(p *Proc) { x.Recv(p) })
+	for i := 0; i < n; i++ {
+		g.Shard(1).Go("waiter", func(p *Proc) { x.Recv(p) })
+	}
+	return g
+}
+
+// runPanics runs g and returns the value its Run panicked with.
+func runPanics(t *testing.T, g *ShardGroup) (r interface{}) {
+	t.Helper()
+	defer func() { r = recover() }()
 	g.Run(0)
+	t.Fatal("Run returned without panicking")
+	return nil
+}
+
+// TestShardDeadlock: processes blocked across shards with no pending
+// events anywhere must trip the group-level deadlock panic, and the
+// panic must not strand their goroutines.
+func TestShardDeadlock(t *testing.T) {
+	base := runtime.NumGoroutine()
+	r := runPanics(t, blockedOnXChan(50))
+	if !strings.Contains(fmt.Sprint(r), "deadlock") {
+		t.Fatalf("unexpected panic: %v", r)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestShardGlobalPanicTeardown: a panicking Global fn propagates out of
+// Run after every shard is torn down — the blocked processes and the
+// Global's own requester included.
+func TestShardGlobalPanicTeardown(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g := blockedOnXChan(50)
+	g.Shard(0).Go("global", func(p *Proc) {
+		g.Global(p, func(Time) { panic("boom") })
+	})
+	if r := runPanics(t, g); fmt.Sprint(r) != "boom" {
+		t.Fatalf("expected boom, got %v", r)
+	}
+	waitGoroutines(t, base)
 }
 
 // TestShardCancellation: canceling the bound context mid-run tears down

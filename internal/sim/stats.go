@@ -52,12 +52,6 @@ type Stats struct {
 	// Resources holds one utilization snapshot per Resource created
 	// under this kernel, in creation order.
 	Resources []ResourceStats
-
-	// keys caches Counters' keys in sorted order, filled by
-	// Kernel.Stats so String need not re-sort per call. When it does not
-	// cover the map (hand-built or mutated snapshots), String falls back
-	// to sorting.
-	keys []string
 }
 
 // ShardStats is one shard's execution summary under a ShardGroup run.
@@ -95,14 +89,11 @@ func (s Stats) String() string {
 		fmt.Fprintf(&b, " shards=%d windows=%d crossshard=%d stall=%v",
 			len(s.Shards), s.Windows, s.CrossShard, s.BarrierStall)
 	}
-	keys := s.keys
-	if len(keys) != len(s.Counters) {
-		keys = make([]string, 0, len(s.Counters))
-		for k := range s.Counters {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+	keys := make([]string, 0, len(s.Counters))
+	for k := range s.Counters {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
 	for _, k := range keys {
 		fmt.Fprintf(&b, " %s=%d", k, s.Counters[k])
 	}
@@ -111,27 +102,8 @@ func (s Stats) String() string {
 
 // Count adds delta to the named component counter. Components use this
 // to publish quantities (bytes moved, frames sent) that runs report
-// uniformly through Stats without bespoke plumbing. The counters map is
-// pre-sized at kernel construction; the sorted key cache is invalidated
-// only when a new name first appears, so the steady-state increment is a
-// single map write.
-func (k *Kernel) Count(name string, delta int64) {
-	if _, seen := k.counters[name]; !seen {
-		k.counterKeys = append(k.counterKeys, name)
-		k.keysDirty = true
-	}
-	k.counters[name] += delta
-}
-
-// sortedCounterKeys returns the counters' keys in sorted order, re-sorting
-// the cache only after an insert dirtied it.
-func (k *Kernel) sortedCounterKeys() []string {
-	if k.keysDirty {
-		sort.Strings(k.counterKeys)
-		k.keysDirty = false
-	}
-	return k.counterKeys
-}
+// uniformly through Stats without bespoke plumbing.
+func (k *Kernel) Count(name string, delta int64) { k.counters[name] += delta }
 
 // Counter reads a named component counter (0 if never counted).
 func (k *Kernel) Counter(name string) int64 { return k.counters[name] }
@@ -153,7 +125,6 @@ func (k *Kernel) Stats() Stats {
 		for name, v := range k.counters {
 			s.Counters[name] = v
 		}
-		s.keys = append([]string(nil), k.sortedCounterKeys()...)
 	}
 	for _, r := range k.resources {
 		s.Resources = append(s.Resources, ResourceStats{

@@ -2,10 +2,12 @@ package workloads
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
+	"time"
 
 	"tseries/internal/fault"
 	"tseries/internal/machine"
@@ -97,6 +99,49 @@ func (c Config) Context() context.Context {
 // DefaultConfig returns the values the tsim command starts from.
 func DefaultConfig() Config {
 	return Config{Dim: 3, N: 64, Rows: 100, Iters: 20, Reps: 1, Phases: 6, Seed: 1, Pad: 2 * sim.Second}
+}
+
+// RegisterFlags registers every Config knob on fs under its flag name,
+// bound to c's field and defaulting to its current value. It is the one
+// flag table: tsim parses its command line with it, and tsimd applies a
+// job's flags through FlagSet.Set, so a value means the same to both.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	fs.IntVar(&c.Dim, "dim", c.Dim, "cube dimension (2^dim nodes)")
+	fs.IntVar(&c.N, "n", c.N, "problem size (matrix order, FFT points, grid side, record count)")
+	fs.IntVar(&c.Rows, "rows", c.Rows, "SAXPY rows per node")
+	fs.IntVar(&c.Iters, "iters", c.Iters, "stencil iterations")
+	fs.IntVar(&c.Reps, "reps", c.Reps, "SAXPY sweep repetitions")
+	fs.IntVar(&c.Phases, "phases", c.Phases, "recovery workload phases")
+	fs.Int64Var(&c.Seed, "seed", c.Seed, "input generator seed")
+	fs.IntVar(&c.KernelShards, "kernel-shards", c.KernelShards,
+		"host workers per simulation (0/1 = one); the machine geometry fixes the logical shards, so output is byte-identical at any value")
+	fs.Var((*durationValue)(&c.Pad), "pad", "per-phase synthetic compute `duration` for -workload recovery")
+	fs.Var((*durationValue)(&c.Ckpt), "ckpt", "periodic checkpoint interval (a `duration`) for -workload recovery (0 = initial checkpoint only)")
+	fs.Func("faults", "fault `plan`, e.g. seed=7,ber=1e-6,crash=2@12s,down=0.1@5s+2s,flip=1:4096.3@9s,disk=0.5@14s", func(s string) (err error) {
+		c.Faults, err = fault.Parse(s)
+		return err
+	})
+	fs.Func("chaos", "randomized chaos `recipe` for -workload soak, e.g. seed=7,dur=60s,crashes=2,hangs=1", func(s string) (err error) {
+		c.Chaos, err = fault.ParseChaos(s)
+		return err
+	})
+}
+
+// durationValue is a sim.Duration flag written as time.ParseDuration
+// reads it ("2s", "1500ms"), at nanosecond resolution.
+type durationValue sim.Duration
+
+func (d *durationValue) Set(s string) error {
+	v, err := time.ParseDuration(s)
+	if err != nil {
+		return err
+	}
+	*d = durationValue(sim.Duration(v.Nanoseconds()) * sim.Nanosecond)
+	return nil
+}
+
+func (d *durationValue) String() string {
+	return time.Duration(sim.Duration(*d) / sim.Nanosecond).String()
 }
 
 // Report is the uniform outcome of one workload run: wall measurements
