@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"tseries/internal/cube"
 	"tseries/internal/fparith"
@@ -151,26 +152,22 @@ func BuildCube(g *sim.ShardGroup, nodes []*node.Node) (*Network, error) {
 				}
 				continue
 			}
-			ab := g.ConnectInto(sa, sb, fmt.Sprintf("xcube/n%d-n%d/d%d", id, nb, d), link.Lookahead, b.Inbox())
-			ba := g.ConnectInto(sb, sa, fmt.Sprintf("xcube/n%d-n%d/d%d", nb, id, d), link.Lookahead, a.Inbox())
+			ab := g.ConnectInto(sa, sb, link.Lookahead, b.Inbox())
+			ba := g.ConnectInto(sb, sa, link.Lookahead, a.Inbox())
 			if err := link.ConnectStaged(a, b, ab, ba); err != nil {
 				return nil, err
 			}
 		}
 	}
-	// Routers: one daemon per (node, dimension), listening on that
+	// Routers: one daemon per (node, dimension), serving that
 	// dimension's sublink. Each router knows its own dimension so the
 	// forwarder can avoid bouncing a message straight back.
 	for id := range nodes {
 		ep := n.eps[id]
 		for d := 0; d < dim; d++ {
 			arriveDim := d
-			sl := nodes[id].Sublink(CubeSublink(d))
-			nodes[id].K.GoDaemon(fmt.Sprintf("router/n%d/d%d", id, d), func(p *sim.Proc) {
-				for {
-					raw := sl.Recv(p)
-					ep.route(p, raw, arriveDim)
-				}
+			nodes[id].Sublink(CubeSublink(d)).Serve(fmt.Sprintf("router/n%d/d%d", id, d), func(p *sim.Proc, raw []byte) {
+				ep.route(p, raw, arriveDim)
 			})
 		}
 	}
@@ -223,7 +220,7 @@ func (n *Network) Size() int { return len(n.eps) }
 func (e *Endpoint) mailbox(tag int) *sim.Chan {
 	mb, ok := e.mailboxes[tag]
 	if !ok {
-		mb = sim.NewChan(e.nd.K, fmt.Sprintf("n%d/mbox%d", e.id, tag), 1<<20)
+		mb = sim.NewChan(e.nd.K, "n"+strconv.Itoa(e.id)+"/mbox"+strconv.Itoa(tag), 1<<20)
 		e.mailboxes[tag] = mb
 	}
 	return mb

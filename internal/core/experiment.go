@@ -67,11 +67,21 @@ type Experiment struct {
 var registry = map[string]Experiment{}
 
 // register adds an experiment; duplicate IDs are a programming error.
+// The registered Run returns the context's error whenever ctx ended
+// before the experiment returned: every kernel and group an experiment
+// builds is bound to ctx, and a torn-down one reports exactly that error
+// (Kernel.Err), so this one check stands for each of theirs.
 func register(id, title string, run func(ctx context.Context) (*Result, error)) {
 	if _, dup := registry[id]; dup {
 		panic("core: duplicate experiment " + id)
 	}
-	registry[id] = Experiment{ID: id, Title: title, Run: run}
+	registry[id] = Experiment{ID: id, Title: title, Run: func(ctx context.Context) (*Result, error) {
+		r, err := run(ctx)
+		if err == nil && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return r, err
+	}}
 }
 
 // ordinal maps an ID like "E12" or "A3" to its suite position: the

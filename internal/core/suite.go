@@ -53,7 +53,9 @@ func fanIndexed(ctx context.Context, n, workers int, work func(i int)) {
 		}()
 	}
 feed:
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		// A select with both cases ready picks at random, so the check
+		// above is what keeps a canceled feed from handing out work.
 		select {
 		case idx <- i:
 		case <-ctx.Done():

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -197,6 +199,26 @@ func TestRunSuiteCanceledBeforeStart(t *testing.T) {
 		if r != nil {
 			t.Fatalf("slot %d has a result despite pre-canceled context", i)
 		}
+	}
+}
+
+// TestCanceledExperimentsReturnErr: under a pre-canceled context every
+// experiment returns the context's error and no result, because its
+// kernels tear down at their first event, and a suite with a worker per
+// experiment launches none of them.
+func TestCanceledExperimentsReturnErr(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	exps := All()
+	for _, e := range exps {
+		if r, err := e.Run(ctx); r != nil || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: result %v, err %v; want none and context.Canceled", e.ID, r != nil, err)
+		}
+	}
+	var launched atomic.Int32
+	fanIndexed(ctx, len(exps), len(exps), func(int) { launched.Add(1) })
+	if n := launched.Load(); n != 0 {
+		t.Fatalf("a canceled feed launched %d experiments", n)
 	}
 }
 

@@ -81,7 +81,7 @@ type Journal struct {
 
 	pending  map[string]Record // job id → accepted record, not yet terminal
 	order    []string          // job ids in acceptance order (may hold finished ids; filtered by pending)
-	terminal []Record          // bounded, seq order
+	terminal []Record          // seq order; see keptTerminal
 
 	appends     int64
 	compactions int64
@@ -404,10 +404,23 @@ func (j *Journal) noteLocked(rec Record) {
 	}
 }
 
+// trimTerminalLocked drops terminal records older than the newest
+// TerminalKeep. It waits until twice that many have piled up and then
+// moves the newest down in place, so an append copies one record on
+// average and allocates nothing; keptTerminal hides the surplus.
 func (j *Journal) trimTerminalLocked() {
-	if keep := j.opts.TerminalKeep; len(j.terminal) > keep {
-		j.terminal = append([]Record(nil), j.terminal[len(j.terminal)-keep:]...)
+	keep := j.opts.TerminalKeep
+	if len(j.terminal) < 2*keep {
+		return
 	}
+	n := copy(j.terminal, j.terminal[len(j.terminal)-keep:])
+	clear(j.terminal[n:])
+	j.terminal = j.terminal[:n]
+}
+
+// keptTerminal returns the newest TerminalKeep terminal records.
+func (j *Journal) keptTerminal() []Record {
+	return j.terminal[max(0, len(j.terminal)-j.opts.TerminalKeep):]
 }
 
 // rollLocked rotates the active segment: seal it, open the next. When
@@ -467,7 +480,7 @@ func (j *Journal) startSegmentLocked(idx int, seed bool) error {
 	var buf []byte
 	buf = append(buf, segMagic...)
 	if seed {
-		for _, rec := range j.terminal {
+		for _, rec := range j.keptTerminal() {
 			frame, err := encodeFrame(rec)
 			if err != nil {
 				f.Close()

@@ -160,6 +160,50 @@ func TestJournalRotationAndCompaction(t *testing.T) {
 	}
 }
 
+// TestJournalTerminalRingKeepsNewest: through any number of appends the
+// terminal ring keeps exactly the newest TerminalKeep records, and a
+// compaction seeds the new segment with those and no others.
+func TestJournalTerminalRingKeepsNewest(t *testing.T) {
+	const keep, jobs = 5, 23
+	dir := t.TempDir()
+	j, _, err := OpenJournal(dir, JournalOptions{TerminalKeep: keep, SegmentBytes: 1, CompactSegments: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := func(n int) []string {
+		var ids []string
+		for i := max(0, n-keep); i < n; i++ {
+			ids = append(ids, fmt.Sprintf("j%d", i))
+		}
+		return ids
+	}
+	jobsOf := func(recs []Record) []string {
+		var ids []string
+		for _, rec := range recs {
+			ids = append(ids, rec.Job)
+		}
+		return ids
+	}
+	for i := 0; i < jobs; i++ {
+		if err := j.Append(Record{Op: OpDone, Job: fmt.Sprintf("j%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := jobsOf(j.keptTerminal()), newest(i+1); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("after %d appends the ring keeps %v, want %v", i+1, got, want)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := OpenJournal(dir, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := jobsOf(rep.Terminal), newest(jobs); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replayed terminal records %v, want %v", got, want)
+	}
+}
+
 // TestJournalTornTailIgnored truncates the active segment mid-record:
 // replay must keep the clean prefix, flag the torn tail, and not error.
 func TestJournalTornTailIgnored(t *testing.T) {

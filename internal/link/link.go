@@ -386,6 +386,15 @@ func (s *Sublink) Flush() int {
 	}
 }
 
+// Serve starts a daemon on the sublink's kernel that runs handle on
+// every payload arriving here, in arrival order. While the inbox is
+// empty the daemon holds no goroutine (sim.Kernel.Serve).
+func (s *Sublink) Serve(name string, handle func(p *sim.Proc, data []byte)) *sim.Proc {
+	return s.parent.k.Serve(name, s.inbox, func(p *sim.Proc, v interface{}) {
+		handle(p, v.(Message).Data)
+	})
+}
+
 // Recv blocks until a message arrives on this sublink and returns its
 // payload.
 func (s *Sublink) Recv(p *sim.Proc) []byte {

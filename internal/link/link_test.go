@@ -32,8 +32,8 @@ func transferOne(t *testing.T, staged bool, inj Injector, frame []byte) (got []b
 		g := sim.NewShardGroup(2)
 		ka, kb = g.Shard(0), g.Shard(1)
 		a, b = NewLink(ka, "a/link0"), NewLink(kb, "b/link0")
-		ab := g.ConnectInto(0, 1, "a-b", Lookahead, b.Sublink(0).Inbox())
-		ba := g.ConnectInto(1, 0, "b-a", Lookahead, a.Sublink(0).Inbox())
+		ab := g.ConnectInto(0, 1, Lookahead, b.Sublink(0).Inbox())
+		ba := g.ConnectInto(1, 0, Lookahead, a.Sublink(0).Inbox())
 		if err := ConnectStaged(a.Sublink(0), b.Sublink(0), ab, ba); err != nil {
 			t.Fatal(err)
 		}

@@ -164,7 +164,7 @@ func (m *Machine) shard0Chans(chs ...*sim.Chan) []*shard0Chan {
 	}
 	for s := 1; s < m.Group.Shards(); s++ {
 		for _, c := range out {
-			c.up[s] = m.Group.ConnectInto(s, 0, c.ch.Name(), link.Lookahead, c.ch)
+			c.up[s] = m.Group.ConnectInto(s, 0, link.Lookahead, c.ch)
 		}
 	}
 	return out

@@ -148,78 +148,75 @@ func New(k *sim.Kernel, index int, nodes []*node.Node) (*Module, error) {
 	// Per-node thread forwarders.
 	for i, nd := range nodes {
 		idx, n := i, nd
-		k.GoDaemon(fmt.Sprintf("mod%d/n%d/thread", index, i), func(p *sim.Proc) {
-			m.threadForwarder(p, idx, n)
+		n.Sublink(ThreadInSublink).Serve(fmt.Sprintf("mod%d/n%d/thread", index, i), func(p *sim.Proc, raw []byte) {
+			m.threadFrame(p, idx, n, raw)
 		})
 	}
 	// System-board collector.
-	k.GoDaemon(fmt.Sprintf("mod%d/sys/collect", index), func(p *sim.Proc) {
-		for {
-			raw := m.Sys.Link.Sublink(sysThreadIn).Recv(p)
-			if len(raw) >= 2 {
-				switch raw[0] {
-				case kindUp:
-					m.upChan.Send(p, raw)
-					continue
-				case kindIOData:
-					m.ioChan.Send(p, raw)
-					continue
-				case kindBeat:
-					m.noteBeat(p.Now(), raw)
-					continue
-				}
-			}
-			// Anything else arriving here went all the way around
-			// unclaimed: drop it (an addressing bug upstream surfaces in
-			// tests as an operation that never completes).
-		}
-	})
+	m.Sys.Link.Sublink(sysThreadIn).Serve(fmt.Sprintf("mod%d/sys/collect", index), m.collect)
 	return m, nil
 }
 
-// threadForwarder relays thread traffic through a node, applying restore
-// chunks addressed to it.
-func (m *Module) threadForwarder(p *sim.Proc, idx int, nd *node.Node) {
-	in := nd.Sublink(ThreadInSublink)
-	out := nd.Sublink(ThreadOutSublink)
-	for {
-		raw := in.Recv(p)
-		if len(raw) < 4 {
-			continue
+// collect sorts a frame arriving back at the system board off the
+// thread.
+func (m *Module) collect(p *sim.Proc, raw []byte) {
+	if len(raw) >= 2 {
+		switch raw[0] {
+		case kindUp:
+			m.upChan.Send(p, raw)
+			return
+		case kindIOData:
+			m.ioChan.Send(p, raw)
+			return
+		case kindBeat:
+			m.noteBeat(p.Now(), raw)
+			return
 		}
-		if raw[0] == kindDown && int(raw[1]) == idx {
-			seq := int(raw[2])
-			data := raw[chunkHeaderBytes:]
-			// Write the image chunk back through the row port.
-			rows := (len(data) + memory.RowBytes - 1) / memory.RowBytes
-			p.Wait(sim.Duration(rows) * sim.RowAccess)
-			nd.Mem.PokeBytes(seq*SnapshotChunk, data)
-			m.applied.Send(p, struct{}{})
-			continue
-		}
-		if raw[0] == kindIOWrite && len(raw) >= 6 && int(raw[1]) == idx {
-			off := int(binary.LittleEndian.Uint32(raw[2:6]))
-			data := raw[6:]
-			rows := (len(data) + memory.RowBytes - 1) / memory.RowBytes
-			p.Wait(sim.Duration(rows) * sim.RowAccess)
-			nd.Mem.PokeBytes(off, data)
-			m.applied.Send(p, struct{}{})
-			continue
-		}
-		if raw[0] == kindIORead && len(raw) >= 10 && int(raw[1]) == idx {
-			off := int(binary.LittleEndian.Uint32(raw[2:6]))
-			count := int(binary.LittleEndian.Uint32(raw[6:10]))
-			rows := (count + memory.RowBytes - 1) / memory.RowBytes
-			p.Wait(sim.Duration(rows) * sim.RowAccess)
-			reply := make([]byte, 2+count)
-			reply[0] = kindIOData
-			reply[1] = byte(idx)
-			nd.Mem.PeekInto(off, reply[2:])
-			m.threadSend(p, out, reply)
-			continue
-		}
-		m.threadSend(p, out, raw)
 	}
+	// Anything else arriving here went all the way around unclaimed:
+	// drop it (an addressing bug upstream surfaces in tests as an
+	// operation that never completes).
+}
+
+// threadFrame relays one thread frame through node idx, applying the
+// restore and I/O chunks addressed to it.
+func (m *Module) threadFrame(p *sim.Proc, idx int, nd *node.Node, raw []byte) {
+	if len(raw) < 4 {
+		return
+	}
+	out := nd.Sublink(ThreadOutSublink)
+	if raw[0] == kindDown && int(raw[1]) == idx {
+		seq := int(raw[2])
+		data := raw[chunkHeaderBytes:]
+		// Write the image chunk back through the row port.
+		rows := (len(data) + memory.RowBytes - 1) / memory.RowBytes
+		p.Wait(sim.Duration(rows) * sim.RowAccess)
+		nd.Mem.PokeBytes(seq*SnapshotChunk, data)
+		m.applied.Send(p, struct{}{})
+		return
+	}
+	if raw[0] == kindIOWrite && len(raw) >= 6 && int(raw[1]) == idx {
+		off := int(binary.LittleEndian.Uint32(raw[2:6]))
+		data := raw[6:]
+		rows := (len(data) + memory.RowBytes - 1) / memory.RowBytes
+		p.Wait(sim.Duration(rows) * sim.RowAccess)
+		nd.Mem.PokeBytes(off, data)
+		m.applied.Send(p, struct{}{})
+		return
+	}
+	if raw[0] == kindIORead && len(raw) >= 10 && int(raw[1]) == idx {
+		off := int(binary.LittleEndian.Uint32(raw[2:6]))
+		count := int(binary.LittleEndian.Uint32(raw[6:10]))
+		rows := (count + memory.RowBytes - 1) / memory.RowBytes
+		p.Wait(sim.Duration(rows) * sim.RowAccess)
+		reply := make([]byte, 2+count)
+		reply[0] = kindIOData
+		reply[1] = byte(idx)
+		nd.Mem.PeekInto(off, reply[2:])
+		m.threadSend(p, out, reply)
+		return
+	}
+	m.threadSend(p, out, raw)
 }
 
 // threadSend forwards a frame down the thread, tolerating a missing

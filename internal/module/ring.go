@@ -43,56 +43,49 @@ func ConnectRing(g *sim.ShardGroup, mods []*Module) error {
 			}
 			continue
 		}
-		ab := g.ConnectInto(sa, sb, fmt.Sprintf("xring/mod%d-mod%d", i, mods[j].Index), link.Lookahead, in.Inbox())
-		ba := g.ConnectInto(sb, sa, fmt.Sprintf("xring/mod%d-mod%d", mods[j].Index, i), link.Lookahead, out.Inbox())
+		ab := g.ConnectInto(sa, sb, link.Lookahead, in.Inbox())
+		ba := g.ConnectInto(sb, sa, link.Lookahead, out.Inbox())
 		if err := link.ConnectStaged(out, in, ab, ba); err != nil {
 			return err
 		}
 	}
 	for _, m := range mods {
-		startRingDaemon(m)
+		m.Sys.Link.Sublink(sysRingIn).Serve(fmt.Sprintf("mod%d/sys/ring", m.Index), m.ringFrame)
 	}
 	return nil
 }
 
-// startRingDaemon runs one module's ring service loop on its kernel:
-// store arriving backup blocks, consume addressed health summaries,
-// relay the rest.
-func startRingDaemon(mod *Module) {
-	mod.k.GoDaemon(fmt.Sprintf("mod%d/sys/ring", mod.Index), func(p *sim.Proc) {
-		for {
-			raw := mod.Sys.Link.Sublink(sysRingIn).Recv(p)
-			if len(raw) < 3 {
-				continue
-			}
-			if raw[0] == kindHealth {
-				// Health summaries are addressed: consume ours,
-				// relay the rest around the ring until their hop
-				// budget dies.
-				if len(raw) < 4 {
-					continue
-				}
-				if int(raw[1]) == mod.Index {
-					mod.acceptHealth(raw)
-					continue
-				}
-				if raw[3]++; raw[3] < healthHopBudget {
-					_ = mod.Sys.Link.Sublink(sysRingOut).Send(p, raw)
-				}
-				continue
-			}
-			if raw[0] != kindBackup {
-				continue
-			}
-			keyLen := int(binary.LittleEndian.Uint16(raw[1:3]))
-			if len(raw) < 3+keyLen {
-				continue
-			}
-			key := string(raw[3 : 3+keyLen])
-			data := raw[3+keyLen:]
-			mod.Disk.Write(p, key, data)
+// ringFrame handles one frame off the system ring: store a backup block,
+// consume a health summary addressed here, relay the rest.
+func (m *Module) ringFrame(p *sim.Proc, raw []byte) {
+	if len(raw) < 3 {
+		return
+	}
+	if raw[0] == kindHealth {
+		// Health summaries are addressed: consume ours, relay the rest
+		// around the ring until their hop budget dies.
+		if len(raw) < 4 {
+			return
 		}
-	})
+		if int(raw[1]) == m.Index {
+			m.acceptHealth(raw)
+			return
+		}
+		if raw[3]++; raw[3] < healthHopBudget {
+			_ = m.Sys.Link.Sublink(sysRingOut).Send(p, raw)
+		}
+		return
+	}
+	if raw[0] != kindBackup {
+		return
+	}
+	keyLen := int(binary.LittleEndian.Uint16(raw[1:3]))
+	if len(raw) < 3+keyLen {
+		return
+	}
+	key := string(raw[3 : 3+keyLen])
+	data := raw[3+keyLen:]
+	m.Disk.Write(p, key, data)
 }
 
 // BackupLastSnapshot streams this module's most recent snapshot over the

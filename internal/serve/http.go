@@ -29,6 +29,11 @@ type JobStatus struct {
 func (s *Server) status(j *job) JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.statusLocked(j)
+}
+
+// statusLocked is status for a caller holding s.mu.
+func (s *Server) statusLocked(j *job) JobStatus {
 	st := JobStatus{
 		ID:     j.id,
 		State:  j.state,
@@ -118,18 +123,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, apiErr)
 		return
 	}
-	j, fresh, apiErr := s.Submit(spec)
+	var st JobStatus
+	j, fresh, apiErr := s.submit(spec, &st)
 	if apiErr != nil {
 		writeAPIError(w, apiErr)
 		return
 	}
-	// Fresh queued work is a 202; a job completed at admission (cache
-	// hit) or absorbed into a live one (dedup) is a 200.
-	code := http.StatusOK
-	if fresh {
-		code = http.StatusAccepted
+	// Fresh queued work is a 202 with its status as accepted — an idle
+	// worker may already be running it; a job completed at admission
+	// (cache hit) or absorbed into a live one (dedup) is a 200.
+	code := http.StatusAccepted
+	if !fresh {
+		code = http.StatusOK
+		st = s.status(j)
 	}
-	writeJSON(w, code, s.status(j))
+	writeJSON(w, code, st)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -137,5 +138,31 @@ func TestHTTPResultBeforeDone(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("result of unfinished job = %d, want 409", rec.Code)
+	}
+}
+
+// TestHTTPSubmitRepliesAsAccepted: a fresh job's POST reply is its
+// status as admitted — queued, not yet started — even though idle
+// workers take each job the moment it is enqueued and finish it at once.
+func TestHTTPSubmitRepliesAsAccepted(t *testing.T) {
+	fr := &fakeRunner{name: "fake", flags: []string{"rows"}}
+	const jobs = 1000
+	s := New(Options{Workers: 8, Queue: jobs, Rate: 1e6, Burst: 1e6, MaxInFlight: jobs, Lookup: lookupOf(fr)})
+	defer s.Drain(5 * time.Second)
+	h := s.Handler()
+	for i := 0; i < jobs; i++ {
+		body := `{"workload":"fake","flags":{"rows":"` + strconv.Itoa(i) + `"}}`
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submit %d = %d, body %s", i, rec.Code, rec.Body.Bytes())
+		}
+		var st JobStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateQueued || st.Started != "" || st.Finished != "" {
+			t.Fatalf("submit %d replied %+v, want the job as queued", i, st)
+		}
 	}
 }

@@ -320,6 +320,13 @@ func (s *Server) resolve(spec *JobSpec) (task, *APIError) {
 // Rejections come back as *APIError with the HTTP status and
 // Retry-After hint set.
 func (s *Server) Submit(spec *JobSpec) (j *job, fresh bool, apiErr *APIError) {
+	return s.submit(spec, nil)
+}
+
+// submit is Submit that, for fresh work and a non-nil accepted, also
+// snapshots the job's status into *accepted as it is admitted: before
+// the enqueue, so no worker can have moved it on yet.
+func (s *Server) submit(spec *JobSpec, accepted *JobStatus) (j *job, fresh bool, apiErr *APIError) {
 	t, apiErr := s.resolve(spec)
 	if apiErr != nil {
 		return nil, false, apiErr
@@ -411,6 +418,9 @@ func (s *Server) Submit(spec *JobSpec) (j *job, fresh bool, apiErr *APIError) {
 	}
 	s.jobs[j.id] = j
 	s.active[t.key] = j
+	if accepted != nil {
+		*accepted = s.statusLocked(j)
+	}
 	s.mu.Unlock()
 	// Journal-then-ack: the accepted record is fsync'd before the job is
 	// enqueued (and so before the caller learns it exists) — an

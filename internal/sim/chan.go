@@ -13,9 +13,6 @@ type Chan struct {
 
 	sendq []*waiter
 	recvq []*waiter
-
-	// Park reasons, precomputed so blocking never concatenates strings.
-	sendReason, recvReason string
 }
 
 // waiter is a process's wait-queue record for channel and resource
@@ -34,8 +31,7 @@ type waiter struct {
 
 // NewChan creates a channel. capacity 0 gives rendezvous semantics.
 func NewChan(k *Kernel, name string, capacity int) *Chan {
-	return &Chan{k: k, name: name, cap: capacity,
-		sendReason: "send " + name, recvReason: "recv " + name}
+	return &Chan{k: k, name: name, cap: capacity}
 }
 
 // Name returns the channel's name.
@@ -87,7 +83,7 @@ func (c *Chan) Send(p *Proc, v interface{}) {
 	w.val, w.ok, w.ch = v, false, nil
 	c.sendq = append(c.sendq, w)
 	for !w.ok {
-		p.park(c.sendReason)
+		p.park(c)
 	}
 	w.val = nil
 }
@@ -98,14 +94,19 @@ func (c *Chan) Recv(p *Proc) interface{} {
 		return v
 	}
 	w := &p.w
-	w.val, w.ok, w.ch = nil, false, nil
-	c.recvq = append(c.recvq, w)
+	c.await(w)
 	for !w.ok {
-		p.park(c.recvReason)
+		p.park(c)
 	}
 	v := w.val
 	w.val = nil
 	return v
+}
+
+// await queues w as a receiver on c.
+func (c *Chan) await(w *waiter) {
+	w.val, w.ok, w.ch = nil, false, nil
+	c.recvq = append(c.recvq, w)
 }
 
 // push delivers v from kernel context without a sending process: a
@@ -173,7 +174,7 @@ func Select(p *Proc, chans ...*Chan) (int, interface{}) {
 		for _, c := range chans {
 			c.recvq = append(c.recvq, w)
 		}
-		p.park("select")
+		p.park(parkSelect)
 		// Remove w from all queues (it may have been consumed from one).
 		for _, c := range chans {
 			for j, x := range c.recvq {

@@ -10,6 +10,12 @@ import (
 // process blocks, so process bodies may touch shared simulator state
 // without locks.
 //
+// A process started by Go or GoDaemon owns a goroutine from its first
+// dispatch until it finishes, parked on its resume channel whenever it
+// blocks. A Serve process owns one only while it has work: while its
+// inbox is empty it is a waiter record in that channel's receive queue
+// and nothing more (see Serve).
+//
 // Internally the kernel keeps two event stores, chosen per schedule:
 //
 //   - the same-instant lane: a FIFO ring for events scheduled at the
@@ -59,7 +65,12 @@ type Kernel struct {
 
 	yielded chan struct{} // the hand-off chain signals here when the kernel goroutine must take over
 	procs   int           // live (not yet finished) non-daemon processes
-	running *Proc         // process currently executing, nil in kernel context
+
+	// Serve goroutines all run serveEntry, one function value per kernel,
+	// so starting one allocates nothing; it takes its process from
+	// serving (see wake).
+	serveEntry func()
+	serving    *Proc
 
 	// Execution metrics (see Stats).
 	events    int64
@@ -82,10 +93,12 @@ type laneSlot struct {
 
 // NewKernel returns an empty simulation at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{
+	k := &Kernel{
 		yielded:  make(chan struct{}),
 		counters: make(map[string]int64, 16),
 	}
+	k.serveEntry = func() { k.serving.serveLoop() }
+	return k
 }
 
 // NewKernelCtx returns an empty simulation bound to ctx: if ctx is
@@ -148,7 +161,7 @@ func (k *Kernel) beginTeardown() {
 			continue
 		}
 		p.dead = true
-		if p.waiting != "" {
+		if p.waiting != nil {
 			p.unpark()
 		}
 	}
@@ -421,8 +434,13 @@ func (k *Kernel) dispatchLoop(self *Proc) bool {
 			if next == self {
 				return true
 			}
-			k.running = next
-			next.resume <- struct{}{}
+			if next.idle {
+				if !k.wake(next) {
+					continue
+				}
+			} else {
+				next.resume <- struct{}{}
+			}
 			if self != nil {
 				return false
 			}
@@ -490,16 +508,34 @@ type killed struct{ name string }
 // deterministically by the kernel. All blocking methods (Wait, channel and
 // resource operations) must be called from the process's own goroutine.
 type Proc struct {
-	k       *Kernel
-	name    string
-	resume  chan struct{}
-	daemon  bool // excluded from deadlock accounting
-	dead    bool // killed; next park unwinds
-	done    bool
-	waiting string // what the process is blocked on, for deadlock reports
+	k      *Kernel
+	name   string
+	resume chan struct{}
+	daemon bool // excluded from deadlock accounting
+	dead   bool // killed; next park unwinds
+	done   bool
+	// idle marks a Serve process that holds no goroutine: not yet
+	// started, or parked on its empty inbox after its goroutine ended.
+	idle bool
+	// waiting is what the process is blocked on — a *Chan, *Resource,
+	// *Proc or parkReason — and nil while it runs or before it starts.
+	waiting interface{}
 	onExit  []func()
 	w       waiter // reusable wait-queue record (channel and resource blocks)
+
+	// A Serve process's inbox and handler (nil otherwise).
+	inbox  *Chan
+	handle func(p *Proc, v interface{})
 }
+
+// parkReason is what a process parks on when it waits for no object.
+type parkReason uint8
+
+const (
+	parkWait parkReason = iota + 1
+	parkYield
+	parkSelect
+)
 
 // Go spawns a process that begins executing fn at the current time.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
@@ -514,6 +550,22 @@ func (k *Kernel) GoDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
+	p := k.newProc(name, daemon)
+	go func() {
+		<-p.resume // wait for the kernel to hand us the start slot
+		defer func() { p.exit(recover()) }()
+		if p.dead {
+			panic(killed{p.name}) // killed before it ever ran
+		}
+		fn(p)
+	}()
+	k.atProc(k.now, p)
+	return p
+}
+
+// newProc builds and registers a process; the caller schedules its
+// start.
+func (k *Kernel) newProc(name string, daemon bool) *Proc {
 	p := &Proc{k: k, name: name, resume: make(chan struct{}), daemon: daemon}
 	p.w.p = p
 	if k.tearing {
@@ -539,62 +591,165 @@ func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		k.all = live
 	}
 	k.all = append(k.all, p)
-	go func() {
-		<-p.resume // wait for the kernel to hand us the start slot
-		defer func() {
-			r := recover()
-			p.done = true
-			k.finished++
-			if !p.daemon {
-				k.procs--
-			}
-			for i := len(p.onExit) - 1; i >= 0; i-- {
-				p.onExit[i]()
-			}
-			k.running = nil
-			if r != nil {
-				if _, ok := r.(killed); !ok {
-					// A real bug in a process body: re-arm it on the
-					// kernel goroutine so Run panics with it.
-					k.pendingPanic = r
-					k.yielded <- struct{}{}
-					return
-				}
-			}
-			// Hand the slot back to the kernel goroutine (always parked
-			// on yielded while any process runs). Exits are rare, so the
-			// extra rendezvous is noise — whereas if the exiting
-			// goroutine kept dispatching, every subsequent kernel
-			// callback would pay the guardedFn panic fence until another
-			// process took the slot.
-			k.yielded <- struct{}{}
-		}()
-		if p.dead {
-			panic(killed{p.name}) // killed before it ever ran
+	return p
+}
+
+// finish marks p finished and runs its OnExit hooks, newest first.
+func (p *Proc) finish() {
+	k := p.k
+	p.done = true
+	k.finished++
+	if !p.daemon {
+		k.procs--
+	}
+	for i := len(p.onExit) - 1; i >= 0; i-- {
+		p.onExit[i]()
+	}
+}
+
+// exit ends p's goroutine, which holds the slot, with the value its body
+// panicked with (nil when it returned). It hands the slot back to the
+// kernel goroutine (always parked on yielded while any process runs),
+// re-arming a real panic — not a kill — there so Run panics with it.
+// Exits are rare, so the extra rendezvous is noise — whereas if the
+// exiting goroutine kept dispatching, every subsequent kernel callback
+// would pay the guardedLoop panic fence until another process took the
+// slot.
+func (p *Proc) exit(r interface{}) {
+	p.finish()
+	if r != nil {
+		if _, ok := r.(killed); !ok {
+			p.k.pendingPanic = r
 		}
-		fn(p)
-	}()
+	}
+	p.k.yielded <- struct{}{}
+}
+
+// Serve spawns a daemon that hands every value received on ch to handle,
+// in arrival order, forever. It is the process
+//
+//	k.GoDaemon(name, func(p *Proc) {
+//		for {
+//			handle(p, ch.Recv(p))
+//		}
+//	})
+//
+// down to every event, park, unpark and counter, except that it holds a
+// goroutine only while it has work. Once ch is empty and the execution
+// slot passes to another goroutine, its goroutine ends; the process stays
+// queued as ch's receiver, and the dispatcher that resumes it starts a new
+// goroutine only when a value is waiting (see wake). A first start that
+// finds ch empty parks inline in the dispatch loop, and so does a kill or
+// teardown of an idle process, which finishes it there and runs its
+// OnExit hooks. handle may block like any process body. ch should have no
+// other receiver.
+func (k *Kernel) Serve(name string, ch *Chan, handle func(p *Proc, v interface{})) *Proc {
+	p := k.newProc(name, true)
+	p.idle = true
+	p.inbox, p.handle = ch, handle
 	k.atProc(k.now, p)
 	return p
 }
 
-// park suspends the process until something calls unpark. It must only be
-// called from the process goroutine while it holds the execution slot.
-// Rather than returning the slot to the kernel goroutine, the parking
-// process dispatches the next events itself; if the very next runnable
-// event is its own resume, park returns without any channel traffic.
-func (p *Proc) park(what string) {
-	p.waiting = what
+// wake resumes idle Serve process p on the dispatching goroutine, doing
+// inline what a goroutine of p's would do before it needs a stack: a
+// killed p finishes here, and a first start with nothing queued parks
+// here. Only with a value waiting does it start p's goroutine, and then
+// it reports true: the slot now belongs to that goroutine.
+func (k *Kernel) wake(p *Proc) bool {
+	if p.dead {
+		p.waiting = nil
+		p.finish()
+		return false
+	}
+	w := &p.w
+	if !w.ok {
+		if p.waiting != nil {
+			k.parks++ // woken with nothing delivered: Recv's loop parks again
+			return false
+		}
+		// First start: the loop's first Recv.
+		v, ok := p.inbox.TryRecv()
+		if !ok {
+			p.inbox.await(w)
+			p.waiting = p.inbox
+			k.parks++
+			return false
+		}
+		w.val = v
+	}
+	p.idle = false
+	p.waiting = nil
+	// The new goroutine reads serving first thing, before any other wake
+	// can overwrite it: it holds the slot until it passes it on.
+	k.serving = p
+	go k.serveEntry()
+	return true
+}
+
+// serveLoop runs a Serve process's goroutine: it handles the value it was
+// woken with, then receives and handles until its inbox is empty and the
+// slot passes on, and then returns, leaving the process idle.
+func (p *Proc) serveLoop() {
+	defer func() {
+		if r := recover(); r != nil {
+			p.exit(r)
+		}
+	}()
+	c, w := p.inbox, &p.w
+	v := w.val
+	for {
+		w.val = nil
+		p.handle(p, v)
+		var ok bool
+		if v, ok = c.TryRecv(); ok {
+			continue
+		}
+		c.await(w)
+		for !w.ok {
+			if !p.parkIdle() {
+				return
+			}
+		}
+		v = w.val
+	}
+}
+
+// park suspends the process until something calls unpark, recording what
+// it waits on. It must only be called from the process goroutine while it
+// holds the execution slot. Rather than returning the slot to the kernel
+// goroutine, the parking process dispatches the next events itself; if
+// the very next runnable event is its own resume, park returns without
+// any channel traffic.
+func (p *Proc) park(on interface{}) {
+	p.waiting = on
 	p.k.parks++
-	p.k.running = nil
 	if !p.k.dispatch(p) {
 		<-p.resume
 	}
-	p.waiting = ""
-	p.k.running = p
+	p.waiting = nil
 	if p.dead {
 		panic(killed{p.name})
 	}
+}
+
+// parkIdle is park for a Serve process on its empty inbox, except that
+// when the slot passes to another goroutine it returns false instead of
+// blocking. The caller's goroutine must then end at once without touching
+// any state: p is idle, and whoever resumes it calls wake.
+func (p *Proc) parkIdle() bool {
+	p.idle = true
+	p.waiting = p.inbox
+	p.k.parks++
+	if !p.k.dispatch(p) {
+		return false
+	}
+	p.idle = false
+	p.waiting = nil
+	if p.dead {
+		panic(killed{p.name})
+	}
+	return true
 }
 
 // unpark schedules the process to resume at the current time, on the
@@ -616,8 +771,9 @@ func (p *Proc) Now() Time { return p.k.now }
 // Done reports whether the process has finished.
 func (p *Proc) Done() bool { return p.done }
 
-// OnExit registers fn to run (in the process goroutine, LIFO) when the
-// process finishes or is killed.
+// OnExit registers fn to run, LIFO, when the process finishes or is
+// killed: on the process goroutine, or on the dispatching one when an
+// idle Serve process is killed.
 func (p *Proc) OnExit(fn func()) { p.onExit = append(p.onExit, fn) }
 
 // Wait blocks the process for d of simulated time.
@@ -629,14 +785,14 @@ func (p *Proc) Wait(d Duration) {
 		return
 	}
 	p.k.atFuture(p.k.now.Add(d), nil, p)
-	p.park("wait")
+	p.park(parkWait)
 }
 
 // Yield cedes the execution slot until all other events at the current
 // instant have run.
 func (p *Proc) Yield() {
 	p.k.pushLane(nil, p)
-	p.park("yield")
+	p.park(parkYield)
 }
 
 // Kill terminates the process the next time it would block (or
@@ -647,7 +803,7 @@ func (p *Proc) Kill() {
 		return
 	}
 	p.dead = true
-	if p.waiting != "" {
+	if p.waiting != nil {
 		// Blocked somewhere: wake it so the park unwinds. The waiter
 		// stays registered in whatever queue it was in; queues must
 		// tolerate dead entries (they check p.dead).
@@ -661,8 +817,8 @@ func (p *Proc) Join(q *Proc) {
 		return
 	}
 	q.OnExit(func() {
-		// Runs on q's goroutine as it exits; hand the slot back.
+		// Runs as q exits; hand the slot back.
 		p.unpark()
 	})
-	p.park("join " + q.name)
+	p.park(q)
 }

@@ -14,8 +14,6 @@ type Resource struct {
 	// Accounting for utilisation reports.
 	busy      Duration // integrated units-in-use over time
 	lastStamp Time
-
-	acqReason string // precomputed park reason for the blocking path
 }
 
 // NewResource creates a resource with the given number of units and
@@ -24,7 +22,7 @@ func NewResource(k *Kernel, name string, units int) *Resource {
 	if units <= 0 {
 		panic("sim: resource needs at least one unit")
 	}
-	r := &Resource{k: k, name: name, total: units, acqReason: "acquire " + name}
+	r := &Resource{k: k, name: name, total: units}
 	k.resources = append(k.resources, r)
 	return r
 }
@@ -63,7 +61,7 @@ func (r *Resource) Acquire(p *Proc) {
 		}
 	}()
 	for !w.ok {
-		p.park(r.acqReason)
+		p.park(r)
 	}
 }
 

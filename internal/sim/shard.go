@@ -216,7 +216,7 @@ func (g *ShardGroup) Connect(src, dst int, name string, latency Duration, capaci
 	if dst >= 0 && dst < len(g.shards) {
 		k = g.shards[dst]
 	}
-	return g.ConnectInto(src, dst, name, latency, NewChan(k, name, capacity))
+	return g.ConnectInto(src, dst, latency, NewChan(k, name, capacity))
 }
 
 // ConnectInto registers a cross-shard edge like Connect, but delivers
@@ -224,16 +224,19 @@ func (g *ShardGroup) Connect(src, dst int, name string, latency Duration, capaci
 // staged values surface as ordinary receives on ch, so a component that
 // already owns an inbox (a link sublink, a supervisor alarm queue) can
 // be fed from another shard without changing its receive path. ch must
-// belong to shard dst.
-func (g *ShardGroup) ConnectInto(src, dst int, name string, latency Duration, ch *Chan) *XChan {
+// belong to shard dst; the edge goes by its name.
+func (g *ShardGroup) ConnectInto(src, dst int, latency Duration, ch *Chan) *XChan {
+	if ch == nil {
+		panic("sim: xchan needs a delivery channel")
+	}
 	if src < 0 || src >= len(g.shards) || dst < 0 || dst >= len(g.shards) {
-		panic(fmt.Sprintf("sim: xchan %s connects shard %d→%d outside group of %d", name, src, dst, len(g.shards)))
+		panic(fmt.Sprintf("sim: xchan %s connects shard %d→%d outside group of %d", ch.name, src, dst, len(g.shards)))
 	}
 	if latency <= 0 {
-		panic("sim: xchan " + name + " needs a positive latency (it is the lookahead)")
+		panic("sim: xchan " + ch.name + " needs a positive latency (it is the lookahead)")
 	}
-	if ch == nil || ch.k != g.shards[dst] {
-		panic("sim: xchan " + name + ": delivery channel must belong to the destination shard")
+	if ch.k != g.shards[dst] {
+		panic("sim: xchan " + ch.name + ": delivery channel must belong to the destination shard")
 	}
 	x := &XChan{g: g, src: src, dst: dst, latency: latency, inner: ch}
 	g.edges = append(g.edges, x)
