@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"tseries/internal/link"
 	"tseries/internal/module"
 	"tseries/internal/sim"
 )
@@ -46,8 +47,10 @@ type Detector struct {
 	// every round and the restart budget would drain without ever
 	// reaching the true victim.
 	priorHangs map[int]bool
-	lastRtx    map[string]int64
-	lossy      map[string]bool
+	// lastRtx and lossy hold each link's retransmit count at the last
+	// pass and its verdict, in the retransmit mirror's order.
+	lastRtx []int64
+	lossy   []bool
 
 	// LossyLinks lists the channels discovered to be persistently lossy.
 	LossyLinks []string
@@ -68,8 +71,8 @@ func NewDetector(m *Machine, sv *Supervisor) *Detector {
 		sv:         sv,
 		confirmed:  map[int]bool{},
 		priorHangs: map[int]bool{},
-		lastRtx:    map[string]int64{},
-		lossy:      map[string]bool{},
+		lastRtx:    make([]int64, len(m.Nodes)*link.LinksPerNode),
+		lossy:      make([]bool, len(m.Nodes)*link.LinksPerNode),
 	}
 	sv.det = d
 	return d
@@ -129,12 +132,8 @@ func (d *Detector) Start() {
 			mod.StartHealthPublisher(0, r.DetectInterval)
 		}
 	}
-	d.proc = d.M.K.GoDaemon("machine/detector", func(p *sim.Proc) {
-		for {
-			p.Wait(r.DetectInterval)
-			if d.susp > 0 {
-				continue
-			}
+	d.proc = d.M.K.Every("machine/detector", r.DetectInterval, func(p *sim.Proc) {
+		if d.susp == 0 {
 			d.evaluate(p.Now())
 		}
 	})
@@ -145,7 +144,7 @@ func (d *Detector) Start() {
 // any alive would keep the kernel's event queue non-empty and an
 // unbounded Run would never drain.
 func (d *Detector) Stop() {
-	if d.proc != nil && !d.proc.Done() {
+	if d.proc != nil {
 		d.proc.Kill()
 	}
 	for _, mod := range d.M.Modules {
@@ -328,16 +327,15 @@ func (d *Detector) scanLossy() {
 			rtx := l.Retransmits
 			if mirror != nil {
 				rtx = mirror[i]
-				i++
 			}
-			key := fmt.Sprintf("node%d/link%d", nd.ID, li)
-			delta := rtx - d.lastRtx[key]
-			d.lastRtx[key] = rtx
-			if delta > LossyRetransmits && !d.lossy[key] {
-				d.lossy[key] = true
-				d.LossyLinks = append(d.LossyLinks, key)
+			delta := rtx - d.lastRtx[i]
+			d.lastRtx[i] = rtx
+			if delta > LossyRetransmits && !d.lossy[i] {
+				d.lossy[i] = true
+				d.LossyLinks = append(d.LossyLinks, fmt.Sprintf("node%d/link%d", nd.ID, li))
 				d.M.K.Count("heal.lossy_links", 1)
 			}
+			i++
 		}
 	}
 }

@@ -1,8 +1,11 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
+	"tseries/internal/leakcheck"
 	"tseries/internal/sim"
 )
 
@@ -113,5 +116,48 @@ func TestDetectorConfirmsCutPointOnly(t *testing.T) {
 	}
 	if got := k.Stats().Counters["heal.detect_events"]; got != 1 {
 		t.Fatalf("heal.detect_events = %d, want exactly the cut point", got)
+	}
+}
+
+// TestDroppedMachineIsCollected: a machine dropped with its detector,
+// heartbeats and health publishers still running holds no goroutine and
+// is garbage. Each of those daemons is an Every process, idle between
+// ticks. The machine is a cycle, so a finalizer on it need not run; the
+// one watched here sits on a leaf that only the detector's exit hook
+// reaches.
+func TestDroppedMachineIsCollected(t *testing.T) {
+	base := runtime.NumGoroutine()
+	collected := make(chan struct{})
+	func() {
+		m := newMachine(t, 4)
+		h, err := NewHealer(m, NewSupervisor(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.K.Go("start", func(p *sim.Proc) {
+			m.Group.Global(p, func(sim.Time) { h.Det.Start() })
+		})
+		m.Run(2 * sim.Second)
+		if h.Det.proc == nil || h.Det.proc.Done() {
+			t.Fatal("the detector is not running")
+		}
+		leaf := new([64]byte)
+		runtime.SetFinalizer(leaf, func(*[64]byte) { close(collected) })
+		h.Det.proc.OnExit(func() { leaf[0]++ })
+	}()
+	if err := leakcheck.Wait(base); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the dropped machine was never collected")
+		}
 	}
 }

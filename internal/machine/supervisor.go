@@ -133,7 +133,7 @@ func (sv *Supervisor) NodeHung(id int) {
 
 func (sv *Supervisor) killBody(id int) {
 	if id < len(sv.procs) {
-		if pr := sv.procs[id]; pr != nil && !pr.Done() {
+		if pr := sv.procs[id]; pr != nil {
 			pr.Kill()
 		}
 	}
@@ -244,7 +244,7 @@ func (sv *Supervisor) await(p *sim.Proc, want int, gen int64) error {
 // peer's message would wedge the kernel drain as a phantom deadlock.
 func (sv *Supervisor) killBodies() {
 	for _, pr := range sv.procs {
-		if pr != nil && !pr.Done() {
+		if pr != nil {
 			pr.Kill()
 		}
 	}

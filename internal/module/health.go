@@ -143,20 +143,17 @@ func (m *Module) StartHeartbeats(interval sim.Duration) {
 	m.hbInterval = interval
 	for i, nd := range m.Nodes {
 		idx, n := i, nd
-		m.hbProcs = append(m.hbProcs, m.k.GoDaemon(fmt.Sprintf("mod%d/n%d/beat", m.Index, idx), func(p *sim.Proc) {
-			for {
-				p.Wait(interval)
-				if !n.Alive() || m.bypassed[idx] {
-					continue
-				}
-				frame := make([]byte, 6)
-				frame[0] = kindBeat
-				frame[1] = byte(idx)
-				binary.LittleEndian.PutUint32(frame[2:6], n.Mem.PeekWord(ProgressWord))
-				// A severed thread just drops the beat; the silence is
-				// the signal.
-				_ = n.Sublink(ThreadOutSublink).Send(p, frame)
+		m.hbProcs = append(m.hbProcs, m.k.Every(fmt.Sprintf("mod%d/n%d/beat", m.Index, idx), interval, func(p *sim.Proc) {
+			if !n.Alive() || m.bypassed[idx] {
+				return
 			}
+			frame := make([]byte, 6)
+			frame[0] = kindBeat
+			frame[1] = byte(idx)
+			binary.LittleEndian.PutUint32(frame[2:6], n.Mem.PeekWord(ProgressWord))
+			// A severed thread just drops the beat; the silence is the
+			// signal.
+			_ = n.Sublink(ThreadOutSublink).Send(p, frame)
 		}))
 	}
 }
@@ -167,9 +164,7 @@ func (m *Module) StartHeartbeats(interval sim.Duration) {
 // queue and finish.
 func (m *Module) StopHeartbeats() {
 	for _, p := range m.hbProcs {
-		if !p.Done() {
-			p.Kill()
-		}
+		p.Kill()
 	}
 	m.hbProcs = nil
 	m.hbInterval = 0
@@ -183,39 +178,36 @@ const slotSummaryBytes = 37
 // ledger to module dstMod (the detector's home) over the system ring
 // every interval. Module dstMod itself needs no publisher.
 func (m *Module) StartHealthPublisher(dstMod int, interval sim.Duration) {
-	m.hbProcs = append(m.hbProcs, m.k.GoDaemon(fmt.Sprintf("mod%d/sys/health", m.Index), func(p *sim.Proc) {
-		for {
-			p.Wait(interval)
-			hs := m.HealthSnapshot()
-			msg := make([]byte, 4+8, 4+8+len(hs.Slots)*slotSummaryBytes)
-			msg[0] = kindHealth
-			msg[1] = byte(dstMod)
-			msg[2] = byte(m.Index)
-			msg[3] = 0 // hops
-			binary.LittleEndian.PutUint64(msg[4:12], uint64(hs.Time))
-			for _, s := range hs.Slots {
-				var b [slotSummaryBytes]byte
-				binary.LittleEndian.PutUint64(b[0:8], uint64(s.Beats))
-				binary.LittleEndian.PutUint64(b[8:16], uint64(s.LastBeat))
-				binary.LittleEndian.PutUint64(b[16:24], uint64(s.EwmaGap))
-				binary.LittleEndian.PutUint32(b[24:28], s.Progress)
-				binary.LittleEndian.PutUint64(b[28:36], uint64(s.LastAdvance))
-				var flags byte
-				if s.Advanced {
-					flags |= 1
-				}
-				if s.Bypassed {
-					flags |= 2
-				}
-				if s.Spare {
-					flags |= 4
-				}
-				b[36] = flags
-				msg = append(msg, b[:]...)
+	m.hbProcs = append(m.hbProcs, m.k.Every(fmt.Sprintf("mod%d/sys/health", m.Index), interval, func(p *sim.Proc) {
+		hs := m.HealthSnapshot()
+		msg := make([]byte, 4+8, 4+8+len(hs.Slots)*slotSummaryBytes)
+		msg[0] = kindHealth
+		msg[1] = byte(dstMod)
+		msg[2] = byte(m.Index)
+		msg[3] = 0 // hops
+		binary.LittleEndian.PutUint64(msg[4:12], uint64(hs.Time))
+		for _, s := range hs.Slots {
+			var b [slotSummaryBytes]byte
+			binary.LittleEndian.PutUint64(b[0:8], uint64(s.Beats))
+			binary.LittleEndian.PutUint64(b[8:16], uint64(s.LastBeat))
+			binary.LittleEndian.PutUint64(b[16:24], uint64(s.EwmaGap))
+			binary.LittleEndian.PutUint32(b[24:28], s.Progress)
+			binary.LittleEndian.PutUint64(b[28:36], uint64(s.LastAdvance))
+			var flags byte
+			if s.Advanced {
+				flags |= 1
 			}
-			// Ring severed: drop and retry next tick.
-			_ = m.Sys.Link.Sublink(sysRingOut).Send(p, msg)
+			if s.Bypassed {
+				flags |= 2
+			}
+			if s.Spare {
+				flags |= 4
+			}
+			b[36] = flags
+			msg = append(msg, b[:]...)
 		}
+		// Ring severed: drop and retry next tick.
+		_ = m.Sys.Link.Sublink(sysRingOut).Send(p, msg)
 	}))
 }
 

@@ -339,18 +339,12 @@ func (m *Module) Snapshot(p *sim.Proc) (*Snapshot, error) {
 	// snapshot floods the thread).
 	m.Disk.busy.Use(p, m.Disk.SeekTime)
 	want := len(active) * chunksPerNode
-	tick := sim.NewChan(m.k, fmt.Sprintf("mod%d/snapdog", m.Index), 4)
-	dog := m.k.GoDaemon(fmt.Sprintf("mod%d/snapdog", m.Index), func(dp *sim.Proc) {
-		for {
-			dp.Wait(SnapshotStallTimeout)
-			tick.Send(dp, struct{}{})
-		}
+	dogName := fmt.Sprintf("mod%d/snapdog", m.Index)
+	tick := sim.NewChan(m.k, dogName, 4)
+	dog := m.k.Every(dogName, SnapshotStallTimeout, func(dp *sim.Proc) {
+		tick.Send(dp, struct{}{})
 	})
-	defer func() {
-		if !dog.Done() {
-			dog.Kill()
-		}
-	}()
+	defer dog.Kill()
 	lastProgress := p.Now()
 	for got := 0; got < want; {
 		which, v := sim.Select(p, m.upChan, tick)
@@ -361,12 +355,7 @@ func (m *Module) Snapshot(p *sim.Proc) (*Snapshot, error) {
 			// than a tear. Give up only when the clock has run out AND a
 			// corpse is still cabled into the chain.
 			if p.Now().Sub(lastProgress) > SnapshotStallTimeout && m.threadSevered() {
-				for _, rp := range m.snapReaders {
-					if rp != nil && !rp.Done() {
-						rp.Kill()
-					}
-				}
-				m.snapReaders = m.snapReaders[:0]
+				m.killSnapReaders()
 				return nil, fmt.Errorf("module %d: snapshot stalled at %d/%d chunks", m.Index, got, want)
 			}
 			continue
@@ -395,16 +384,19 @@ func (m *Module) Snapshot(p *sim.Proc) (*Snapshot, error) {
 // collector left blocked on the chunk channel would steal (and, by
 // epoch check, discard) the chunks of every later snapshot.
 func (m *Module) AbortSnapshot() {
-	for _, rp := range m.snapReaders {
-		if rp != nil && !rp.Done() {
-			rp.Kill()
-		}
-	}
-	m.snapReaders = m.snapReaders[:0]
-	if m.snapOwner != nil && !m.snapOwner.Done() {
+	m.killSnapReaders()
+	if m.snapOwner != nil {
 		m.snapOwner.Kill()
 	}
 	m.snapOwner = nil
+}
+
+// killSnapReaders kills the memory readers of the snapshot in flight.
+func (m *Module) killSnapReaders() {
+	for _, rp := range m.snapReaders {
+		rp.Kill()
+	}
+	m.snapReaders = m.snapReaders[:0]
 }
 
 // FlushThread discards all in-flight system-thread state: node and
@@ -510,18 +502,4 @@ func (m *Module) Restore(p *sim.Proc, snap *Snapshot) error {
 	default:
 	}
 	return nil
-}
-
-// RunCheckpoints starts a daemon that snapshots the module at the given
-// interval (the user-specified checkpoint period; the paper suggests
-// about 10 minutes). It returns the daemon process so callers can stop it.
-func (m *Module) RunCheckpoints(interval sim.Duration) *sim.Proc {
-	return m.k.GoDaemon(fmt.Sprintf("mod%d/ckpt", m.Index), func(p *sim.Proc) {
-		for {
-			p.Wait(interval)
-			if _, err := m.Snapshot(p); err != nil {
-				panic(err)
-			}
-		}
-	})
 }

@@ -119,19 +119,6 @@ func TestRestoreUnknownSnapshot(t *testing.T) {
 	}
 }
 
-func TestCheckpointInterval(t *testing.T) {
-	// The user specifies the snapshot interval; snapshots recur.
-	k, m := buildModule(t, 1)
-	m.RunCheckpoints(60 * sim.Second)
-	// Drive for 200 simulated seconds: snapshots at 60 and 120 complete;
-	// the one starting at 180 is cut off by the horizon.
-	k.Go("work", func(p *sim.Proc) { p.Wait(200 * sim.Second) })
-	k.Run(210 * sim.Second)
-	if m.SnapshotsTaken < 2 || m.SnapshotsTaken > 3 {
-		t.Fatalf("snapshots taken = %d, want 2-3", m.SnapshotsTaken)
-	}
-}
-
 func TestCrashRecovery(t *testing.T) {
 	// Fault injection: a parity error appears mid-computation; the
 	// module restores the last snapshot and the pre-crash state returns.

@@ -16,6 +16,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tseries/internal/leakcheck"
 )
 
 // The crash soak runs a real tsimd-shaped server in a child process and
@@ -31,7 +33,7 @@ func TestMain(m *testing.M) {
 		crashChildMain()
 		return
 	}
-	os.Exit(m.Run())
+	leakcheck.Main(m)
 }
 
 // crashChildMain is the process under test: a durable server on a

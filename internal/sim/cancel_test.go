@@ -5,21 +5,17 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"tseries/internal/leakcheck"
 )
 
-// waitGoroutines polls until the goroutine count falls back to at most
-// base, tolerating the runtime's own background goroutines.
+// waitGoroutines fails t unless the goroutine count falls back to at
+// most base.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		runtime.GC()
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := leakcheck.Wait(base); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("goroutines did not drain: %d > base %d", runtime.NumGoroutine(), base)
 }
 
 // TestCancelMidRunUnwindsAllProcs cancels a context while a simulation
@@ -34,11 +30,7 @@ func TestCancelMidRunUnwindsAllProcs(t *testing.T) {
 
 	ch := NewChan(k, "ch", 0)
 	res := NewResource(k, "res", 1)
-	k.GoDaemon("drain", func(p *Proc) {
-		for {
-			ch.Recv(p)
-		}
-	})
+	k.Serve("drain", ch, func(*Proc, interface{}) {})
 	for i := 0; i < 8; i++ {
 		k.Go("worker", func(p *Proc) {
 			for {

@@ -10,11 +10,11 @@ import (
 // process blocks, so process bodies may touch shared simulator state
 // without locks.
 //
-// A process started by Go or GoDaemon owns a goroutine from its first
-// dispatch until it finishes, parked on its resume channel whenever it
-// blocks. A Serve process owns one only while it has work: while its
-// inbox is empty it is a waiter record in that channel's receive queue
-// and nothing more (see Serve).
+// A process started by Go owns a goroutine from its spawn until it
+// finishes, parked on its resume channel whenever it blocks. A daemon
+// (Serve, Every) owns one only while it has work: while it waits, it is
+// a waiter record in its inbox's receive queue or a timer event, and
+// nothing more.
 //
 // Internally the kernel keeps two event stores, chosen per schedule:
 //
@@ -514,8 +514,8 @@ type Proc struct {
 	daemon bool // excluded from deadlock accounting
 	dead   bool // killed; next park unwinds
 	done   bool
-	// idle marks a Serve process that holds no goroutine: not yet
-	// started, or parked on its empty inbox after its goroutine ended.
+	// idle marks a daemon that holds no goroutine: not yet started, or
+	// parked on its empty inbox or its timer after its goroutine ended.
 	idle bool
 	// waiting is what the process is blocked on — a *Chan, *Resource,
 	// *Proc or parkReason — and nil while it runs or before it starts.
@@ -523,9 +523,10 @@ type Proc struct {
 	onExit  []func()
 	w       waiter // reusable wait-queue record (channel and resource blocks)
 
-	// A Serve process's inbox and handler (nil otherwise).
+	// Serve: inbox and handler. Every: period, and tick as the handler.
 	inbox  *Chan
 	handle func(p *Proc, v interface{})
+	period Duration
 }
 
 // parkReason is what a process parks on when it waits for no object.
@@ -542,13 +543,8 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	return k.spawn(name, fn, false)
 }
 
-// GoDaemon spawns a service process (router, device handler) that is
-// allowed to remain blocked when the rest of the simulation drains: it
-// does not count toward deadlock detection.
-func (k *Kernel) GoDaemon(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(name, fn, true)
-}
-
+// spawn starts fn on a goroutine of its own. A daemon does not count
+// toward deadlock detection.
 func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	p := k.newProc(name, daemon)
 	go func() {
@@ -628,11 +624,9 @@ func (p *Proc) exit(r interface{}) {
 // Serve spawns a daemon that hands every value received on ch to handle,
 // in arrival order, forever. It is the process
 //
-//	k.GoDaemon(name, func(p *Proc) {
-//		for {
-//			handle(p, ch.Recv(p))
-//		}
-//	})
+//	for {
+//		handle(p, ch.Recv(p))
+//	}
 //
 // down to every event, park, unpark and counter, except that it holds a
 // goroutine only while it has work. Once ch is empty and the execution
@@ -651,19 +645,44 @@ func (k *Kernel) Serve(name string, ch *Chan, handle func(p *Proc, v interface{}
 	return p
 }
 
-// wake resumes idle Serve process p on the dispatching goroutine, doing
-// inline what a goroutine of p's would do before it needs a stack: a
-// killed p finishes here, and a first start with nothing queued parks
-// here. Only with a value waiting does it start p's goroutine, and then
-// it reports true: the slot now belongs to that goroutine.
+// Every spawns a daemon that runs tick every d of simulated time,
+// forever: the process `for { p.Wait(d); tick(p) }` down to every event,
+// park, unpark and counter. Like Serve, it holds a goroutine only while
+// it has work: each expiry starts one that runs tick and ends once the
+// slot passes on during the next Wait (see wake). tick may block like
+// any process body. d must be positive.
+func (k *Kernel) Every(name string, d Duration, tick func(p *Proc)) *Proc {
+	if d <= 0 {
+		panic("sim: Every needs a positive period")
+	}
+	p := k.newProc(name, true)
+	p.idle, p.period = true, d
+	p.handle = func(p *Proc, _ interface{}) { tick(p) }
+	k.atProc(k.now, p)
+	return p
+}
+
+// wake resumes idle daemon p on the dispatching goroutine, doing inline
+// what a goroutine of p's would do before it needs a stack: a killed p
+// finishes here, and a first start parks here, in its first Wait or with
+// nothing queued. Only with a value waiting or a Wait run out does it
+// start p's goroutine, and then it reports true: the slot now belongs to
+// that goroutine.
 func (k *Kernel) wake(p *Proc) bool {
 	if p.dead {
 		p.waiting = nil
 		p.finish()
 		return false
 	}
+	if p.period > 0 && p.waiting == nil {
+		// First start: Every's first Wait.
+		k.atFuture(k.now.Add(p.period), nil, p)
+		p.waiting = parkWait
+		k.parks++
+		return false
+	}
 	w := &p.w
-	if !w.ok {
+	if p.period == 0 && !w.ok {
 		if p.waiting != nil {
 			k.parks++ // woken with nothing delivered: Recv's loop parks again
 			return false
@@ -687,15 +706,22 @@ func (k *Kernel) wake(p *Proc) bool {
 	return true
 }
 
-// serveLoop runs a Serve process's goroutine: it handles the value it was
-// woken with, then receives and handles until its inbox is empty and the
-// slot passes on, and then returns, leaving the process idle.
+// serveLoop runs a daemon's goroutine: an Every process ticks, a Serve
+// process handles the value it was woken with and every one queued after
+// it. Once the slot passes on while p waits, it returns, leaving p idle.
 func (p *Proc) serveLoop() {
 	defer func() {
 		if r := recover(); r != nil {
 			p.exit(r)
 		}
 	}()
+	for p.period > 0 { // Every
+		p.handle(p, nil)
+		p.k.atFuture(p.k.now.Add(p.period), nil, p)
+		if !p.parkIdle(parkWait) {
+			return
+		}
+	}
 	c, w := p.inbox, &p.w
 	v := w.val
 	for {
@@ -707,7 +733,7 @@ func (p *Proc) serveLoop() {
 		}
 		c.await(w)
 		for !w.ok {
-			if !p.parkIdle() {
+			if !p.parkIdle(c) {
 				return
 			}
 		}
@@ -733,13 +759,13 @@ func (p *Proc) park(on interface{}) {
 	}
 }
 
-// parkIdle is park for a Serve process on its empty inbox, except that
-// when the slot passes to another goroutine it returns false instead of
-// blocking. The caller's goroutine must then end at once without touching
-// any state: p is idle, and whoever resumes it calls wake.
-func (p *Proc) parkIdle() bool {
+// parkIdle is park for a daemon that waits for its inbox or timer, except
+// that when the slot passes to another goroutine it returns false instead
+// of blocking. The caller's goroutine must then end at once without
+// touching any state: p is idle, and whoever resumes it calls wake.
+func (p *Proc) parkIdle(on interface{}) bool {
 	p.idle = true
-	p.waiting = p.inbox
+	p.waiting = on
 	p.k.parks++
 	if !p.k.dispatch(p) {
 		return false
@@ -773,7 +799,7 @@ func (p *Proc) Done() bool { return p.done }
 
 // OnExit registers fn to run, LIFO, when the process finishes or is
 // killed: on the process goroutine, or on the dispatching one when an
-// idle Serve process is killed.
+// idle daemon is killed.
 func (p *Proc) OnExit(fn func()) { p.onExit = append(p.onExit, fn) }
 
 // Wait blocks the process for d of simulated time.

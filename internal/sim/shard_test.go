@@ -448,11 +448,8 @@ func TestShardRandomTopology(t *testing.T) {
 					}
 				})
 				// Matching drainer so nothing deadlocks.
-				g.Shard(x.Dst()).GoDaemon(fmt.Sprintf("rx%d", i), func(p *Proc) {
-					for {
-						x.Recv(p)
-						g.Shard(x.Dst()).Count("rx", 1)
-					}
+				g.Shard(x.Dst()).Serve(fmt.Sprintf("rx%d", i), x.Inbox(), func(p *Proc, _ interface{}) {
+					p.Kernel().Count("rx", 1)
 				})
 			}
 			// Random timer load per shard.

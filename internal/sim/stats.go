@@ -15,7 +15,7 @@ import (
 type Stats struct {
 	Now      Time  // simulated clock at snapshot time
 	Events   int64 // events executed by Run
-	Spawned  int64 // processes started (Go + GoDaemon)
+	Spawned  int64 // processes started (Go, Serve and Every)
 	Finished int64 // processes that ran to completion or were killed
 	Parks    int64 // times a process blocked (wait, channel, resource, join)
 	Unparks  int64 // times a blocked process was scheduled to resume

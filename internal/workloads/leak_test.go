@@ -3,9 +3,9 @@ package workloads
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"tseries/internal/fault"
+	"tseries/internal/leakcheck"
 	"tseries/internal/sim"
 )
 
@@ -34,12 +34,8 @@ func TestRunsLeaveNoGoroutine(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			reportBytes(t, c.name, c.cfg())
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > base {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d goroutines outlive the run (baseline %d)", runtime.NumGoroutine(), base)
-				}
-				time.Sleep(time.Millisecond)
+			if err := leakcheck.Wait(base); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -1,0 +1,10 @@
+package workloads
+
+import (
+	"testing"
+
+	"tseries/internal/leakcheck"
+)
+
+// TestMain fails the package if its tests leave a goroutine running.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
