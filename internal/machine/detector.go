@@ -8,18 +8,21 @@ import (
 	"tseries/internal/sim"
 )
 
-// Detector is the machine-level failure detector. It lives (logically)
-// on module 0's system board and evaluates, every DetectInterval, the
-// heartbeat ledgers of every module — module 0's read locally, the
-// others' shipped over the system ring as kindHealth summaries. It
-// discovers three failure classes without being told by the fault plan:
+// Detector is the machine-level failure detector. Every DetectInterval
+// each system board judges the heartbeat ledger of its own slots and
+// the retransmit counters of its own links, on its own shard, into a
+// small verdict. Module 0's board judges inline in the detector pass;
+// every other board posts its verdict to module 0 over the control
+// plane's staged uplinks. Module 0 then applies the machine-wide rules.
+// The detector discovers three failure classes without being told by
+// the fault plan:
 //
 //   - Crashes: a dead board beats no more. Because all thread traffic
 //     flows one way through the module chain, a dead slot also silences
-//     every lower slot; the detector therefore confirms only the
-//     HIGHEST-indexed silent slot of a module — the cut point — and
-//     lets the lower slots speak for themselves once the thread is
-//     re-cabled around the corpse.
+//     every lower slot; a board therefore reports only the
+//     HIGHEST-indexed silent slot — the cut point — and lets the lower
+//     slots speak for themselves once the thread is re-cabled around
+//     the corpse.
 //   - Hangs: beats keep arriving but the progress word they carry has
 //     frozen past HangTimeout on a node that had been advancing.
 //   - Lossy links: a channel whose retransmit count climbs faster than
@@ -27,16 +30,16 @@ import (
 //     the link layer already masks the loss).
 //
 // Suspicion is phi-accrual style: silence is measured in units of the
-// per-slot EWMA inter-beat gap, so a slot that naturally beats slowly
-// (thread congestion) is not condemned by a fixed timeout.
+// per-slot EWMA inter-beat gap, floored at the beat period, so a slot
+// that naturally beats slowly (thread congestion) is not condemned by a
+// fixed timeout.
 type Detector struct {
 	M  *Machine
 	R  RecoveryParams
 	sv *Supervisor
 
-	susp    int      // suspension depth
-	floor   sim.Time // silence baseline after Resume
-	started sim.Time
+	susp  int      // suspension depth
+	floor sim.Time // silence baseline: Start, then every Resume
 
 	confirmed map[int]bool // nodes already alarmed this round
 	// priorHangs remembers every node ever condemned for a hang. Unlike
@@ -47,15 +50,21 @@ type Detector struct {
 	// every round and the restart budget would drain without ever
 	// reaching the true victim.
 	priorHangs map[int]bool
-	// lastRtx and lossy hold each link's retransmit count at the last
-	// pass and its verdict, in the retransmit mirror's order.
+	// lastRtx and lossy hold each link's retransmit count at its board's
+	// last pass and its verdict, indexed node*LinksPerNode+link. Each
+	// board touches only its own nodes' entries.
 	lastRtx []int64
 	lossy   []bool
+
+	// verdicts carries the other boards' verdicts to module 0.
+	verdicts *shard0Chan
 
 	// LossyLinks lists the channels discovered to be persistently lossy.
 	LossyLinks []string
 
-	proc *sim.Proc
+	// procs[i] is module i's judging daemon; procs[0] is the detector
+	// pass on module 0's board.
+	procs []*sim.Proc
 }
 
 // LossyRetransmits is how many retransmits within one detect window
@@ -73,6 +82,7 @@ func NewDetector(m *Machine, sv *Supervisor) *Detector {
 		priorHangs: map[int]bool{},
 		lastRtx:    make([]int64, len(m.Nodes)*link.LinksPerNode),
 		lossy:      make([]bool, len(m.Nodes)*link.LinksPerNode),
+		verdicts:   m.shard0Chans(sim.NewChan(m.K, "machine/verdicts", len(m.Modules)))[0],
 	}
 	sv.det = d
 	return d
@@ -104,6 +114,8 @@ func (e *DetectedHang) Error() string {
 // Suspend pauses evaluation (nestable). The supervisor suspends around
 // checkpoints and the healer around recovery: both flood the module
 // threads for seconds, and the delayed beats would read as silence.
+// Boards on every shard read the suspension, so it changes only in a
+// Global section (or before the run).
 func (d *Detector) Suspend() { d.susp++ }
 
 // Resume re-enables evaluation and resets the silence baseline to now,
@@ -119,76 +131,119 @@ func (d *Detector) Resume() {
 	}
 }
 
-// Start launches the evaluation daemon and begins heartbeat publication
-// on every module (heartbeats are opt-in; starting the detector is the
-// opt).
+// Start begins heartbeat publication on every module (heartbeats are
+// opt-in; starting the detector is the opt) and launches the judging
+// daemon of every board, each on its module's shard. It spawns on
+// every shard, so call it in a Global section.
 func (d *Detector) Start() {
 	r := d.R
-	d.started = d.M.K.Now()
-	d.floor = d.started
+	d.floor = d.M.K.Now()
 	for _, mod := range d.M.Modules {
 		mod.StartHeartbeats(r.HeartbeatInterval)
-		if mod.Index != 0 && len(d.M.Modules) > 1 {
-			mod.StartHealthPublisher(0, r.DetectInterval)
-		}
 	}
-	d.proc = d.M.K.Every("machine/detector", r.DetectInterval, func(p *sim.Proc) {
+	d.procs = []*sim.Proc{d.M.K.Every("machine/detector", r.DetectInterval, func(p *sim.Proc) {
 		if d.susp == 0 {
 			d.evaluate(p.Now())
 		}
-	})
+	})}
+	for _, mod := range d.M.Modules[1:] {
+		s := mod.Index
+		d.procs = append(d.procs, d.M.Group.Shard(s).Every(fmt.Sprintf("mod%d/sys/judge", s), r.DetectInterval, func(p *sim.Proc) {
+			if d.susp == 0 {
+				d.verdicts.send(p, s, d.judge(p.Now(), mod))
+			}
+		}))
+	}
 }
 
-// Stop kills the evaluation daemon and every heartbeat/publisher
-// daemon Start spawned. All of them wake on timers forever, so leaving
-// any alive would keep the kernel's event queue non-empty and an
-// unbounded Run would never drain.
+// Stop kills every judging daemon and heartbeat daemon Start spawned.
+// All of them wake on timers forever, so leaving any alive would keep
+// the kernel's event queue non-empty and an unbounded Run would never
+// drain.
 func (d *Detector) Stop() {
-	if d.proc != nil {
-		d.proc.Kill()
+	for _, p := range d.procs {
+		p.Kill()
 	}
 	for _, mod := range d.M.Modules {
 		mod.StopHeartbeats()
 	}
 }
 
-// evaluate runs one detection pass over every module's freshest ledger.
+// verdict is one system board's judgment of its own slots and links at
+// one instant.
+type verdict struct {
+	mod int
+	at  sim.Time // when the board judged
+	// cut is the node at the module's cut point once its phi reached
+	// ConfirmPhi, silent for silence; -1 when no slot is that quiet.
+	cut     int
+	silence sim.Duration
+	// hangs lists the slots above any suspect whose progress has been
+	// frozen past HangTimeout.
+	hangs []hangCand
+	// advanced reports that some image-carrying slot has advanced its
+	// progress word.
+	advanced bool
+	lossy    []string // links newly found lossy
+}
+
+// hangCand is one slot whose progress has been frozen past HangTimeout
+// while its beats keep arriving.
+type hangCand struct {
+	id       int
+	adv      sim.Time // effective last-advance baseline
+	stall    sim.Duration
+	advanced bool // the slot itself had advanced before it froze
+}
+
+// evaluate is the detector pass on module 0's board: it judges module
+// 0's own slots, takes the verdicts the other boards posted since the
+// last pass, and applies the machine-wide rules.
 func (d *Detector) evaluate(now sim.Time) {
-	home := d.M.Modules[0]
-	type modLedger struct {
-		mod *module.Module
-		hs  module.HealthSnapshot
+	vs := []verdict{d.judge(now, d.M.Modules[0])}
+	d.noteLossy(vs[0].lossy)
+	for {
+		x, ok := d.verdicts.ch.TryRecv()
+		if !ok {
+			break
+		}
+		// A lossy link is discovery only and stands however old; death
+		// and hang evidence counts only when judged since the last
+		// Resume.
+		v := x.(verdict)
+		d.noteLossy(v.lossy)
+		if v.at >= d.floor {
+			vs = append(vs, v)
+		}
 	}
-	ledgers := make([]modLedger, 0, len(d.M.Modules))
-	// First pass: did ANY image-carrying slot ever advance its progress
-	// word? While nothing has, frozen progress means nothing (a workload
-	// that never publishes progress must not be condemned); once peers
-	// are advancing, a slot that never has is wedged, not slow.
+	// While no image-carrying slot anywhere has advanced, frozen
+	// progress means nothing (a workload that never publishes progress
+	// must not be condemned); once peers are advancing, a slot that
+	// never has is wedged, not slow.
 	anyAdvanced := false
-	for _, mod := range d.M.Modules {
-		var hs module.HealthSnapshot
-		if mod.Index == 0 {
-			hs = mod.HealthSnapshot()
-		} else {
-			var ok bool
-			hs, ok = home.PeerHealth(mod.Index)
-			if !ok || hs.Time < d.floor {
-				continue // no fresh summary yet
-			}
-		}
-		for _, s := range hs.Slots {
-			if !s.Bypassed && s.Advanced {
-				anyAdvanced = true
-			}
-		}
-		ledgers = append(ledgers, modLedger{mod, hs})
+	for _, v := range vs {
+		anyAdvanced = anyAdvanced || v.advanced
 	}
 	death := false
 	var cands []hangCand
-	for _, l := range ledgers {
-		cs, dd := d.evaluateModule(now, l.mod, l.hs, anyAdvanced)
-		death = death || dd
-		cands = append(cands, cs...)
+	for _, v := range vs {
+		if v.cut >= 0 {
+			// The cut point shadows the module's hang candidates and its
+			// lower slots, which are re-judged after bypass.
+			if !d.confirmed[v.cut] {
+				d.confirmed[v.cut] = true
+				death = true
+				d.M.K.Count("heal.detect_events", 1)
+				d.M.K.Count("heal.detect_ns", int64(v.silence/sim.Nanosecond))
+				d.sv.post(0, &DetectedDeath{Node: v.cut, Silence: v.silence})
+			}
+			continue
+		}
+		for _, c := range v.hangs {
+			if (c.advanced || anyAdvanced) && !d.confirmed[c.id] {
+				cands = append(cands, c)
+			}
+		}
 	}
 	// Confirm at most ONE hang per pass, and none on a pass that
 	// confirmed a death. A wedged board freezes not just its own
@@ -226,116 +281,85 @@ func (d *Detector) evaluate(now sim.Time) {
 		d.M.K.Count("heal.hang_count", 1)
 		d.sv.post(0, &DetectedHang{Node: best.id, Stall: best.stall})
 	}
-	d.scanLossy()
 }
 
-// hangCand is one slot whose progress has been frozen past HangTimeout
-// while its beats keep arriving.
-type hangCand struct {
-	id    int
-	adv   sim.Time // effective last-advance baseline
-	stall sim.Duration
-}
-
-// phi returns the suspicion level of one slot: silence measured in
-// units of its smoothed inter-beat gap.
-func (d *Detector) phi(now sim.Time, s module.SlotHealth) float64 {
-	last := s.LastBeat
-	if d.floor > last {
-		last = d.floor
-	}
-	if d.started > last {
-		last = d.started
-	}
-	gap := s.EwmaGap
-	if gap <= 0 {
-		gap = d.R.HeartbeatInterval
-	}
-	return float64(now.Sub(last)) / float64(gap)
-}
-
-// evaluateModule confirms at most one death (the module's cut point)
-// and collects hang candidates for the machine-level pick.
-func (d *Detector) evaluateModule(now sim.Time, mod *module.Module, hs module.HealthSnapshot, anyAdvanced bool) ([]hangCand, bool) {
+// judge runs the phi and hang rules over mod's own ledger at now and
+// scans mod's links. It runs on mod's shard.
+func (d *Detector) judge(now sim.Time, mod *module.Module) verdict {
+	hs := mod.HealthSnapshot()
 	base := mod.Index * module.NodesPerModule
-	var cands []hangCand
+	v := verdict{mod: mod.Index, at: now, cut: -1, lossy: d.scanLossy(mod)}
+	for _, s := range hs.Slots {
+		if !s.Bypassed && s.Advanced {
+			v.advanced = true
+		}
+	}
 	// Walk from the top: the highest-indexed silent slot is the cut
-	// point; anything below it is shadowed by the severed thread.
+	// point, and a suspect (phi past SuspectPhi, short of ConfirmPhi)
+	// shadows everything below it too.
 	for slot := len(hs.Slots) - 1; slot >= 0; slot-- {
 		s := hs.Slots[slot]
 		if s.Bypassed {
 			continue
 		}
-		id := base + slot
 		if phi := d.phi(now, s); phi >= d.R.ConfirmPhi {
-			if !d.confirmed[id] {
-				d.confirmed[id] = true
-				sil := d.silence(now, s)
-				d.M.K.Count("heal.detect_events", 1)
-				d.M.K.Count("heal.detect_ns", int64(sil/sim.Nanosecond))
-				d.sv.post(0, &DetectedDeath{Node: id, Silence: sil})
-				return nil, true // lower slots are shadowed: re-evaluate after bypass
-			}
-			return nil, false
+			v.cut, v.silence = base+slot, d.silence(now, s)
+			break
 		} else if phi >= d.R.SuspectPhi {
-			// Suspected but not yet condemned; it also shadows below.
-			return cands, false
+			break
 		}
 		// Slot is beating. Frozen progress while beats still arrive is a
 		// hang candidate — either the slot had been advancing and
 		// stopped, or peers are advancing and this slot never started (a
-		// board wedged before its first phase). Cold spares are exempt:
-		// their frozen progress is by design.
-		if !s.Spare && (s.Advanced || anyAdvanced) && !d.confirmed[id] {
-			adv := s.LastAdvance
-			if d.floor > adv {
-				adv = d.floor
-			}
-			if d.started > adv {
-				adv = d.started
-			}
-			if stall := now.Sub(adv); stall > d.R.HangTimeout {
-				cands = append(cands, hangCand{id: id, adv: adv, stall: stall})
-			}
+		// board wedged before its first phase), which module 0 decides.
+		// Cold spares are exempt: their frozen progress is by design.
+		if s.Spare {
+			continue
+		}
+		adv := max(s.LastAdvance, d.floor)
+		if stall := now.Sub(adv); stall > d.R.HangTimeout {
+			v.hangs = append(v.hangs, hangCand{id: base + slot, adv: adv, stall: stall, advanced: s.Advanced})
 		}
 	}
-	return cands, false
+	return v
+}
+
+// phi returns the suspicion level of one slot: silence measured in
+// units of its smoothed inter-beat gap, never less than the beat
+// period. Beats queued behind a congested thread arrive in bursts, and
+// their arrival gaps say nothing about how often the node beats.
+func (d *Detector) phi(now sim.Time, s module.SlotHealth) float64 {
+	return float64(d.silence(now, s)) / float64(max(s.EwmaGap, d.R.HeartbeatInterval))
 }
 
 // silence is the raw quiet time behind a confirmation.
 func (d *Detector) silence(now sim.Time, s module.SlotHealth) sim.Duration {
-	last := s.LastBeat
-	if d.floor > last {
-		last = d.floor
-	}
-	if d.started > last {
-		last = d.started
-	}
-	return now.Sub(last)
+	return now.Sub(max(s.LastBeat, d.floor))
 }
 
-// scanLossy looks for channels whose retransmit counters climbed by
-// more than LossyRetransmits since the last pass. Above one shard the
-// counters belong to other shards, so the scan reads the barrier-synced
-// retransmit mirror instead of the live links — at most one window
-// stale, which is deterministic for a fixed partition.
-func (d *Detector) scanLossy() {
-	mirror := d.M.rtxMirror
-	i := 0
-	for _, nd := range d.M.Nodes {
+// scanLossy returns the links of mod's nodes whose retransmit counters
+// climbed by more than LossyRetransmits since the board's last pass,
+// each once. The board reads its own links live, on its own shard.
+func (d *Detector) scanLossy(mod *module.Module) []string {
+	var found []string
+	for _, nd := range mod.Nodes {
 		for li, l := range nd.Links {
-			rtx := l.Retransmits
-			if mirror != nil {
-				rtx = mirror[i]
-			}
-			delta := rtx - d.lastRtx[i]
-			d.lastRtx[i] = rtx
+			i := nd.ID*link.LinksPerNode + li
+			delta := l.Retransmits - d.lastRtx[i]
+			d.lastRtx[i] = l.Retransmits
 			if delta > LossyRetransmits && !d.lossy[i] {
 				d.lossy[i] = true
-				d.LossyLinks = append(d.LossyLinks, fmt.Sprintf("node%d/link%d", nd.ID, li))
-				d.M.K.Count("heal.lossy_links", 1)
+				found = append(found, fmt.Sprintf("node%d/link%d", nd.ID, li))
 			}
-			i++
 		}
+	}
+	return found
+}
+
+// noteLossy records links a board newly found lossy.
+func (d *Detector) noteLossy(links []string) {
+	if len(links) > 0 {
+		d.LossyLinks = append(d.LossyLinks, links...)
+		d.M.K.Count("heal.lossy_links", int64(len(links)))
 	}
 }

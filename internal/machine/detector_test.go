@@ -1,48 +1,83 @@
 package machine
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
 
 	"tseries/internal/leakcheck"
+	"tseries/internal/module"
 	"tseries/internal/sim"
 )
 
+// TestLossyLinkScan drives the per-board lossy scan: a board reads only
+// its own nodes' links, flags a channel whose retransmits climbed past
+// the budget since its last pass exactly once, and module 0's pass
+// records what the other boards found.
 func TestLossyLinkScan(t *testing.T) {
-	m := newMachine(t, 2)
-	k := m.K
+	m := newMachine(t, 4)
 	sv := NewSupervisor(m)
 	d := NewDetector(m, sv)
+	r := m.Spec.Recovery
+	mod0, mod1 := m.Modules[0], m.Modules[1]
 
-	// A retransmit burst past the budget marks the channel lossy; the
-	// verdict is recorded once, not re-raised every pass.
+	// A retransmit burst past the budget marks the channel lossy on its
+	// own board; the verdict is made once, not re-raised every pass.
 	m.Nodes[1].Links[0].Retransmits += int64(LossyRetransmits) + 12
-	d.scanLossy()
-	if len(d.LossyLinks) != 1 || d.LossyLinks[0] != "node1/link0" {
-		t.Fatalf("LossyLinks = %v, want [node1/link0]", d.LossyLinks)
+	if got := d.scanLossy(mod1); len(got) != 0 {
+		t.Fatalf("module 1 flagged module 0's link: %v", got)
 	}
-	if got := k.Stats().Counters["heal.lossy_links"]; got != 1 {
-		t.Fatalf("heal.lossy_links = %d, want 1", got)
+	if got := d.scanLossy(mod0); len(got) != 1 || got[0] != "node1/link0" {
+		t.Fatalf("module 0 found %v, want [node1/link0]", got)
 	}
-	d.scanLossy()
-	if len(d.LossyLinks) != 1 {
-		t.Fatalf("quiet pass re-flagged: %v", d.LossyLinks)
+	if got := d.scanLossy(mod0); len(got) != 0 {
+		t.Fatalf("quiet pass re-flagged: %v", got)
 	}
 
 	// Sub-budget drizzle on another channel is retransmit business as
 	// usual, not a lossy verdict.
 	m.Nodes[2].Links[1].Retransmits += int64(LossyRetransmits) - 2
-	d.scanLossy()
-	if len(d.LossyLinks) != 1 {
-		t.Fatalf("sub-budget channel flagged: %v", d.LossyLinks)
+	if got := d.scanLossy(mod0); len(got) != 0 {
+		t.Fatalf("sub-budget channel flagged: %v", got)
 	}
 
-	// A second burst on a new channel accumulates.
+	// A burst on module 1's board travels in its verdict and lands in
+	// module 0's record, after module 0's own find.
 	m.Nodes[0].Links[1].Retransmits += 3 * int64(LossyRetransmits)
-	d.scanLossy()
-	if len(d.LossyLinks) != 2 || d.LossyLinks[1] != "node0/link1" {
-		t.Fatalf("LossyLinks = %v, want second entry node0/link1", d.LossyLinks)
+	m.K.Go("ctl", func(p *sim.Proc) {
+		m.Group.Global(p, func(sim.Time) { d.Start() })
+		p.Wait(r.DetectInterval / 2)
+		m.Group.Global(p, func(sim.Time) { m.Nodes[9].Links[2].Retransmits += 2 * int64(LossyRetransmits) })
+		p.Wait(2 * r.DetectInterval)
+		m.Group.Global(p, func(sim.Time) { d.Stop() })
+	})
+	m.Run(0)
+	if want := []string{"node0/link1", "node9/link2"}; fmt.Sprint(d.LossyLinks) != fmt.Sprint(want) {
+		t.Fatalf("LossyLinks = %v, want %v", d.LossyLinks, want)
+	}
+	if got := m.SimStats().Counters["heal.lossy_links"]; got != 2 {
+		t.Fatalf("heal.lossy_links = %d, want 2", got)
+	}
+}
+
+// TestPhiFloorsTheGap: beats that queued behind a congested thread
+// arrive in a burst, so their arrival gaps (here a 7.95 ms EWMA) say
+// nothing about how often the node beats. 79 ms of silence is less than
+// one 100 ms beat period, not ten gaps: phi 0.79, not 9.9.
+func TestPhiFloorsTheGap(t *testing.T) {
+	m := newMachine(t, 2)
+	d := NewDetector(m, NewSupervisor(m))
+	last := sim.Time(10 * sim.Second)
+	s := module.SlotHealth{Beats: 100, LastBeat: last, EwmaGap: 7950 * sim.Microsecond}
+	if got := d.phi(last.Add(79*sim.Millisecond), s); math.Abs(got-0.79) > 1e-9 {
+		t.Fatalf("phi = %g after 79ms of silence, want 0.79", got)
+	}
+	// A slot that really beats slower than the period keeps its own gap.
+	s.EwmaGap = 400 * sim.Millisecond
+	if got := d.phi(last.Add(79*sim.Millisecond), s); math.Abs(got-0.1975) > 1e-9 {
+		t.Fatalf("phi = %g against a 400ms gap, want 0.1975", got)
 	}
 }
 
@@ -120,8 +155,8 @@ func TestDetectorConfirmsCutPointOnly(t *testing.T) {
 }
 
 // TestDroppedMachineIsCollected: a machine dropped with its detector,
-// heartbeats and health publishers still running holds no goroutine and
-// is garbage. Each of those daemons is an Every process, idle between
+// heartbeats and board judges still running holds no goroutine and is
+// garbage. Each of those daemons is an Every process, idle between
 // ticks. The machine is a cycle, so a finalizer on it need not run; the
 // one watched here sits on a leaf that only the detector's exit hook
 // reaches.
@@ -138,12 +173,12 @@ func TestDroppedMachineIsCollected(t *testing.T) {
 			m.Group.Global(p, func(sim.Time) { h.Det.Start() })
 		})
 		m.Run(2 * sim.Second)
-		if h.Det.proc == nil || h.Det.proc.Done() {
+		if len(h.Det.procs) != 2 || h.Det.procs[0].Done() {
 			t.Fatal("the detector is not running")
 		}
 		leaf := new([64]byte)
 		runtime.SetFinalizer(leaf, func(*[64]byte) { close(collected) })
-		h.Det.proc.OnExit(func() { leaf[0]++ })
+		h.Det.procs[0].OnExit(func() { leaf[0]++ })
 	}()
 	if err := leakcheck.Wait(base); err != nil {
 		t.Fatal(err)
@@ -159,5 +194,55 @@ func TestDroppedMachineIsCollected(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("the dropped machine was never collected")
 		}
+	}
+}
+
+// TestVerdictsReachModuleZeroAtScale starts the detector on the machines
+// of dims 10 and 12 (127 and 511 boards besides module 0's): every
+// board's verdict must reach module 0 within two detect intervals, and a
+// silent crash in a remote module must be confirmed against the node
+// that died.
+func TestVerdictsReachModuleZeroAtScale(t *testing.T) {
+	for _, c := range []struct{ dim, victim int }{{10, 9}, {12, 4095}} {
+		t.Run(fmt.Sprintf("dim%d", c.dim), func(t *testing.T) {
+			m := newMachine(t, c.dim)
+			sv := NewSupervisor(m)
+			d := NewDetector(m, sv)
+			r := m.Spec.Recovery
+			m.K.Go("start", func(p *sim.Proc) {
+				m.Group.Global(p, func(sim.Time) { d.Start() })
+			})
+			// Every board judges one interval after Start, and module 0's
+			// second pass takes the verdicts: stop just before it.
+			m.Run(2*r.DetectInterval - sim.Nanosecond)
+			heard := make([]bool, len(m.Modules))
+			for {
+				x, ok := d.verdicts.ch.TryRecv()
+				if !ok {
+					break
+				}
+				v := x.(verdict)
+				if v.mod < 1 || heard[v.mod] || v.at != d.floor.Add(r.DetectInterval) || v.cut >= 0 {
+					t.Fatalf("unexpected verdict %+v (Start at %v)", v, d.floor)
+				}
+				heard[v.mod] = true
+			}
+			for mod, ok := range heard[1:] {
+				if !ok {
+					t.Fatalf("module %d's verdict had not reached module 0 within two detect intervals", mod+1)
+				}
+			}
+
+			var alarm error
+			m.K.Go("ctl", func(p *sim.Proc) {
+				m.Group.Global(p, func(sim.Time) { m.Nodes[c.victim].Crash() })
+				alarm = sv.alarm.ch.Recv(p).(error)
+				m.Group.Global(p, func(sim.Time) { d.Stop() })
+			})
+			m.Run(10 * sim.Second)
+			if dd, ok := alarm.(*DetectedDeath); !ok || dd.Node != c.victim {
+				t.Fatalf("alarm = %v, want node %d confirmed dead", alarm, c.victim)
+			}
+		})
 	}
 }

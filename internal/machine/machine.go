@@ -38,10 +38,9 @@ const MaxSimDim = 12
 //
 //  1. it has no cross-shard edge, so the group runs one unbounded
 //     window;
-//  2. it keeps no barrier-synced mirrors of remote state (no
-//     retransmit mirror, no window observer), and its comm topology
-//     view rebuilds on read whenever one of its links changed, not at
-//     window barriers;
+//  2. it keeps no barrier-synced mirrors of remote state (no window
+//     observer), and its comm topology view rebuilds on read whenever
+//     one of its links changed, not at window barriers;
 //  3. its fault plan is the single corruption stream on every link,
 //     consumed in kernel order (ArmFaultsSink);
 //  4. it reports its kernel's own statistics (SimStats), so its reports
@@ -55,18 +54,21 @@ const MaxSimDim = 12
 //     and results that several shards produce go into per-node slots.
 //   - Shard 0 (module 0's shard) is the control plane: the fan-out join
 //     channel, the supervisor's alarm and ok channels, and the failure
-//     detector all live there, and the processes that join through them
-//     (EachModule's caller, Supervisor.Run) must run there too. Every
-//     other shard reaches each channel through one staged uplink edge.
+//     detector's pass with its verdict channel all live there, and the
+//     processes that join through them (EachModule's caller,
+//     Supervisor.Run) must run there too. Every other shard reaches each
+//     channel through one staged uplink edge.
 //   - State that crosses shards without a message — spawn/kill of body
 //     processes, snapshot aborts, remap walks, topology repair — runs
 //     in ShardGroup.Global sections, which execute at window barriers
 //     with every shard quiescent (inline on one shard).
 //   - Reads of remote state from mid-window code go through
-//     barrier-synced copies: the comm topology view (liveness/routing),
-//     the staged sublink outage mirrors, and the retransmit mirror the
-//     lossy-link scanner reads. All of them lag a mid-window change by
-//     at most one window, which is deterministic for a fixed partition.
+//     barrier-synced copies: the comm topology view (liveness/routing)
+//     and the staged sublink outage mirrors. Both lag a mid-window
+//     change by at most one window, which is deterministic for a fixed
+//     partition. State a board can judge where it lives — its slots'
+//     heartbeat ledger, its links' retransmit counters — is judged
+//     there, and only the verdict crosses shards.
 type Machine struct {
 	Dim     int
 	Spec    Spec
@@ -82,8 +84,7 @@ type Machine struct {
 	ctl    *shard0Chan // fan-out join tokens
 	ctlGen int64       // join generation; stale tokens are ignored
 
-	rtxMirror   []int64 // [node*links+i] barrier-synced link retransmit counts; nil on one shard
-	changesSeen int64   // link change count the shard views were last synced at
+	changesSeen int64 // link change count the shard views were last synced at
 	faults      *fault.Sharded
 }
 
@@ -138,7 +139,6 @@ func NewAuto(ctx context.Context, dim, workers int) (*Machine, error) {
 	if mods > 1 {
 		// One-shard rule 2: only a multi-module machine mirrors remote
 		// state at barriers.
-		m.rtxMirror = make([]int64, len(m.Nodes)*link.LinksPerNode)
 		g.SetWindowObserver(m.syncShardState)
 		m.syncShardState()
 	}
@@ -208,18 +208,14 @@ func (m *Machine) SimStats() sim.Stats {
 }
 
 // syncShardState runs after every window barrier and syncs the
-// barrier-frozen shard state: the retransmit mirror always, and the
 // topology views (staged sublink outage mirrors plus the comm view)
 // whenever one of the machine's channels changed state since the last
 // sync, which the sum of its links' change counts tells.
 func (m *Machine) syncShardState() {
 	var changes int64
-	i := 0
 	for _, nd := range m.Nodes {
 		for _, l := range nd.Links {
-			m.rtxMirror[i] = l.Retransmits
 			changes += l.Changes()
-			i++
 		}
 	}
 	for _, mod := range m.Modules {

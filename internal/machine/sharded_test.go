@@ -70,9 +70,9 @@ func TestNewAutoPicksGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.Group.Shards() != 1 || one.Group.Lookahead() != 0 || one.rtxMirror != nil {
-		t.Fatalf("single-module dim-3 machine: shards=%d lookahead=%v mirror=%v, want one unbounded shard reading live state",
-			one.Group.Shards(), one.Group.Lookahead(), one.rtxMirror != nil)
+	if one.Group.Shards() != 1 || one.Group.Lookahead() != 0 {
+		t.Fatalf("single-module dim-3 machine: shards=%d lookahead=%v, want one unbounded shard",
+			one.Group.Shards(), one.Group.Lookahead())
 	}
 	if st := one.SimStats(); st.Shards != nil || st.Windows != 0 {
 		t.Fatalf("one-shard stats carry shard fields: %+v", st)

@@ -81,58 +81,6 @@ func TestHealthSnapshotFlags(t *testing.T) {
 	}
 }
 
-func TestAcceptHealthWire(t *testing.T) {
-	_, m := buildModule(t, 2)
-	// Hand-build a kindHealth frame with one slot in every flag state.
-	msg := make([]byte, 12)
-	msg[0] = kindHealth
-	msg[1] = 0 // dst module
-	msg[2] = 3 // src module
-	binary.LittleEndian.PutUint64(msg[4:12], uint64(sim.Time(42*sim.Second)))
-	mk := func(beats int64, prog uint32, flags byte) []byte {
-		var b [slotSummaryBytes]byte
-		binary.LittleEndian.PutUint64(b[0:8], uint64(beats))
-		binary.LittleEndian.PutUint64(b[8:16], uint64(sim.Time(7*sim.Second)))
-		binary.LittleEndian.PutUint64(b[16:24], uint64(100*sim.Millisecond))
-		binary.LittleEndian.PutUint32(b[24:28], prog)
-		binary.LittleEndian.PutUint64(b[28:36], uint64(sim.Time(6*sim.Second)))
-		b[36] = flags
-		return b[:]
-	}
-	msg = append(msg, mk(10, 99, 1)...) // advanced
-	msg = append(msg, mk(11, 0, 2)...)  // bypassed
-	msg = append(msg, mk(12, 0, 4)...)  // spare
-	m.acceptHealth(msg)
-
-	hs, ok := m.PeerHealth(3)
-	if !ok || hs.Module != 3 || hs.Time != sim.Time(42*sim.Second) || len(hs.Slots) != 3 {
-		t.Fatalf("decoded summary: ok=%v %+v", ok, hs)
-	}
-	if s := hs.Slots[0]; !s.Advanced || s.Bypassed || s.Spare || s.Progress != 99 || s.Beats != 10 {
-		t.Fatalf("slot 0: %+v", s)
-	}
-	if s := hs.Slots[1]; s.Advanced || !s.Bypassed || s.Spare {
-		t.Fatalf("slot 1: %+v", s)
-	}
-	if s := hs.Slots[2]; s.Advanced || s.Bypassed || !s.Spare {
-		t.Fatalf("slot 2: %+v", s)
-	}
-	if s := hs.Slots[0]; s.LastBeat != sim.Time(7*sim.Second) || s.EwmaGap != 100*sim.Millisecond || s.LastAdvance != sim.Time(6*sim.Second) {
-		t.Fatalf("slot 0 times: %+v", s)
-	}
-
-	// An older summary must not clobber a newer one; a short frame is
-	// ignored outright.
-	old := make([]byte, 12)
-	old[0], old[2] = kindHealth, 3
-	binary.LittleEndian.PutUint64(old[4:12], uint64(sim.Time(1*sim.Second)))
-	m.acceptHealth(old)
-	m.acceptHealth([]byte{kindHealth, 0, 3})
-	if hs, _ := m.PeerHealth(3); hs.Time != sim.Time(42*sim.Second) || len(hs.Slots) != 3 {
-		t.Fatalf("stale summary clobbered the ledger: %+v", hs)
-	}
-}
-
 func TestHeartbeatsDeliverAndStop(t *testing.T) {
 	k, m := buildModule(t, 4)
 	m.StartHeartbeats(100 * sim.Millisecond)

@@ -33,7 +33,7 @@ const (
 	kindUp   = 1 // snapshot data heading to the system board
 	kindDown = 2 // restore data heading to a node
 	// kindBackup (3) and the I/O kinds (4..6) live in ring.go / io.go.
-	// kindBeat (7) and kindHealth (8) live in health.go.
+	// kindBeat (7) lives in health.go.
 )
 
 // SystemBoard provides input/output and management functions for a
@@ -88,13 +88,10 @@ type Module struct {
 	// outbound channel was dead (a severed thread, before bypass).
 	ThreadDrops int64
 
-	// health is the system board's per-slot liveness ledger (health.go);
-	// peerHealth holds the latest summaries other modules shipped over
-	// the system ring.
+	// health is the system board's per-slot liveness ledger (health.go).
 	health     *health
 	hbInterval sim.Duration
 	hbProcs    []*sim.Proc
-	peerHealth map[int]HealthSnapshot
 
 	// epoch tags the chunks of the current snapshot so a collector can
 	// discard strays from a snapshot that was aborted by a rollback.
@@ -116,18 +113,17 @@ func New(k *sim.Kernel, index int, nodes []*node.Node) (*Module, error) {
 		return nil, fmt.Errorf("module: need 1..%d nodes, got %d", NodesPerModule, len(nodes))
 	}
 	m := &Module{
-		Index:      index,
-		Nodes:      nodes,
-		Sys:        &SystemBoard{Link: link.NewLink(k, fmt.Sprintf("mod%d/sys", index))},
-		Disk:       NewDisk(k, fmt.Sprintf("mod%d", index)),
-		k:          k,
-		upChan:     sim.NewChan(k, fmt.Sprintf("mod%d/up", index), 1<<20),
-		ioChan:     sim.NewChan(k, fmt.Sprintf("mod%d/io", index), 1<<20),
-		applied:    sim.NewChan(k, fmt.Sprintf("mod%d/applied", index), 1<<20),
-		mapped:     make([]int, len(nodes)),
-		bypassed:   make([]bool, len(nodes)),
-		health:     newHealth(len(nodes)),
-		peerHealth: map[int]HealthSnapshot{},
+		Index:    index,
+		Nodes:    nodes,
+		Sys:      &SystemBoard{Link: link.NewLink(k, fmt.Sprintf("mod%d/sys", index))},
+		Disk:     NewDisk(k, fmt.Sprintf("mod%d", index)),
+		k:        k,
+		upChan:   sim.NewChan(k, fmt.Sprintf("mod%d/up", index), 1<<20),
+		ioChan:   sim.NewChan(k, fmt.Sprintf("mod%d/io", index), 1<<20),
+		applied:  sim.NewChan(k, fmt.Sprintf("mod%d/applied", index), 1<<20),
+		mapped:   make([]int, len(nodes)),
+		bypassed: make([]bool, len(nodes)),
+		health:   newHealth(len(nodes)),
 	}
 	for i := range m.mapped {
 		m.mapped[i] = i

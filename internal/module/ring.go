@@ -10,8 +10,9 @@ import (
 
 // The system ring: system boards are directly connected by communication
 // links into a ring that is independent of the binary n-cube joining the
-// processor nodes. Its jobs are management traffic and backing up
-// snapshots to other modules' disks.
+// processor nodes. Its job is backing up snapshots to other modules'
+// disks. Failure detection sends nothing around it: each board judges
+// its own slots (machine/detector.go).
 
 const kindBackup = 3
 
@@ -55,28 +56,10 @@ func ConnectRing(g *sim.ShardGroup, mods []*Module) error {
 	return nil
 }
 
-// ringFrame handles one frame off the system ring: store a backup block,
-// consume a health summary addressed here, relay the rest.
+// ringFrame handles one frame off the system ring: it stores a backup
+// block on the local disk.
 func (m *Module) ringFrame(p *sim.Proc, raw []byte) {
-	if len(raw) < 3 {
-		return
-	}
-	if raw[0] == kindHealth {
-		// Health summaries are addressed: consume ours, relay the rest
-		// around the ring until their hop budget dies.
-		if len(raw) < 4 {
-			return
-		}
-		if int(raw[1]) == m.Index {
-			m.acceptHealth(raw)
-			return
-		}
-		if raw[3]++; raw[3] < healthHopBudget {
-			_ = m.Sys.Link.Sublink(sysRingOut).Send(p, raw)
-		}
-		return
-	}
-	if raw[0] != kindBackup {
+	if len(raw) < 3 || raw[0] != kindBackup {
 		return
 	}
 	keyLen := int(binary.LittleEndian.Uint16(raw[1:3]))

@@ -147,6 +147,29 @@ func TestMachineSoakChaosShardInvariantDim4(t *testing.T) {
 	}
 }
 
+// TestMachineSoakChaosShardInvariantDim6 carries the chaos soak's
+// worker-invariance contract to an eight-module machine, where seven
+// boards post their detector verdicts to module 0 across shards: the
+// report must hold the golden-twin gate and be byte-identical at 1, 2
+// and 4 host workers.
+func TestMachineSoakChaosShardInvariantDim6(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak twin run is slow")
+	}
+	mkCfg := func(shards int) Config {
+		return Config{Dim: 6, Reps: 2, Phases: 3, Rows: 30, Seed: 1,
+			Pad:          500 * sim.Millisecond,
+			Chaos:        &fault.Chaos{Seed: 11, Dur: 20 * sim.Second, Crashes: 1, Hangs: 1, BER: 1e-9},
+			KernelShards: shards}
+	}
+	want := reportBytes(t, "soak", mkCfg(1))
+	for _, shards := range []int{2, 4} {
+		if got := reportBytes(t, "soak", mkCfg(shards)); string(got) != string(want) {
+			t.Errorf("dim-6 chaos soak at shards=%d differs from workers=1\n  one: %s\n  got: %s", shards, want, got)
+		}
+	}
+}
+
 // TestPortedWorkloadsShardInvariantDim4 runs the machine workloads that
 // once built a single kernel — saxpy, matmul, fft, stencil and dlu — at
 // dim 4, where the machine has two modules and so two shards: every

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"context"
-
 	"fmt"
 
 	"tseries/internal/fault"
@@ -128,7 +127,9 @@ func init() {
 }
 
 // Soak runs the chaos scenario and its fault-free golden twin, and
-// compares their final states.
+// compares their final states. The twin runs with neither Plan nor
+// Chaos, so a detection it confirms condemned a live node, and fails
+// the soak.
 func Soak(ctx context.Context, params SoakParams) (SoakResult, error) {
 	if params.Epochs < 1 || params.PhasesPerEpoch < 1 {
 		return SoakResult{}, fmt.Errorf("workloads: soak needs at least one epoch and one phase")
@@ -137,18 +138,23 @@ func Soak(ctx context.Context, params SoakParams) (SoakResult, error) {
 	if skOutRowBase+total >= memory.NumRows-1 {
 		return SoakResult{}, fmt.Errorf("workloads: %d soak phases overflow node memory", total)
 	}
-	plan := params.Plan
-	golden, err := soakRun(ctx, params, nil)
+	twin := params
+	twin.Plan, twin.Chaos = nil, nil
+	golden, err := soakRun(ctx, twin)
 	if err != nil {
 		return SoakResult{}, fmt.Errorf("workloads: fault-free golden run failed: %w", err)
 	}
-	if plan == nil && params.Chaos == nil {
+	if golden.DetectEvents > 0 {
+		// Nothing failed, so every detection condemned a live node.
+		return SoakResult{}, fmt.Errorf("workloads: fault-free golden run confirmed %d detection(s)", golden.DetectEvents)
+	}
+	if params.Plan == nil && params.Chaos == nil {
 		// Nothing to soak against: the run IS the golden.
 		golden.Golden = golden.Fingerprint
 		golden.Correct = golden.Correct && golden.LeakedProcs == 0 && golden.DiskUnitsHeld == 0
 		return golden, nil
 	}
-	res, err := soakRun(ctx, params, plan)
+	res, err := soakRun(ctx, params)
 	if err != nil {
 		return SoakResult{}, err
 	}
@@ -160,10 +166,10 @@ func Soak(ctx context.Context, params SoakParams) (SoakResult, error) {
 	return res, nil
 }
 
-// soakRun executes one soak instance. plan nil with params.Chaos set
-// expands the recipe; plan nil with no chaos runs fault-free (the
-// golden twin).
-func soakRun(ctx context.Context, params SoakParams, plan *fault.Plan) (SoakResult, error) {
+// soakRun executes one soak instance under params.Plan, or else under
+// params.Chaos expanded for the machine; with neither it runs fault-free
+// (the golden twin).
+func soakRun(ctx context.Context, params SoakParams) (SoakResult, error) {
 	total := params.Epochs * params.PhasesPerEpoch
 	m, err := machine.NewAuto(ctx, params.Dim, KernelShardsFrom(ctx))
 	if err != nil {
@@ -175,6 +181,7 @@ func soakRun(ctx context.Context, params SoakParams, plan *fault.Plan) (SoakResu
 	if err != nil {
 		return SoakResult{}, err
 	}
+	plan := params.Plan
 	if plan == nil && params.Chaos != nil {
 		plan = params.Chaos.Expand(len(m.Nodes), m.Dim)
 	}
