@@ -45,7 +45,7 @@ func E18SelfHealing(ctx context.Context) (*Result, error) {
 			res.Remaps, res.Degraded, res.Rollbacks, res.Fingerprint == res.Golden)
 	}
 
-	// Scenario 1: fault-free baseline — the healer must stay silent.
+	// Scenario 1: fault-free baseline — self-healing must stay silent.
 	clean, err := workloads.Soak(ctx, base)
 	if err != nil {
 		return nil, err
@@ -73,7 +73,7 @@ func E18SelfHealing(ctx context.Context) (*Result, error) {
 	r.Metrics["crash_remaps"] = float64(crash.Remaps)
 	r.Metrics["crash_golden_match"] = 1
 
-	// Scenario 3: same crash with the spare pool empty — the healer
+	// Scenario 3: same crash with the spare pool empty — recovery
 	// falls back to in-place repair, paying the board-swap stall.
 	p = base
 	p.Spares = 0

@@ -351,7 +351,7 @@ func TestRingSkipping(t *testing.T) {
 		}
 	}
 	// Skipping preserves Gray order and drops exactly the skipped nodes
-	// — the healer leans on this to keep surviving images in a stable
+	// — Heal leans on this to keep surviving images in a stable
 	// relative order no matter which boards have been retired.
 	skip := map[int]bool{2: true, 7: true, 5: true}
 	ring := RingSkipping(3, func(i int) bool { return skip[i] })

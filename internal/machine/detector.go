@@ -35,7 +35,6 @@ import (
 // fixed timeout.
 type Detector struct {
 	M  *Machine
-	R  RecoveryParams
 	sv *Supervisor
 
 	susp  int      // suspension depth
@@ -67,16 +66,33 @@ type Detector struct {
 	procs []*sim.Proc
 }
 
-// LossyRetransmits is how many retransmits within one detect window
-// mark a channel as persistently lossy.
-const LossyRetransmits = 8
+// Detection thresholds.
+const (
+	// HeartbeatInterval is how often each node publishes liveness along
+	// its module's system thread.
+	HeartbeatInterval = 100 * sim.Millisecond
+	// DetectInterval is how often each board judges its slots and module
+	// 0 applies the machine-wide rules.
+	DetectInterval = 250 * sim.Millisecond
+	// SuspectPhi and ConfirmPhi are the phi-accrual thresholds: a slot
+	// whose suspicion reaches SuspectPhi is suspected, and the cut point
+	// of a module is confirmed dead once its suspicion reaches
+	// ConfirmPhi.
+	SuspectPhi = 4
+	ConfirmPhi = 8
+	// HangTimeout is how long a beating slot's progress word may stay
+	// frozen before the slot is a hang candidate.
+	HangTimeout = 30 * sim.Second
+	// LossyRetransmits is how many retransmits within one detect window
+	// mark a channel as persistently lossy.
+	LossyRetransmits = 8
+)
 
-// NewDetector builds a detector for the machine using its Spec.Recovery
-// thresholds, alarming through the given supervisor.
-func NewDetector(m *Machine, sv *Supervisor) *Detector {
-	d := &Detector{
+// newDetector builds a detector for the machine, alarming through the
+// given supervisor.
+func newDetector(m *Machine, sv *Supervisor) *Detector {
+	return &Detector{
 		M:          m,
-		R:          m.Spec.Recovery,
 		sv:         sv,
 		confirmed:  map[int]bool{},
 		priorHangs: map[int]bool{},
@@ -84,8 +100,6 @@ func NewDetector(m *Machine, sv *Supervisor) *Detector {
 		lossy:      make([]bool, len(m.Nodes)*link.LinksPerNode),
 		verdicts:   m.shard0Chans(sim.NewChan(m.K, "machine/verdicts", len(m.Modules)))[0],
 	}
-	sv.det = d
-	return d
 }
 
 // DetectedDeath is the detector's verdict that a node is dead, raised
@@ -111,9 +125,9 @@ func (e *DetectedHang) Error() string {
 	return fmt.Sprintf("detector: node %d confirmed hung after %v without progress", e.Node, e.Stall)
 }
 
-// Suspend pauses evaluation (nestable). The supervisor suspends around
-// checkpoints and the healer around recovery: both flood the module
-// threads for seconds, and the delayed beats would read as silence.
+// Suspend pauses evaluation (nestable). The supervisor suspends it
+// around checkpoints and recovery: both flood the module threads for
+// seconds, and the delayed beats would read as silence.
 // Boards on every shard read the suspension, so it changes only in a
 // Global section (or before the run).
 func (d *Detector) Suspend() { d.susp++ }
@@ -136,19 +150,18 @@ func (d *Detector) Resume() {
 // daemon of every board, each on its module's shard. It spawns on
 // every shard, so call it in a Global section.
 func (d *Detector) Start() {
-	r := d.R
 	d.floor = d.M.K.Now()
 	for _, mod := range d.M.Modules {
-		mod.StartHeartbeats(r.HeartbeatInterval)
+		mod.StartHeartbeats(HeartbeatInterval)
 	}
-	d.procs = []*sim.Proc{d.M.K.Every("machine/detector", r.DetectInterval, func(p *sim.Proc) {
+	d.procs = []*sim.Proc{d.M.K.Every("machine/detector", DetectInterval, func(p *sim.Proc) {
 		if d.susp == 0 {
 			d.evaluate(p.Now())
 		}
 	})}
 	for _, mod := range d.M.Modules[1:] {
 		s := mod.Index
-		d.procs = append(d.procs, d.M.Group.Shard(s).Every(fmt.Sprintf("mod%d/sys/judge", s), r.DetectInterval, func(p *sim.Proc) {
+		d.procs = append(d.procs, d.M.Group.Shard(s).Every(fmt.Sprintf("mod%d/sys/judge", s), DetectInterval, func(p *sim.Proc) {
 			if d.susp == 0 {
 				d.verdicts.send(p, s, d.judge(p.Now(), mod))
 			}
@@ -286,26 +299,25 @@ func (d *Detector) evaluate(now sim.Time) {
 // judge runs the phi and hang rules over mod's own ledger at now and
 // scans mod's links. It runs on mod's shard.
 func (d *Detector) judge(now sim.Time, mod *module.Module) verdict {
-	hs := mod.HealthSnapshot()
 	base := mod.Index * module.NodesPerModule
 	v := verdict{mod: mod.Index, at: now, cut: -1, lossy: d.scanLossy(mod)}
-	for _, s := range hs.Slots {
-		if !s.Bypassed && s.Advanced {
+	for slot := range mod.Nodes {
+		if !mod.Bypassed(slot) && mod.Health(slot).Advanced {
 			v.advanced = true
 		}
 	}
 	// Walk from the top: the highest-indexed silent slot is the cut
 	// point, and a suspect (phi past SuspectPhi, short of ConfirmPhi)
 	// shadows everything below it too.
-	for slot := len(hs.Slots) - 1; slot >= 0; slot-- {
-		s := hs.Slots[slot]
-		if s.Bypassed {
+	for slot := len(mod.Nodes) - 1; slot >= 0; slot-- {
+		if mod.Bypassed(slot) {
 			continue
 		}
-		if phi := d.phi(now, s); phi >= d.R.ConfirmPhi {
+		s := mod.Health(slot)
+		if phi := d.phi(now, s); phi >= ConfirmPhi {
 			v.cut, v.silence = base+slot, d.silence(now, s)
 			break
-		} else if phi >= d.R.SuspectPhi {
+		} else if phi >= SuspectPhi {
 			break
 		}
 		// Slot is beating. Frozen progress while beats still arrive is a
@@ -313,11 +325,11 @@ func (d *Detector) judge(now sim.Time, mod *module.Module) verdict {
 		// stopped, or peers are advancing and this slot never started (a
 		// board wedged before its first phase), which module 0 decides.
 		// Cold spares are exempt: their frozen progress is by design.
-		if s.Spare {
+		if mod.ImageOf(slot) < 0 {
 			continue
 		}
 		adv := max(s.LastAdvance, d.floor)
-		if stall := now.Sub(adv); stall > d.R.HangTimeout {
+		if stall := now.Sub(adv); stall > HangTimeout {
 			v.hangs = append(v.hangs, hangCand{id: base + slot, adv: adv, stall: stall, advanced: s.Advanced})
 		}
 	}
@@ -329,7 +341,7 @@ func (d *Detector) judge(now sim.Time, mod *module.Module) verdict {
 // period. Beats queued behind a congested thread arrive in bursts, and
 // their arrival gaps say nothing about how often the node beats.
 func (d *Detector) phi(now sim.Time, s module.SlotHealth) float64 {
-	return float64(d.silence(now, s)) / float64(max(s.EwmaGap, d.R.HeartbeatInterval))
+	return float64(d.silence(now, s)) / float64(max(s.EwmaGap, HeartbeatInterval))
 }
 
 // silence is the raw quiet time behind a confirmation.

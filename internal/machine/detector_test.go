@@ -18,9 +18,7 @@ import (
 // records what the other boards found.
 func TestLossyLinkScan(t *testing.T) {
 	m := newMachine(t, 4)
-	sv := NewSupervisor(m)
-	d := NewDetector(m, sv)
-	r := m.Spec.Recovery
+	d := newDetector(m, NewSupervisor(m))
 	mod0, mod1 := m.Modules[0], m.Modules[1]
 
 	// A retransmit burst past the budget marks the channel lossy on its
@@ -48,9 +46,9 @@ func TestLossyLinkScan(t *testing.T) {
 	m.Nodes[0].Links[1].Retransmits += 3 * int64(LossyRetransmits)
 	m.K.Go("ctl", func(p *sim.Proc) {
 		m.Group.Global(p, func(sim.Time) { d.Start() })
-		p.Wait(r.DetectInterval / 2)
+		p.Wait(DetectInterval / 2)
 		m.Group.Global(p, func(sim.Time) { m.Nodes[9].Links[2].Retransmits += 2 * int64(LossyRetransmits) })
-		p.Wait(2 * r.DetectInterval)
+		p.Wait(2 * DetectInterval)
 		m.Group.Global(p, func(sim.Time) { d.Stop() })
 	})
 	m.Run(0)
@@ -68,7 +66,7 @@ func TestLossyLinkScan(t *testing.T) {
 // one 100 ms beat period, not ten gaps: phi 0.79, not 9.9.
 func TestPhiFloorsTheGap(t *testing.T) {
 	m := newMachine(t, 2)
-	d := NewDetector(m, NewSupervisor(m))
+	d := newDetector(m, NewSupervisor(m))
 	last := sim.Time(10 * sim.Second)
 	s := module.SlotHealth{Beats: 100, LastBeat: last, EwmaGap: 7950 * sim.Microsecond}
 	if got := d.phi(last.Add(79*sim.Millisecond), s); math.Abs(got-0.79) > 1e-9 {
@@ -84,8 +82,7 @@ func TestPhiFloorsTheGap(t *testing.T) {
 func TestDetectorSuspendResume(t *testing.T) {
 	m := newMachine(t, 2)
 	k := m.K
-	sv := NewSupervisor(m)
-	d := NewDetector(m, sv)
+	d := newDetector(m, NewSupervisor(m))
 
 	// Suspension nests: two Suspends need two Resumes before the floor
 	// resets and confirmations clear.
@@ -121,8 +118,7 @@ func TestDetectorConfirmsCutPointOnly(t *testing.T) {
 	m := newMachine(t, 2)
 	k := m.K
 	sv := NewSupervisor(m)
-	d := NewDetector(m, sv)
-	r := m.Spec.Recovery
+	d := newDetector(m, sv)
 
 	// Heartbeats and detection on; crash node 3 silently mid-run, then
 	// let the evaluation daemon notice. The controller stops everything
@@ -146,7 +142,7 @@ func TestDetectorConfirmsCutPointOnly(t *testing.T) {
 	if dd.Node != 3 {
 		t.Fatalf("condemned node %d, want 3 (the cut point)", dd.Node)
 	}
-	if dd.Silence <= 0 || dd.Silence > 20*r.HeartbeatInterval {
+	if dd.Silence <= 0 || dd.Silence > 20*HeartbeatInterval {
 		t.Fatalf("detection latency %v implausible", dd.Silence)
 	}
 	if got := k.Stats().Counters["heal.detect_events"]; got != 1 {
@@ -165,20 +161,20 @@ func TestDroppedMachineIsCollected(t *testing.T) {
 	collected := make(chan struct{})
 	func() {
 		m := newMachine(t, 4)
-		h, err := NewHealer(m, NewSupervisor(m))
-		if err != nil {
+		sv := NewSupervisor(m)
+		if err := sv.Heal(0); err != nil {
 			t.Fatal(err)
 		}
 		m.K.Go("start", func(p *sim.Proc) {
-			m.Group.Global(p, func(sim.Time) { h.Det.Start() })
+			m.Group.Global(p, func(sim.Time) { sv.det.Start() })
 		})
 		m.Run(2 * sim.Second)
-		if len(h.Det.procs) != 2 || h.Det.procs[0].Done() {
+		if len(sv.det.procs) != 2 || sv.det.procs[0].Done() {
 			t.Fatal("the detector is not running")
 		}
 		leaf := new([64]byte)
 		runtime.SetFinalizer(leaf, func(*[64]byte) { close(collected) })
-		h.Det.procs[0].OnExit(func() { leaf[0]++ })
+		sv.det.procs[0].OnExit(func() { leaf[0]++ })
 	}()
 	if err := leakcheck.Wait(base); err != nil {
 		t.Fatal(err)
@@ -207,14 +203,13 @@ func TestVerdictsReachModuleZeroAtScale(t *testing.T) {
 		t.Run(fmt.Sprintf("dim%d", c.dim), func(t *testing.T) {
 			m := newMachine(t, c.dim)
 			sv := NewSupervisor(m)
-			d := NewDetector(m, sv)
-			r := m.Spec.Recovery
+			d := newDetector(m, sv)
 			m.K.Go("start", func(p *sim.Proc) {
 				m.Group.Global(p, func(sim.Time) { d.Start() })
 			})
 			// Every board judges one interval after Start, and module 0's
 			// second pass takes the verdicts: stop just before it.
-			m.Run(2*r.DetectInterval - sim.Nanosecond)
+			m.Run(2*DetectInterval - sim.Nanosecond)
 			heard := make([]bool, len(m.Modules))
 			for {
 				x, ok := d.verdicts.ch.TryRecv()
@@ -222,7 +217,7 @@ func TestVerdictsReachModuleZeroAtScale(t *testing.T) {
 					break
 				}
 				v := x.(verdict)
-				if v.mod < 1 || heard[v.mod] || v.at != d.floor.Add(r.DetectInterval) || v.cut >= 0 {
+				if v.mod < 1 || heard[v.mod] || v.at != d.floor.Add(DetectInterval) || v.cut >= 0 {
 					t.Fatalf("unexpected verdict %+v (Start at %v)", v, d.floor)
 				}
 				heard[v.mod] = true

@@ -16,7 +16,7 @@ const bootMarkWord = 0x100
 
 // TestHealReseedsSpareFromTornBootCheckpoint crashes a board of a
 // one-module machine while the boot checkpoint is still streaming, so
-// no snapshot ever reaches the disk. The healer must remap the dead
+// no snapshot ever reaches the disk. Recovery must remap the dead
 // board's image onto the module's spare and seed the spare from the
 // corpse's static RAM: the spare then carries the corpse's boot image,
 // the remap is counted, and every image's body finds its own boot mark.
@@ -25,10 +25,8 @@ func TestHealReseedsSpareFromTornBootCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Spec.Recovery.SpareNodes = 1
 	sv := NewSupervisor(m)
-	h, err := NewHealer(m, sv)
-	if err != nil {
+	if err := sv.Heal(1); err != nil {
 		t.Fatal(err)
 	}
 	const corpse = 3
@@ -41,8 +39,8 @@ func TestHealReseedsSpareFromTornBootCheckpoint(t *testing.T) {
 
 	var runErr error
 	m.K.Go("heal/supervise", func(p *sim.Proc) {
-		runErr = h.Run(p, func(bp *sim.Proc, img int) error {
-			mark, err := h.NodeOf(img).Mem.ReadWord(bp, bootMarkWord)
+		runErr = sv.Run(p, func(bp *sim.Proc, img int) error {
+			mark, err := sv.NodeOf(img).Mem.ReadWord(bp, bootMarkWord)
 			if err != nil {
 				return err
 			}
@@ -54,15 +52,15 @@ func TestHealReseedsSpareFromTornBootCheckpoint(t *testing.T) {
 	})
 	m.Run(0)
 	if runErr != nil {
-		t.Fatalf("healed run failed: %v\nheal log:\n%s", runErr, strings.Join(h.Events, "\n"))
+		t.Fatalf("healed run failed: %v\nheal log:\n%s", runErr, strings.Join(sv.Events, "\n"))
 	}
-	if h.Remaps != 1 {
-		t.Fatalf("Remaps = %d, want 1\nheal log:\n%s", h.Remaps, strings.Join(h.Events, "\n"))
+	if sv.Remaps != 1 {
+		t.Fatalf("Remaps = %d, want 1\nheal log:\n%s", sv.Remaps, strings.Join(sv.Events, "\n"))
 	}
 	if got := m.SimStats().Counters["heal.remap_count"]; got != 1 {
 		t.Fatalf("heal.remap_count = %d, want 1", got)
 	}
-	spare := h.PhysOf(corpse)
+	spare := sv.PhysOf(corpse)
 	if spare == corpse || spare < 0 {
 		t.Fatalf("image %d still on board %d", corpse, spare)
 	}
@@ -71,5 +69,15 @@ func TestHealReseedsSpareFromTornBootCheckpoint(t *testing.T) {
 	}
 	if sv.lastSnaps == nil {
 		t.Fatal("boot checkpoint never completed after the heal")
+	}
+}
+
+// TestHealRejectsSpareCountOutOfRange: a module must keep at least one
+// slot carrying an image, so Heal takes 0..7 spares per module.
+func TestHealRejectsSpareCountOutOfRange(t *testing.T) {
+	for _, spares := range []int{-1, 8} {
+		if err := NewSupervisor(newMachine(t, 3)).Heal(spares); err == nil {
+			t.Fatalf("Heal(%d) accepted", spares)
+		}
 	}
 }

@@ -42,7 +42,7 @@ const MaxSimDim = 12
 //     observer), and its comm topology view rebuilds on read whenever
 //     one of its links changed, not at window barriers;
 //  3. its fault plan is the single corruption stream on every link,
-//     consumed in kernel order (ArmFaultsSink);
+//     consumed in kernel order (ArmFaults);
 //  4. it reports its kernel's own statistics (SimStats), so its reports
 //     keep the single-kernel shape, with no Shards or Windows.
 //

@@ -14,23 +14,39 @@ import (
 	"tseries/internal/stats"
 )
 
+// Recovery policy. The snapshot interval is not part of it: a workload
+// picks its own and passes it to MaybeCheckpoint (the paper calls about
+// 10 minutes a good compromise against a snapshot of about 15 seconds).
+const (
+	// MaxRestarts bounds how many rollbacks a supervised run tolerates.
+	MaxRestarts = 4
+	// DrainTime lets in-flight DMA and router traffic settle after a
+	// halt, before state is flushed.
+	DrainTime = 500 * sim.Millisecond
+	// BoardSwapTime is the degraded-mode stall for repairing a dead board
+	// in place once spares are exhausted — the field-engineer visit the
+	// spare pool exists to avoid.
+	BoardSwapTime = 120 * sim.Second
+)
+
 // Supervisor is the recovery orchestrator the paper's system ring and
 // disk exist to support: it runs a distributed workload under watch,
 // and when an unrecoverable fault surfaces — a node crash, a link that
 // stays dead past its retransmit budget, a memory parity error — it
-// halts the machine, flushes in-flight traffic, restores the last
-// consistent snapshot from the module disks, and replays. A workload
-// that keeps its progress in checkpointed node memory resumes from the
-// last completed phase rather than from scratch.
+// halts the machine, flushes in-flight traffic, repairs the dead
+// boards, restores the last consistent snapshot from the module disks,
+// and replays. A workload that keeps its progress in checkpointed node
+// memory resumes from the last completed phase rather than from
+// scratch.
+//
+// Workloads run on IMAGES, not boards: image i is the checkpoint
+// identity that booted on physical node i, and the modules' image maps
+// say which board carries it now. Heal turns self-healing on: a
+// heartbeat failure detector finds dead and hung boards with no fault
+// plan courtesy required, and recovery moves a dead board's image onto
+// a cold spare.
 type Supervisor struct {
 	M *Machine
-
-	// MaxRestarts bounds how many rollbacks Run tolerates before
-	// giving up.
-	MaxRestarts int
-	// DrainTime is how long the supervisor lets in-flight DMA and
-	// router activity settle after halting, before flushing state.
-	DrainTime sim.Duration
 
 	// alarm and ok are shard-0 channels fed from every shard: alarm
 	// carries body errors and fault alarms, ok body-completed tokens.
@@ -39,6 +55,9 @@ type Supervisor struct {
 	ok    *shard0Chan
 	gen   int64
 
+	// imgs lists the images Run spawns a body for, in spawn order: every
+	// node in id order, or after Heal the Gray ring skipping the spares.
+	imgs  []int
 	procs []*sim.Proc
 	// hung marks boards wedged by a hang fault. The wedge is a property
 	// of the BOARD, not of whatever process happened to be running: a
@@ -52,8 +71,8 @@ type Supervisor struct {
 	prevSnaps []*module.Snapshot
 	lastCkpt  sim.Time
 
-	// det, when a Healer is attached, is suspended around checkpoints
-	// and recovery so the thread congestion they cause is not read as
+	// det, attached by Heal, is suspended around checkpoints and
+	// recovery so the thread congestion they cause is not read as
 	// silence.
 	det *Detector
 
@@ -64,25 +83,33 @@ type Supervisor struct {
 	Rollbacks        int64
 	RestoreFallbacks int64
 
+	// Remaps counts images moved onto spares; Degraded counts in-place
+	// repairs after spare exhaustion. Both stay zero without Heal.
+	Remaps   int64
+	Degraded int64
+	// Events is a human-readable heal log.
+	Events []string
+
 	// LastRecovery is the halt-to-replay time of the most recent
-	// rollback (the experiment E17 recovery-time metric).
+	// recovery (the experiment E17 recovery-time metric).
 	LastRecovery sim.Duration
 }
 
-// NewSupervisor attaches a recovery supervisor to a machine, taking its
-// policy from the machine's Spec.Recovery.
+// NewSupervisor attaches a recovery supervisor to a machine.
 func NewSupervisor(m *Machine) *Supervisor {
-	r := m.Spec.Recovery
 	chans := m.shard0Chans(
 		sim.NewChan(m.K, "supervisor/alarm", 1024),
 		sim.NewChan(m.K, "supervisor/ok", 4*m.Spec.Nodes))
+	imgs := make([]int, len(m.Nodes))
+	for i := range imgs {
+		imgs[i] = i
+	}
 	return &Supervisor{
-		M:           m,
-		MaxRestarts: r.MaxRestarts,
-		DrainTime:   r.DrainTime,
-		alarm:       chans[0],
-		ok:          chans[1],
-		hung:        make([]bool, m.Spec.Nodes),
+		M:     m,
+		alarm: chans[0],
+		ok:    chans[1],
+		imgs:  imgs,
+		hung:  make([]bool, m.Spec.Nodes),
 	}
 }
 
@@ -94,23 +121,10 @@ func (sv *Supervisor) post(s int, err error) {
 	})
 }
 
-// FaultSink receives fault-injection notifications. The Supervisor is
-// the standard sink; a nil sink means pure injection with no observer.
-type FaultSink interface {
-	// NodeCrashed reports that a node's board died. declared=false is a
-	// SILENT crash: the machine is not alarmed, and only a heartbeat
-	// failure detector can discover it.
-	NodeCrashed(id int, declared bool)
-	// NodeHung reports that a node's board wedged: it stops executing
-	// (and so stops advancing its progress word) but its links stay up
-	// and its heartbeat hardware keeps beating. Always silent.
-	NodeHung(id int)
-}
-
 // NodeCrashed is the fault injector's notification that a node died.
 // The node's application process is killed on the spot — its board
-// stopped executing. A declared crash also alarms the supervisor; an
-// undeclared one is left for the failure detector to find.
+// stopped executing. A declared crash also alarms the supervisor; a
+// silent one is left for the failure detector to find.
 func (sv *Supervisor) NodeCrashed(id int, declared bool) {
 	// This runs on the crashed node's shard; two shards can take a crash
 	// in the same window, so the counter is atomic (its final value is
@@ -123,8 +137,9 @@ func (sv *Supervisor) NodeCrashed(id int, declared bool) {
 }
 
 // NodeHung wedges a node: its application process stops dead, but the
-// board keeps beating with a frozen progress word. Only a detector
-// watching progress can tell this from slow code.
+// board keeps beating with a frozen progress word. Hangs are always
+// silent; only a detector watching progress can tell this from slow
+// code.
 func (sv *Supervisor) NodeHung(id int) {
 	atomic.AddInt64(&sv.Hangs, 1)
 	sv.hung[id] = true
@@ -139,19 +154,25 @@ func (sv *Supervisor) killBody(id int) {
 	}
 }
 
+// withDetector runs fn on the attached detector in a Global section, so
+// boards on every shard see the change at a window barrier. Without a
+// detector it does nothing: a run without Heal carries no Global section
+// for it.
+func (sv *Supervisor) withDetector(p *sim.Proc, fn func(*Detector)) {
+	if sv.det != nil {
+		sv.M.Group.Global(p, func(sim.Time) { fn(sv.det) })
+	}
+}
+
 // Checkpoint snapshots every module now and makes it the rollback
 // target, keeping the previous snapshot as a fallback against disk
 // corruption.
 func (sv *Supervisor) Checkpoint(p *sim.Proc) error {
 	// A snapshot floods the module threads for seconds; a detector left
-	// watching would read the delayed beats as silence. A Global section
-	// flips the suspension at a window barrier, with every shard
-	// quiescent. p runs on shard 0 with the detector, as SnapshotAll
-	// requires.
-	if sv.det != nil {
-		sv.M.Group.Global(p, func(sim.Time) { sv.det.Suspend() })
-		defer sv.M.Group.Global(p, func(sim.Time) { sv.det.Resume() })
-	}
+	// watching would read the delayed beats as silence. p runs on shard 0
+	// with the detector, as SnapshotAll requires.
+	sv.withDetector(p, (*Detector).Suspend)
+	defer sv.withDetector(p, (*Detector).Resume)
 	snaps, err := sv.M.SnapshotAll(p)
 	if err != nil {
 		return err
@@ -170,52 +191,93 @@ func (sv *Supervisor) MaybeCheckpoint(p *sim.Proc, interval sim.Duration) error 
 	return sv.Checkpoint(p)
 }
 
-// Run executes body once per node under supervision: it takes an
-// initial checkpoint, spawns one process per node on that node's own
-// shard, and waits for all of them — or for a fault. A body that
-// returns an error raises an alarm (so does the fault injector, for
-// crashes); the supervisor then halts everything, rolls the machine
-// back, and replays, up to MaxRestarts times. Bodies spawn inside a
-// Global section, so spawn order never races; completions and alarms
-// travel the staged uplink edges to the supervising process, which must
-// run on shard 0, where the alarm channel lives.
-func (sv *Supervisor) Run(p *sim.Proc, body func(bp *sim.Proc, id int) error) error {
+// Run executes body once per image under supervision: it takes a boot
+// checkpoint, starts the detector if Heal attached one, spawns one
+// process per image on the shard of the board that carries it, and
+// waits for all of them — or for a fault. A body that returns an error
+// raises an alarm (so do the fault injector, for declared crashes, and
+// the detector); the supervisor then recovers and replays, up to
+// MaxRestarts times. A fault that tears the boot checkpoint is
+// recovered from the same way, and the checkpoint retaken. Bodies spawn
+// inside a Global section, so spawn order never races; completions and
+// alarms travel the staged uplink edges to the supervising process,
+// which must run on shard 0, where the alarm channel lives.
+func (sv *Supervisor) Run(p *sim.Proc, body func(bp *sim.Proc, img int) error) error {
 	m := sv.M
-	n := m.Spec.Nodes
-	if err := sv.Checkpoint(p); err != nil {
-		return err
+	restart := 0
+	// recoverFrom follows a fault with the recovery sequence, retrying
+	// within the restart budget when recovery is itself interrupted (a
+	// second board dying mid-restore).
+	recoverFrom := func(cause error) error {
+		for {
+			err := sv.recover(p, cause)
+			if err == nil {
+				return nil
+			}
+			if restart++; restart > MaxRestarts {
+				return err
+			}
+			cause = err
+		}
 	}
-	for restart := 0; ; restart++ {
+	for {
+		err := sv.Checkpoint(p)
+		if err == nil {
+			break
+		}
+		if restart >= MaxRestarts {
+			return err
+		}
+		restart++
+		if err := recoverFrom(err); err != nil {
+			return err
+		}
+	}
+	sv.withDetector(p, (*Detector).Start)
+	defer sv.withDetector(p, (*Detector).Stop)
+	for ; ; restart++ {
+		for _, img := range sv.imgs {
+			if sv.PhysOf(img) < 0 {
+				m.Group.Global(p, func(sim.Time) { sv.killBodies() })
+				return fmt.Errorf("supervisor: image %d has no board", img)
+			}
+		}
 		sv.gen++
 		gen := sv.gen
-		sv.procs = make([]*sim.Proc, n)
+		sv.procs = make([]*sim.Proc, len(m.Nodes))
 		m.Group.Global(p, func(sim.Time) {
-			for id := 0; id < n; id++ {
-				sv.procs[id] = sv.spawnBody(fmt.Sprintf("supervisor/n%d", id), id, gen,
-					func(bp *sim.Proc) error { return body(bp, id) })
+			for _, img := range sv.imgs {
+				phys := sv.PhysOf(img)
+				pr := sv.spawnBody(img, phys, gen, body)
+				sv.procs[phys] = pr
+				if sv.hung[phys] {
+					// The board wedged before this body ever ran; it stops
+					// dead, and only the progress-watching detector can tell.
+					pr.Kill()
+				}
 			}
 		})
-		faultErr := sv.await(p, n, gen)
+		faultErr := sv.await(p, len(sv.imgs), gen)
 		if faultErr == nil {
 			return nil
 		}
-		if restart >= sv.MaxRestarts {
+		if restart >= MaxRestarts {
 			m.Group.Global(p, func(sim.Time) { sv.killBodies() })
 			return fmt.Errorf("supervisor: giving up after %d restarts: %v", restart, faultErr)
 		}
-		if err := sv.recover(p); err != nil {
+		if err := recoverFrom(faultErr); err != nil {
 			return err
 		}
 	}
 }
 
-// spawnBody starts run as a process on node phys's shard, from a Global
-// section. A body that fails raises its error as an alarm; one that
-// returns cleanly posts an ok token of generation gen.
-func (sv *Supervisor) spawnBody(name string, phys int, gen int64, run func(bp *sim.Proc) error) *sim.Proc {
+// spawnBody starts image img's body as a process on board phys's shard,
+// from a Global section. A body that fails raises its error as an
+// alarm; one that returns cleanly posts an ok token of generation gen.
+func (sv *Supervisor) spawnBody(img, phys int, gen int64, body func(bp *sim.Proc, img int) error) *sim.Proc {
 	s := shardOf(phys)
-	return sv.M.Nodes[phys].K.Go(name, func(bp *sim.Proc) {
-		if err := run(bp); err != nil {
+	return sv.M.Nodes[phys].K.Go(fmt.Sprintf("supervisor/img%d", img), func(bp *sim.Proc) {
+		if err := body(bp, img); err != nil {
 			sv.noteFault(err)
 			sv.alarm.send(bp, s, err)
 			return
@@ -264,16 +326,23 @@ func (sv *Supervisor) noteFault(err error) {
 // generation so tokens of a halted restart are skipped.
 type okTok struct{ gen int64 }
 
-// recover is the rollback sequence: halt, drain, flush, repair,
-// restore, and clear stale alarms. The halt/flush/repair steps mutate
-// state owned by every shard, so each runs in a Global section; the
-// drain wait between them is real simulated time, during which
-// in-flight DMA transfers, router forwards and staged frames (bounded
-// by the frame transfer time, microseconds against a 500 ms drain)
-// settle, so nothing re-enters the queues behind the flush.
-func (sv *Supervisor) recover(p *sim.Proc) error {
+// recover is the recovery sequence that follows every fault: halt,
+// drain, flush, repair, restore, and clear stale alarms. Every step that
+// touches state owned by other shards — killing bodies, aborting
+// snapshots, flushing, the repair — runs in a Global section with all
+// shards quiescent; the timed waits (the drain, the boot-state service
+// reads, the degraded-mode board swap) run between the sections, since a
+// Global body must not block. The drain lets in-flight DMA transfers,
+// router forwards and staged frames (bounded by the frame transfer
+// time, microseconds against a 500 ms drain) settle, so nothing
+// re-enters the queues behind the flush. With no snapshot on disk yet
+// (a torn boot checkpoint) there is nothing to restore: the caller
+// retakes the checkpoint.
+func (sv *Supervisor) recover(p *sim.Proc, cause error) error {
 	m := sv.M
 	start := p.Now()
+	sv.withDetector(p, (*Detector).Suspend)
+	defer sv.withDetector(p, (*Detector).Resume)
 	m.Group.Global(p, func(sim.Time) {
 		sv.killBodies()
 		// A crash can land mid-checkpoint; abort the snapshot workers
@@ -283,24 +352,49 @@ func (sv *Supervisor) recover(p *sim.Proc) error {
 			mod.AbortSnapshot()
 		}
 	})
-	p.Wait(sv.DrainTime)
+	p.Wait(DrainTime)
+	var reseeds []reseed
+	var degraded bool
+	var err error
 	m.Group.Global(p, func(sim.Time) {
 		m.Net.Flush()
 		for _, mod := range m.Modules {
 			mod.FlushThread()
 		}
-		for _, nd := range m.Nodes {
-			if !nd.Alive() {
-				nd.Repair()
-			}
-		}
+		reseeds, degraded, err = sv.repair(p, cause)
 	})
-	if err := sv.restoreLatest(p); err != nil {
+	if err != nil {
 		return err
 	}
-	sv.Rollbacks++
+	if len(reseeds) > 0 {
+		// The boot checkpoint never completed, so there is nothing on
+		// disk to restore the images from. The dead boards' static RAM
+		// still holds their untouched boot state: pay the service-path
+		// read time per corpse, then seed the spares from it with the
+		// machine quiescent.
+		for range reseeds {
+			p.Wait(sim.Duration(memory.NumRows) * sim.RowAccess)
+		}
+		m.Group.Global(p, func(sim.Time) {
+			for _, r := range reseeds {
+				m.Nodes[r.spare].Mem.PokeBytes(0, m.Nodes[r.corpse].Mem.PeekBytes(0, memory.Bytes))
+			}
+		})
+	}
+	if degraded {
+		p.Wait(BoardSwapTime)
+	}
+	if sv.lastSnaps != nil {
+		if err := sv.restoreLatest(p); err != nil {
+			return err
+		}
+		sv.Rollbacks++
+	}
 	sv.drainAlarms()
 	sv.LastRecovery = p.Now().Sub(start)
+	if sv.det != nil {
+		m.K.Count("heal.recover_ns", int64(sv.LastRecovery/sim.Nanosecond))
+	}
 	return nil
 }
 
@@ -330,28 +424,18 @@ func (sv *Supervisor) drainAlarms() {
 
 // ArmFaults attaches a fault plan to the machine: the plan's bit-error
 // injector goes on every link (node links and module system links),
-// and each timed event is scheduled on the kernel. sv may be nil when
-// no supervision is wanted (pure injection experiments).
-func (m *Machine) ArmFaults(plan *fault.Plan, sv *Supervisor) {
-	// The typed-nil guard matters: wrapping a nil *Supervisor in the
-	// interface would make sink != nil while every call panics.
-	var sink FaultSink
-	if sv != nil {
-		sink = sv
-	}
-	m.ArmFaultsSink(plan, sink)
-}
-
-// ArmFaultsSink is ArmFaults with an arbitrary fault observer.
+// and each timed event is scheduled on the shard that owns its target.
+// sv, which the events report crashes and hangs to, may be nil when no
+// supervision is wanted (pure injection experiments); a hang then does
+// nothing.
 //
 // One-shard rule 3: on a one-shard machine the plan itself is the
 // injector on every link, a single splitmix64 stream consumed in kernel
 // order. Streams cannot be shared across shards, so above one shard
 // each link gets its own stream derived from (seed, link name) —
 // created here, in host context, so stream creation never depends on
-// simulation scheduling. Each timed event is scheduled on its target's
-// owning shard.
-func (m *Machine) ArmFaultsSink(plan *fault.Plan, sink FaultSink) {
+// simulation scheduling.
+func (m *Machine) ArmFaults(plan *fault.Plan, sv *Supervisor) {
 	if plan == nil {
 		return
 	}
@@ -381,23 +465,23 @@ func (m *Machine) ArmFaultsSink(plan *fault.Plan, sink FaultSink) {
 				shard = shardOf(ev.Node)
 			}
 		}
-		m.Group.Shard(shard).At(sim.Time(ev.At), func() { m.applyFault(ev, sink) })
+		m.Group.Shard(shard).At(sim.Time(ev.At), func() { m.applyFault(ev, sv) })
 	}
 }
 
 // applyFault executes one timed fault event.
-func (m *Machine) applyFault(ev fault.Event, sink FaultSink) {
+func (m *Machine) applyFault(ev fault.Event, sv *Supervisor) {
 	switch ev.Kind {
 	case fault.Crash:
 		if ev.Node < len(m.Nodes) && m.Nodes[ev.Node].Alive() {
 			m.Nodes[ev.Node].Crash()
-			if sink != nil {
-				sink.NodeCrashed(ev.Node, !ev.Silent)
+			if sv != nil {
+				sv.NodeCrashed(ev.Node, !ev.Silent)
 			}
 		}
 	case fault.Hang:
-		if ev.Node < len(m.Nodes) && m.Nodes[ev.Node].Alive() && sink != nil {
-			sink.NodeHung(ev.Node)
+		if ev.Node < len(m.Nodes) && m.Nodes[ev.Node].Alive() && sv != nil {
+			sv.NodeHung(ev.Node)
 		}
 	case fault.LinkDown, fault.LinkUp:
 		if ev.Node < len(m.Nodes) && ev.Dim < m.Dim {

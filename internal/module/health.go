@@ -30,8 +30,8 @@ const kindBeat = 7
 // frozen is hung, not dead.
 const ProgressWord = memory.Bytes/4 - 1
 
-// slotHealth is the board's ledger entry for one thread slot.
-type slotHealth struct {
+// SlotHealth is the board's ledger entry for one thread slot.
+type SlotHealth struct {
 	Beats       int64        // beats seen since boot
 	LastBeat    sim.Time     // arrival of the most recent beat
 	EwmaGap     sim.Duration // smoothed inter-beat gap
@@ -40,11 +40,10 @@ type slotHealth struct {
 	Advanced    bool         // Progress changed at least once
 }
 
-type health struct {
-	slots []slotHealth
-}
-
-func newHealth(n int) *health { return &health{slots: make([]slotHealth, n)} }
+// Health returns a copy of slot's ledger entry. Whether the slot is
+// bypassed or a cold spare the module answers through Bypassed and
+// ImageOf.
+func (m *Module) Health(slot int) SlotHealth { return m.health[slot] }
 
 // noteBeat folds one arriving kindBeat frame into the ledger.
 func (m *Module) noteBeat(now sim.Time, raw []byte) {
@@ -52,10 +51,10 @@ func (m *Module) noteBeat(now sim.Time, raw []byte) {
 		return
 	}
 	slot := int(raw[1])
-	if slot < 0 || slot >= len(m.health.slots) {
+	if slot < 0 || slot >= len(m.health) {
 		return
 	}
-	s := &m.health.slots[slot]
+	s := &m.health[slot]
 	prog := binary.LittleEndian.Uint32(raw[2:6])
 	if s.Beats > 0 {
 		gap := now.Sub(s.LastBeat)
@@ -74,43 +73,6 @@ func (m *Module) noteBeat(now sim.Time, raw []byte) {
 		s.Progress = prog
 		s.LastAdvance = now
 	}
-}
-
-// SlotHealth is the exported view of one slot's ledger entry.
-type SlotHealth struct {
-	Beats       int64
-	LastBeat    sim.Time
-	EwmaGap     sim.Duration
-	Progress    uint32
-	LastAdvance sim.Time
-	Advanced    bool
-	Bypassed    bool
-	// Spare marks a cold spare: alive and beating but carrying no image,
-	// so its progress word is legitimately frozen forever.
-	Spare bool
-}
-
-// HealthSnapshot is a moment-in-time copy of a module's ledger.
-type HealthSnapshot struct {
-	Slots []SlotHealth
-}
-
-// HealthSnapshot samples the local ledger.
-func (m *Module) HealthSnapshot() HealthSnapshot {
-	hs := HealthSnapshot{Slots: make([]SlotHealth, len(m.health.slots))}
-	for i, s := range m.health.slots {
-		hs.Slots[i] = SlotHealth{
-			Beats:       s.Beats,
-			LastBeat:    s.LastBeat,
-			EwmaGap:     s.EwmaGap,
-			Progress:    s.Progress,
-			LastAdvance: s.LastAdvance,
-			Advanced:    s.Advanced,
-			Bypassed:    m.bypassed[i],
-			Spare:       m.mapped[i] < 0 && !m.bypassed[i],
-		}
-	}
-	return hs
 }
 
 // StartHeartbeats starts one beat daemon per node. Each samples the

@@ -21,7 +21,7 @@ func TestNoteBeatLedger(t *testing.T) {
 	// First beat at the boot progress value: counted, but not
 	// "advanced" — the word has not been seen to CHANGE yet.
 	m.noteBeat(sim.Time(100*sim.Millisecond), beatFrame(1, 0))
-	s := m.health.slots[1]
+	s := m.health[1]
 	if s.Beats != 1 || s.Progress != 0 || s.Advanced {
 		t.Fatalf("after first beat: %+v", s)
 	}
@@ -31,7 +31,7 @@ func TestNoteBeatLedger(t *testing.T) {
 
 	// Second beat, same progress: the gap seeds the EWMA; no advance.
 	m.noteBeat(sim.Time(200*sim.Millisecond), beatFrame(1, 0))
-	s = m.health.slots[1]
+	s = m.health[1]
 	if s.EwmaGap != 100*sim.Millisecond {
 		t.Fatalf("EWMA seed = %v, want 100ms", s.EwmaGap)
 	}
@@ -42,7 +42,7 @@ func TestNoteBeatLedger(t *testing.T) {
 	// Third beat after a longer gap, progress bumped: EWMA smooths
 	// 7:1 toward history, and the advance is recorded.
 	m.noteBeat(sim.Time(500*sim.Millisecond), beatFrame(1, 6))
-	s = m.health.slots[1]
+	s = m.health[1]
 	want := (7*100*sim.Millisecond + 300*sim.Millisecond) / 8
 	if s.EwmaGap != want {
 		t.Fatalf("EWMA = %v, want %v", s.EwmaGap, want)
@@ -52,15 +52,18 @@ func TestNoteBeatLedger(t *testing.T) {
 	}
 
 	// Malformed frames change nothing: short, and out-of-range slot.
-	before := m.health.slots[1]
+	before := m.health[1]
 	m.noteBeat(sim.Time(600*sim.Millisecond), []byte{kindBeat, 1})
 	m.noteBeat(sim.Time(600*sim.Millisecond), beatFrame(9, 1))
-	if m.health.slots[1] != before {
+	if m.health[1] != before {
 		t.Fatal("malformed beat mutated the ledger")
 	}
 }
 
-func TestHealthSnapshotFlags(t *testing.T) {
+// TestSpareAndBypassFlags: the flags the detector reads beside the
+// ledger — a cold spare carries no image and stays in the thread, a
+// bypassed corpse is out of the thread, a working slot is neither.
+func TestSpareAndBypassFlags(t *testing.T) {
 	_, m := buildModule(t, 4)
 	if err := m.SetSpare(3); err != nil {
 		t.Fatal(err)
@@ -69,15 +72,17 @@ func TestHealthSnapshotFlags(t *testing.T) {
 	if err := m.BypassSlot(1); err != nil {
 		t.Fatal(err)
 	}
-	hs := m.HealthSnapshot()
-	if !hs.Slots[3].Spare || hs.Slots[3].Bypassed {
-		t.Fatalf("slot 3 flags: %+v", hs.Slots[3])
+	if m.ImageOf(3) >= 0 || m.Bypassed(3) {
+		t.Fatalf("slot 3: image %d, bypassed %v; want a spare", m.ImageOf(3), m.Bypassed(3))
 	}
-	if !hs.Slots[1].Bypassed || hs.Slots[1].Spare {
-		t.Fatalf("slot 1 flags: %+v", hs.Slots[1])
+	if !m.Bypassed(1) {
+		t.Fatal("slot 1 not bypassed")
 	}
-	if hs.Slots[0].Spare || hs.Slots[0].Bypassed {
-		t.Fatalf("slot 0 flags: %+v", hs.Slots[0])
+	if m.ImageOf(0) != 0 || m.Bypassed(0) {
+		t.Fatalf("slot 0: image %d, bypassed %v; want a working slot", m.ImageOf(0), m.Bypassed(0))
+	}
+	if got := m.Spares(); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("spares = %v, want [3]: a bypassed slot is no spare", got)
 	}
 }
 
@@ -94,9 +99,8 @@ func TestHeartbeatsDeliverAndStop(t *testing.T) {
 	if sim.Duration(end) > 2*sim.Second {
 		t.Fatalf("run dragged to %v after StopHeartbeats", sim.Duration(end))
 	}
-	hs := m.HealthSnapshot()
-	for i, s := range hs.Slots {
-		if s.Beats < 5 {
+	for i := range m.Nodes {
+		if s := m.Health(i); s.Beats < 5 {
 			t.Fatalf("slot %d logged only %d beats in 1 s at 100 ms", i, s.Beats)
 		}
 	}

@@ -89,7 +89,7 @@ type Module struct {
 	ThreadDrops int64
 
 	// health is the system board's per-slot liveness ledger (health.go).
-	health     *health
+	health     []SlotHealth
 	hbInterval sim.Duration
 	hbProcs    []*sim.Proc
 
@@ -123,7 +123,7 @@ func New(k *sim.Kernel, index int, nodes []*node.Node) (*Module, error) {
 		applied:  sim.NewChan(k, fmt.Sprintf("mod%d/applied", index), 1<<20),
 		mapped:   make([]int, len(nodes)),
 		bypassed: make([]bool, len(nodes)),
-		health:   newHealth(len(nodes)),
+		health:   make([]SlotHealth, len(nodes)),
 	}
 	for i := range m.mapped {
 		m.mapped[i] = i

@@ -9,7 +9,7 @@ import (
 // Spare-slot remapping. A module may hold back its top slots as cold
 // spares: physically present, beating, but carrying no image (no
 // checkpoint identity, no workload). When a working slot is confirmed
-// dead, the healer re-cables the thread around the corpse (BypassSlot —
+// dead, recovery re-cables the thread around the corpse (BypassSlot —
 // the simulated equivalent of the bypass relays a field engineer would
 // jumper) and hands its image to a spare (AdoptImage). Snapshots are
 // keyed by IMAGE slot, not physical slot, so a restore after remapping

@@ -262,7 +262,7 @@ type globalCall struct {
 // state (kernels, processes, channels — anything a serial simulation
 // could touch). It is the escape hatch for rare global operations that
 // a per-shard decomposition cannot express — a supervisor walking every
-// module, a healer rewiring the topology — and it is deliberately
+// module, a heal rewiring the topology — and it is deliberately
 // instantaneous in simulated time: fn receives the barrier instant and
 // may schedule timed work on any shard via Kernel.At/Go, but must not
 // block.

@@ -126,7 +126,7 @@ func TestMachineRecoveryShardInvariantDim4(t *testing.T) {
 }
 
 // TestMachineSoakChaosShardInvariantDim4 pins the partitioned-machine
-// E18 path: the dim-4 chaos soak — detector, healer remaps, rollbacks,
+// E18 path: the dim-4 chaos soak — detector, spare remaps, rollbacks,
 // and the fault-free golden-twin fingerprint gate — must hold its gate
 // and produce a byte-identical report at every worker count.
 func TestMachineSoakChaosShardInvariantDim4(t *testing.T) {

@@ -46,7 +46,7 @@ type RecoveryResult struct {
 	// Checkpoints is how many snapshots each module recorded (the
 	// initial one plus periodic ones, including any taken on replay).
 	Checkpoints int
-	// Recovery is the halt-to-replay time of the last rollback.
+	// Recovery is the halt-to-replay time of the last recovery.
 	Recovery sim.Duration
 	// Faults aggregates the whole machine's fault counters.
 	Faults stats.FaultCounters

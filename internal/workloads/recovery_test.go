@@ -85,6 +85,28 @@ func TestFaultTolerantSAXPYCrashRollback(t *testing.T) {
 	}
 }
 
+func TestFaultTolerantSAXPYCrashDuringBootCheckpoint(t *testing.T) {
+	// Crash node 5 (declared) at 5 s, while chunks from upstream slots
+	// still have to cross it in the ~15 s boot snapshot: the stall
+	// watchdog tears the checkpoint before any snapshot reaches the
+	// disk. The supervisor must repair node 5 in place, retake the boot
+	// checkpoint and finish bit-correct with nothing to roll back.
+	plan := &fault.Plan{Events: []fault.Event{
+		{At: 5 * sim.Second, Kind: fault.Crash, Node: 5},
+	}}
+	res, err := FaultTolerantSAXPY(context.Background(), 3, 4, 5, 2*sim.Second, 0, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Correct {
+		t.Fatal("boot-crash run is not bit-correct")
+	}
+	if res.Rollbacks != 0 || res.Checkpoints != 1 || res.Faults.Crashes != 1 {
+		t.Fatalf("rollbacks %d, checkpoints %d, crashes %d; want 0, 1, 1",
+			res.Rollbacks, res.Checkpoints, res.Faults.Crashes)
+	}
+}
+
 func TestFaultTolerantSAXPYLinkOutage(t *testing.T) {
 	// Sever node 0's dimension-0 link for a while: the routers detour
 	// its traffic over the other dimension and the run completes

@@ -175,10 +175,8 @@ func soakRun(ctx context.Context, params SoakParams) (SoakResult, error) {
 	if err != nil {
 		return SoakResult{}, err
 	}
-	m.Spec.Recovery.SpareNodes = params.Spares
 	sv := machine.NewSupervisor(m)
-	h, err := machine.NewHealer(m, sv)
-	if err != nil {
+	if err := sv.Heal(params.Spares); err != nil {
 		return SoakResult{}, err
 	}
 	plan := params.Plan
@@ -196,7 +194,7 @@ func soakRun(ctx context.Context, params SoakParams) (SoakResult, error) {
 		nd.Mem.PokeWord(module.ProgressWord, 0)
 	}
 
-	imgs := h.Images()
+	imgs := sv.Images()
 	pos := map[int]int{}
 	for i, img := range imgs {
 		pos[img] = i
@@ -204,8 +202,8 @@ func soakRun(ctx context.Context, params SoakParams) (SoakResult, error) {
 
 	var runErr error
 	m.K.Go("soak/supervise", func(p *sim.Proc) {
-		runErr = h.Run(p, func(bp *sim.Proc, img int) error {
-			return soakBody(bp, h, sv, img, imgs, pos, params, total)
+		runErr = sv.Run(p, func(bp *sim.Proc, img int) error {
+			return soakBody(bp, sv, img, imgs, pos, params, total)
 		})
 	})
 	end := m.Run(0)
@@ -222,13 +220,13 @@ func soakRun(ctx context.Context, params SoakParams) (SoakResult, error) {
 		Epochs:       params.Epochs,
 		Elapsed:      sim.Duration(end),
 		Correct:      true,
-		Remaps:       h.Remaps,
-		Degraded:     h.Degraded,
+		Remaps:       sv.Remaps,
+		Degraded:     sv.Degraded,
 		Rollbacks:    sv.Rollbacks,
 		DetectEvents: ks.Counters["heal.detect_events"],
 		LastRecovery: sv.LastRecovery,
 		Checkpoints:  m.Modules[0].SnapshotsTaken,
-		HealLog:      append([]string(nil), h.Events...),
+		HealLog:      append([]string(nil), sv.Events...),
 		Faults:       m.FaultReport(plan, sv),
 		Mem:          m.MemStats(),
 		Stats:        ks,
@@ -243,7 +241,7 @@ func soakRun(ctx context.Context, params SoakParams) (SoakResult, error) {
 	}
 	// Final analytic verification + fingerprint over every image.
 	for _, img := range imgs {
-		nd := h.NodeOf(img)
+		nd := sv.NodeOf(img)
 		if nd.Mem.PeekWord(skCtrWord) != uint32(total) {
 			res.Correct = false
 		}
@@ -256,15 +254,15 @@ func soakRun(ctx context.Context, params SoakParams) (SoakResult, error) {
 			}
 		}
 	}
-	res.Fingerprint = soakFingerprint(h, imgs, total)
+	res.Fingerprint = soakFingerprint(sv, imgs, total)
 	return res, nil
 }
 
 // soakBody is the per-image program; restart-safe exactly like the
 // recovery workload, but iterating the Gray ring of images rather than
 // physical nodes, so it keeps working after a remap.
-func soakBody(bp *sim.Proc, h *machine.Healer, sv *machine.Supervisor, img int, imgs []int, pos map[int]int, params SoakParams, total int) error {
-	nd := h.NodeOf(img)
+func soakBody(bp *sim.Proc, sv *machine.Supervisor, img int, imgs []int, pos map[int]int, params SoakParams, total int) error {
+	nd := sv.NodeOf(img)
 	lead := imgs[0]
 	n := len(imgs)
 	ctr, err := nd.Mem.ReadWord(bp, skCtrWord)
@@ -293,12 +291,12 @@ func soakBody(bp *sim.Proc, h *machine.Healer, sv *machine.Supervisor, img int, 
 				out[i] = nd.Mem.PeekF64((skOutRowBase+ph)*memory.F64PerRow + i)
 			}
 			tag := 5000 + ph%8
-			if err := h.EndpointOf(img).SendF64(bp, h.PhysOf(succ), tag, out); err != nil {
+			if err := sv.EndpointOf(img).SendF64(bp, sv.PhysOf(succ), tag, out); err != nil {
 				return err
 			}
-			src, theirs := h.EndpointOf(img).RecvF64(bp, tag)
-			if src != h.PhysOf(pred) {
-				return fmt.Errorf("workloads: image %d phase %d: exchange from node %d, want node %d", img, ph, src, h.PhysOf(pred))
+			src, theirs := sv.EndpointOf(img).RecvF64(bp, tag)
+			if src != sv.PhysOf(pred) {
+				return fmt.Errorf("workloads: image %d phase %d: exchange from node %d, want node %d", img, ph, src, sv.PhysOf(pred))
 			}
 			if len(theirs) != memory.F64PerRow {
 				return fmt.Errorf("workloads: image %d phase %d: short exchange (%d elements)", img, ph, len(theirs))
@@ -310,7 +308,7 @@ func soakBody(bp *sim.Proc, h *machine.Healer, sv *machine.Supervisor, img int, 
 		nd.Mem.WriteWord(bp, skCtrWord, uint32(ph+1))
 		// Publish progress where the heartbeats can see it.
 		nd.Mem.WriteWord(bp, module.ProgressWord, uint32(ph+1))
-		if err := soakBarrier(bp, h, imgs, img, 6000+(ph%8)*4); err != nil {
+		if err := soakBarrier(bp, sv, imgs, img, 6000+(ph%8)*4); err != nil {
 			return err
 		}
 		if (ph+1)%params.PhasesPerEpoch == 0 {
@@ -324,7 +322,7 @@ func soakBody(bp *sim.Proc, h *machine.Healer, sv *machine.Supervisor, img int, 
 					return err
 				}
 			}
-			if err := soakBarrier(bp, h, imgs, img, 6000+(ph%8)*4+2); err != nil {
+			if err := soakBarrier(bp, sv, imgs, img, 6000+(ph%8)*4+2); err != nil {
 				return err
 			}
 		}
@@ -348,24 +346,24 @@ func soakVerify(nd *node.Node, phases int) error {
 // soakBarrier synchronizes the images (not the physical nodes — spares
 // run nothing) by centralized gather-and-release through the lead
 // image. Uses tags tag and tag+1.
-func soakBarrier(bp *sim.Proc, h *machine.Healer, imgs []int, img, tag int) error {
+func soakBarrier(bp *sim.Proc, sv *machine.Supervisor, imgs []int, img, tag int) error {
 	if len(imgs) < 2 {
 		return nil
 	}
 	lead := imgs[0]
-	ep := h.EndpointOf(img)
+	ep := sv.EndpointOf(img)
 	if img == lead {
 		for i := 1; i < len(imgs); i++ {
 			ep.Recv(bp, tag)
 		}
 		for _, o := range imgs[1:] {
-			if err := ep.Send(bp, h.PhysOf(o), tag+1, []byte{1}); err != nil {
+			if err := ep.Send(bp, sv.PhysOf(o), tag+1, []byte{1}); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := ep.Send(bp, h.PhysOf(lead), tag, []byte{1}); err != nil {
+	if err := ep.Send(bp, sv.PhysOf(lead), tag, []byte{1}); err != nil {
 		return err
 	}
 	ep.Recv(bp, tag+1)
@@ -375,7 +373,7 @@ func soakBarrier(bp *sim.Proc, h *machine.Healer, imgs []int, img, tag int) erro
 // soakFingerprint digests (FNV-1a) every image's observable state in
 // image order: result rows, exchanged row, and phase counter. Two runs
 // with equal fingerprints finished in bit-identical workload state.
-func soakFingerprint(h *machine.Healer, imgs []int, total int) uint64 {
+func soakFingerprint(sv *machine.Supervisor, imgs []int, total int) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -391,7 +389,7 @@ func soakFingerprint(h *machine.Healer, imgs []int, total int) uint64 {
 		}
 	}
 	for _, img := range imgs {
-		nd := h.NodeOf(img)
+		nd := sv.NodeOf(img)
 		mix32(uint32(img))
 		mix32(nd.Mem.PeekWord(skCtrWord))
 		for ph := 0; ph < total; ph++ {
