@@ -9,13 +9,11 @@ import (
 	"fmt"
 
 	"tseries/internal/comm"
-	"tseries/internal/fault"
 	"tseries/internal/machine"
 	"tseries/internal/module"
 	"tseries/internal/node"
 	"tseries/internal/occam"
 	"tseries/internal/sim"
-	"tseries/internal/stats"
 )
 
 // System is a runnable T Series configuration plus its simulation clock.
@@ -92,24 +90,6 @@ func (s *System) Checkpoint(p *sim.Proc) ([]*module.Snapshot, error) {
 // Restore rewinds every module to the given snapshots.
 func (s *System) Restore(p *sim.Proc, snaps []*module.Snapshot) error {
 	return s.M.RestoreAll(p, snaps)
-}
-
-// NewSupervisor attaches a recovery supervisor to the system: it can
-// checkpoint on demand and, via Run, replay a workload after faults.
-func (s *System) NewSupervisor() *machine.Supervisor {
-	return machine.NewSupervisor(s.M)
-}
-
-// ArmFaults schedules a fault plan against the machine and attaches its
-// bit-error injector to every link. sv may be nil for unsupervised
-// injection.
-func (s *System) ArmFaults(plan *fault.Plan, sv *machine.Supervisor) {
-	s.M.ArmFaults(plan, sv)
-}
-
-// FaultReport aggregates the whole machine's fault/recovery counters.
-func (s *System) FaultReport(plan *fault.Plan, sv *machine.Supervisor) stats.FaultCounters {
-	return s.M.FaultReport(plan, sv)
 }
 
 // RunOccam parses src and starts PROC procName on node nodeID, on that

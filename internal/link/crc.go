@@ -35,14 +35,42 @@ func syndrome(n int, flips []int) uint32 {
 	return s
 }
 
-// damage returns a copy of frame with the given bit positions inverted:
-// what a receiver holds after an error the CRC did not catch.
-func damage(frame []byte, flips []int) []byte {
-	bad := append([]byte(nil), frame...)
+// caught reports whether the receiver's CRC rejects an n-byte frame
+// damaged at the given bit positions. x has multiplicative order
+// 2³²−1 modulo P, and P does not divide x. So one flipped bit (x^a)
+// or two distinct ones (x^b·(x^(a−b)+1), with 0 < a−b < 2³²−1) in a
+// frame shorter than 2³²−1 bits always leave a nonzero syndrome, and
+// only three or more flips, or a pattern that repeats a position, need
+// the syndrome computed.
+func caught(n int, flips []int) bool {
+	if n < 1<<29 && (len(flips) == 1 || len(flips) == 2 && flips[0] != flips[1]) {
+		return true
+	}
+	return syndrome(n, flips) != 0
+}
+
+// damage returns the wire image of a frame, data followed by zero
+// bytes up to wire, with the given bit positions inverted: what a
+// receiver holds after an error the CRC did not catch. It is always a
+// fresh dense copy.
+func damage(data []byte, wire int, flips []int) []byte {
+	bad := make([]byte, wire)
+	copy(bad, data)
 	for _, pos := range flips {
 		bad[pos>>3] ^= 1 << uint(pos&7)
 	}
 	return bad
+}
+
+// CRCUpdateZeros returns the CRC-32 (IEEE) of the content whose CRC is
+// crc followed by n zero bytes: crc32.Update(crc, crc32.IEEETable,
+// make([]byte, n)) without hashing the zeros. The zeros multiply the
+// (uninverted) CRC register by x^(8n) mod P.
+func CRCUpdateZeros(crc uint32, n int) uint32 {
+	if n == 0 {
+		return crc
+	}
+	return ^multmodp(xpow8n(n), ^crc)
 }
 
 // multmodp returns a(x)·b(x) mod P(x) in the reflected bit order of the

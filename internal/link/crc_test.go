@@ -14,7 +14,7 @@ import (
 func TestSyndromeMatchesCRC(t *testing.T) {
 	check := func(frame []byte, flips []int) {
 		t.Helper()
-		want := crc32.ChecksumIEEE(damage(frame, flips)) ^ crc32.ChecksumIEEE(frame)
+		want := crc32.ChecksumIEEE(damage(frame, len(frame), flips)) ^ crc32.ChecksumIEEE(frame)
 		if got := syndrome(len(frame), flips); got != want {
 			t.Fatalf("n=%d flips=%v: syndrome %#x, CRC difference %#x", len(frame), flips, got, want)
 		}
@@ -77,31 +77,128 @@ func (c *corruptOnce) Corrupt(sublink string, n int) []int {
 	return c.flips
 }
 
+// TestUndetectedDeliveryIsADamagedCopy sends a frame whose damage is
+// a multiple of the generator polynomial, so the CRC misses it. The
+// receiver must get a dense damaged copy of the wire image and the
+// sender's bytes must stay as they were. The second frame carries only
+// its first 24 bytes of a 64-byte wire image, and the damage falls
+// inside the zero tail.
 func TestUndetectedDeliveryIsADamagedCopy(t *testing.T) {
-	for _, staged := range []bool{false, true} {
-		frame := make([]byte, 64)
-		for i := range frame {
-			frame[i] = byte(3 * i)
+	for _, tc := range []struct {
+		carried, wire, shift int
+	}{
+		{64, 64, 101},
+		{24, 64, 40},
+	} {
+		for _, staged := range []bool{false, true} {
+			frame := make([]byte, tc.carried)
+			for i := range frame {
+				frame[i] = byte(3*i + 1)
+			}
+			orig := append([]byte(nil), frame...)
+			flips := polyFlips(tc.wire, tc.shift)
+			dense := make([]byte, tc.wire)
+			copy(dense, frame)
+			bad := append([]byte(nil), dense...)
+			for _, pos := range flips {
+				bad[pos>>3] ^= 1 << uint(pos&7)
+			}
+			if tc.carried < tc.wire && flips[0]>>3 < tc.carried {
+				t.Fatalf("flips %v reach the carried bytes", flips)
+			}
+			if syndrome(tc.wire, flips) != 0 || crc32.ChecksumIEEE(bad) != crc32.ChecksumIEEE(dense) {
+				t.Fatal("a multiple of the generator polynomial changed the CRC")
+			}
+			got, a := transferOne(t, staged, &corruptOnce{flips: flips}, frame, tc.wire)
+			if !bytes.Equal(got, bad) {
+				t.Fatalf("carried=%d staged=%v: receiver got %d bytes, not the %d-byte damaged wire image",
+					tc.carried, staged, len(got), tc.wire)
+			}
+			if a.Corrupted != 1 || a.Undetected != 1 || a.Retransmits != 0 || a.BytesSent != int64(tc.wire) {
+				t.Fatalf("carried=%d staged=%v: corrupted=%d undetected=%d retransmits=%d bytes=%d, want 1/1/0/%d",
+					tc.carried, staged, a.Corrupted, a.Undetected, a.Retransmits, a.BytesSent, tc.wire)
+			}
+			if !bytes.Equal(frame, orig) {
+				t.Fatalf("carried=%d staged=%v: the sender's buffer was modified", tc.carried, staged)
+			}
 		}
-		orig := append([]byte(nil), frame...)
-		flips := polyFlips(len(frame), 101)
-		bad := append([]byte(nil), frame...)
-		for _, pos := range flips {
-			bad[pos>>3] ^= 1 << uint(pos&7)
+	}
+}
+
+// xpow returns x^e mod P from the x^(2^k) table.
+func xpow(e uint64) uint32 {
+	p := uint32(1) << 31 // x⁰
+	for k := 0; e != 0; k, e = k+1, e>>1 {
+		if e&1 != 0 {
+			p = multmodp(x2n[k], p)
 		}
-		if syndrome(len(frame), flips) != 0 || crc32.ChecksumIEEE(bad) != crc32.ChecksumIEEE(frame) {
-			t.Fatal("a multiple of the generator polynomial changed the CRC")
+	}
+	return p
+}
+
+// TestXHasFullOrder pins the fact behind caught's fast path: x has
+// multiplicative order exactly 2³²−1 modulo the CRC-32 polynomial. Its
+// order divides 2³²−1 = 3·5·17·257·65537, and x^((2³²−1)/q) ≠ 1 for
+// each prime factor q rules out every proper divisor.
+func TestXHasFullOrder(t *testing.T) {
+	const order = 1<<32 - 1
+	one := uint32(1) << 31
+	if got := xpow(order); got != one {
+		t.Fatalf("x^(2^32-1) = %#x, want 1 (%#x)", got, one)
+	}
+	for _, q := range []uint64{3, 5, 17, 257, 65537} {
+		if order%q != 0 {
+			t.Fatalf("%d does not divide 2^32-1", q)
 		}
-		got, a := transferOne(t, staged, &corruptOnce{flips: flips}, frame)
-		if !bytes.Equal(got, bad) {
-			t.Fatalf("staged=%v: receiver did not get the damaged bytes", staged)
+		if xpow(order/q) == one {
+			t.Fatalf("x^((2^32-1)/%d) = 1: the order of x is not 2^32-1", q)
 		}
-		if a.Corrupted != 1 || a.Undetected != 1 || a.Retransmits != 0 {
-			t.Fatalf("staged=%v: corrupted=%d undetected=%d retransmits=%d, want 1/1/0",
-				staged, a.Corrupted, a.Undetected, a.Retransmits)
+	}
+}
+
+// TestCaughtMatchesSyndrome checks caught's one- and two-flip fast path
+// against the syndrome it skips, and that longer patterns still go
+// through the syndrome: an undetectable pattern is not caught.
+func TestCaughtMatchesSyndrome(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + rng.Intn(70000)
+		a := rng.Intn(8 * n)
+		flips := []int{a}
+		if trial%2 == 1 && n > 1 {
+			b := rng.Intn(8*n - 1)
+			if b >= a {
+				b++
+			}
+			flips = []int{min(a, b), max(a, b)}
 		}
-		if !bytes.Equal(frame, orig) {
-			t.Fatalf("staged=%v: the sender's buffer was modified", staged)
+		if got, want := caught(n, flips), syndrome(n, flips) != 0; got != want {
+			t.Fatalf("n=%d flips=%v: caught %v, syndrome says %v", n, flips, got, want)
+		}
+	}
+	if caught(64, polyFlips(64, 3)) {
+		t.Fatal("a multiple of the generator polynomial was caught")
+	}
+	if caught(64, []int{9, 9}) {
+		t.Fatal("a bit flipped twice was caught")
+	}
+}
+
+// TestCRCUpdateZeros checks the zero-run fold against hashing the
+// zeros.
+func TestCRCUpdateZeros(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		head := make([]byte, rng.Intn(3000))
+		rng.Read(head)
+		n := rng.Intn(70000)
+		if trial%4 == 0 {
+			n = 1024 * rng.Intn(65)
+		}
+		c := crc32.ChecksumIEEE(head)
+		want := crc32.Update(c, crc32.IEEETable, make([]byte, n))
+		if got := CRCUpdateZeros(c, n); got != want {
+			t.Fatalf("head %d bytes, %d zeros: %#x, want %#x", len(head), n, got, want)
 		}
 	}
 }

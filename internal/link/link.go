@@ -278,33 +278,49 @@ func (s *Sublink) Up() bool {
 
 // Send transfers data to the peer sublink, blocking the caller for the
 // DMA startup plus the serial wire time. Sublinks sharing a physical
-// link queue for the wire, dividing its bandwidth.
+// link queue for the wire, dividing its bandwidth. It is SendWire with
+// a wire length of len(data).
+func (s *Sublink) Send(p *sim.Proc, data []byte) error {
+	return s.SendWire(p, data, len(data))
+}
+
+// SendWire transfers a wire-byte frame whose wire image is data
+// followed by zero bytes up to wire. Everything the link charges or
+// counts uses wire: the wire time, BytesSent and the link.bytes
+// counter, the frame length the injector sees, and the CRC syndrome. A
+// zero tail left off data therefore costs the simulated machine
+// exactly what the dense frame would and the host nothing. Every
+// receiver of such frames knows their wire length from their kind.
 //
-// Send takes ownership of data. The sender must not modify it
+// SendWire takes ownership of data. The sender must not modify it
 // afterwards; the receiver gets the same backing array and owns it. A
-// frame whose damage slipped past the CRC arrives as a damaged copy
-// instead, so the sender's bytes are never written. When Send returns
-// an error nothing was delivered and data is still the caller's.
+// frame whose damage slipped past the CRC arrives as a damaged dense
+// copy of length wire instead, so the sender's bytes are never
+// written. When SendWire returns an error nothing was delivered and
+// data is still the caller's.
 //
 // Delivery is reliable against wire corruption: each frame carries a
 // checksum, a corrupted frame is nacked by the receiver and
 // retransmitted at once (the nack proves the peer is alive), and a
 // frame that draws no acknowledge at all (severed wire, crashed peer)
 // is retried with exponential backoff until MaxSendAttempts silent
-// attempts, after which Send returns a DownError. With no fault
+// attempts, after which SendWire returns a DownError. With no fault
 // injector attached and both ends up, the timing and behaviour are
 // identical to a bare transfer.
-func (s *Sublink) Send(p *sim.Proc, data []byte) error {
+func (s *Sublink) SendWire(p *sim.Proc, data []byte, wire int) error {
 	if s.peer == nil && s.staged == nil {
 		return fmt.Errorf("%w: %s", ErrNotConnected, s.name)
 	}
-	if len(data) == 0 {
+	if wire == 0 {
 		return fmt.Errorf("%w on %s", ErrEmptyFrame, s.name)
+	}
+	if wire < len(data) {
+		return fmt.Errorf("link: %d-byte frame longer than its %d-byte wire length on %s", len(data), wire, s.name)
 	}
 	l := s.parent
 	timeouts := 0
 	for {
-		delivered, acked := s.attempt(p, data)
+		delivered, acked := s.attempt(p, data, wire)
 		if delivered {
 			return nil
 		}
@@ -324,12 +340,13 @@ func (s *Sublink) Send(p *sim.Proc, data []byte) error {
 	}
 }
 
-// attempt performs one transmission of frame. delivered means the frame
-// reached the peer; acked distinguishes a nack (CRC reject from a live
-// peer) from silence (dead wire).
-func (s *Sublink) attempt(p *sim.Proc, frame []byte) (delivered, acked bool) {
+// attempt performs one transmission of a wire-byte frame carrying
+// frame. delivered means the frame reached the peer; acked
+// distinguishes a nack (CRC reject from a live peer) from silence
+// (dead wire).
+func (s *Sublink) attempt(p *sim.Proc, frame []byte, wire int) (delivered, acked bool) {
 	if s.staged != nil {
-		return s.attemptStaged(p, frame)
+		return s.attemptStaged(p, frame, wire)
 	}
 	l := s.parent
 	if s.down || s.peer.down {
@@ -339,8 +356,8 @@ func (s *Sublink) attempt(p *sim.Proc, frame []byte) (delivered, acked bool) {
 		l.Timeouts++
 		return false, false
 	}
-	l.wire.Use(p, DMAStartup+sim.Duration(len(frame))*ByteTime)
-	data, ok := s.cross(frame)
+	l.wire.Use(p, TransferTime(wire))
+	data, ok := s.cross(frame, wire)
 	if !ok {
 		return false, true
 	}
@@ -348,29 +365,30 @@ func (s *Sublink) attempt(p *sim.Proc, frame []byte) (delivered, acked bool) {
 	return true, true
 }
 
-// cross accounts one crossing of the wire by frame and applies the
-// fault injector. It returns the bytes the receiver ends up with and
-// whether the receiver's CRC accepts them; false is a nack.
-func (s *Sublink) cross(frame []byte) ([]byte, bool) {
+// cross accounts one crossing of the wire by a wire-byte frame
+// carrying frame and applies the fault injector. It returns the bytes
+// the receiver ends up with and whether the receiver's CRC accepts
+// them; false is a nack.
+func (s *Sublink) cross(frame []byte, wire int) ([]byte, bool) {
 	l := s.parent
-	l.BytesSent += int64(len(frame))
-	l.k.Count("link.bytes", int64(len(frame)))
+	l.BytesSent += int64(wire)
+	l.k.Count("link.bytes", int64(wire))
 	l.Transfers++
 	if l.injector == nil {
 		return frame, true
 	}
-	flips := l.injector.Corrupt(s.name, len(frame))
+	flips := l.injector.Corrupt(s.name, wire)
 	if len(flips) == 0 {
 		return frame, true
 	}
 	l.Corrupted++
-	if syndrome(len(frame), flips) != 0 {
+	if caught(wire, flips) {
 		return nil, false
 	}
 	// The damage slipped past the CRC: delivered wrong, counted as an
 	// uncorrected error.
 	l.Undetected++
-	return damage(frame, flips), true
+	return damage(frame, wire, flips), true
 }
 
 // Flush discards any messages queued in this sublink's inbox and

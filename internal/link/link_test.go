@@ -19,11 +19,12 @@ func pair(k *sim.Kernel) (*Link, *Link) {
 	return a, b
 }
 
-// transferOne sends frame once from a to b, with a's outbound wire
-// under inj (nil for none), and returns what b received. staged puts
-// the two links on different shards of a ShardGroup, wired as a
-// cross-shard pair; otherwise they share one kernel.
-func transferOne(t *testing.T, staged bool, inj Injector, frame []byte) (got []byte, a *Link) {
+// transferOne sends frame once from a to b as a wire-byte frame, with
+// a's outbound wire under inj (nil for none), and returns what b
+// received. staged puts the two links on different shards of a
+// ShardGroup, wired as a cross-shard pair; otherwise they share one
+// kernel.
+func transferOne(t *testing.T, staged bool, inj Injector, frame []byte, wire int) (got []byte, a *Link) {
 	t.Helper()
 	var b *Link
 	var ka, kb *sim.Kernel
@@ -48,7 +49,7 @@ func transferOne(t *testing.T, staged bool, inj Injector, frame []byte) (got []b
 		a.SetInjector(inj)
 	}
 	ka.Go("tx", func(p *sim.Proc) {
-		if err := a.Sublink(0).Send(p, frame); err != nil {
+		if err := a.Sublink(0).SendWire(p, frame, wire); err != nil {
 			t.Errorf("send: %v", err)
 		}
 	})
@@ -247,10 +248,62 @@ func TestSendHandsOverFrame(t *testing.T) {
 	// array, on a local wire and through a cross-shard edge alike.
 	for _, staged := range []bool{false, true} {
 		buf := []byte("frame handed over by reference")
-		got, _ := transferOne(t, staged, nil, buf)
+		got, _ := transferOne(t, staged, nil, buf, len(buf))
 		if len(got) != len(buf) || &got[0] != &buf[0] {
 			t.Fatalf("staged=%v: receiver got a different array than the sender sent", staged)
 		}
+	}
+}
+
+// lenRecorder records the frame lengths the injector is shown.
+type lenRecorder struct{ ns []int }
+
+func (r *lenRecorder) Corrupt(sublink string, n int) []int {
+	r.ns = append(r.ns, n)
+	return nil
+}
+
+func TestSendWireChargesWireLength(t *testing.T) {
+	// A frame carrying 10 of its 1000 wire bytes costs the dense frame's
+	// wire time and counts, shows the injector 1000 bytes, and hands the
+	// receiver the sender's 10-byte array.
+	k := sim.NewKernel()
+	a, b := pair(k)
+	inj := &lenRecorder{}
+	a.SetInjector(inj)
+	buf := []byte("ten bytes!")
+	var got []byte
+	var done sim.Time
+	var errs []error
+	k.Go("tx", func(p *sim.Proc) {
+		if err := a.Sublink(0).SendWire(p, buf, 1000); err != nil {
+			t.Errorf("send: %v", err)
+		}
+		done = p.Now()
+		errs = append(errs,
+			a.Sublink(0).SendWire(p, nil, 0),
+			a.Sublink(0).SendWire(p, buf, len(buf)-1))
+	})
+	k.Go("rx", func(p *sim.Proc) { got = b.Sublink(0).Recv(p) })
+	k.Run(0)
+	if len(got) != len(buf) || &got[0] != &buf[0] {
+		t.Fatal("receiver got a different array than the sender sent")
+	}
+	if want := sim.Time(TransferTime(1000)); done != want {
+		t.Fatalf("send done at %v, want %v", done, want)
+	}
+	if a.BytesSent != 1000 || a.Transfers != 1 || k.Stats().Counters["link.bytes"] != 1000 {
+		t.Fatalf("bytes=%d transfers=%d link.bytes=%d, want 1000/1/1000",
+			a.BytesSent, a.Transfers, k.Stats().Counters["link.bytes"])
+	}
+	if len(inj.ns) != 1 || inj.ns[0] != 1000 {
+		t.Fatalf("injector saw frame lengths %v, want [1000]", inj.ns)
+	}
+	if !errors.Is(errs[0], ErrEmptyFrame) {
+		t.Fatalf("zero wire length: got %v, want ErrEmptyFrame", errs[0])
+	}
+	if errs[1] == nil {
+		t.Fatal("a frame longer than its wire length was sent")
 	}
 }
 

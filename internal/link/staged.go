@@ -72,18 +72,18 @@ func (s *Sublink) SyncStagedMirror() {
 // outcome logic, but the remote outage state comes from the mirror and
 // the delivery is staged through the edge at wire-grant time, arriving
 // exactly one frame-transfer-time later — as it would on a local wire.
-func (s *Sublink) attemptStaged(p *sim.Proc, frame []byte) (delivered, acked bool) {
+func (s *Sublink) attemptStaged(p *sim.Proc, frame []byte, wire int) (delivered, acked bool) {
 	l := s.parent
 	if s.down || s.staged.downMirror {
 		l.wire.Use(p, DMAStartup+AckTimeout)
 		l.Timeouts++
 		return false, false
 	}
-	dur := DMAStartup + sim.Duration(len(frame))*ByteTime
+	dur := TransferTime(wire)
 	ok := true
 	l.wire.UseFunc(p, dur, func() {
 		var data []byte
-		if data, ok = s.cross(frame); ok {
+		if data, ok = s.cross(frame, wire); ok {
 			s.staged.x.PostDelayed(Message{Data: data, From: s.name}, dur)
 		}
 	})

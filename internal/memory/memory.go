@@ -245,6 +245,22 @@ func (m *Memory) PokeBytes(addr int, b []byte) {
 	}
 }
 
+// ZeroBytes clears n bytes from addr (untimed): PokeBytes of n zero
+// bytes without the zeros. Only materialized rows are written; a
+// never-written row already reads zero and stays unmaterialized.
+func (m *Memory) ZeroBytes(addr, n int) {
+	for n > 0 {
+		row, off := addr>>rowShift, addr&rowMask
+		seg := min(RowBytes-off, n)
+		if c := m.rows[row]; c != nil {
+			clear(c.data[off : off+seg])
+			refreshChunkParity(c, off, seg)
+		}
+		addr += seg
+		n -= seg
+	}
+}
+
 // PeekBytes copies a block out (untimed).
 func (m *Memory) PeekBytes(addr, n int) []byte {
 	out := make([]byte, n)

@@ -100,6 +100,19 @@ func TestPokeBytesZeroElision(t *testing.T) {
 		t.Fatalf("materialized %d rows, want 1", got)
 	}
 
+	// ZeroBytes clears live rows and leaves never-written ones alone.
+	m.PokeByte(RowAddr(21)+7, 0x07) // odd parity
+	m.ZeroBytes(RowAddr(21), 3*RowBytes)
+	if m.PeekByte(RowAddr(21)+7) != 0 {
+		t.Fatal("ZeroBytes over live data did not land")
+	}
+	if got := m.MaterializedRows(); got != 2 || m.RowResident(22) || m.RowResident(23) {
+		t.Fatalf("ZeroBytes materialized rows: %d resident, want 2", got)
+	}
+	if err := m.validateRange(RowAddr(21), RowBytes); err != nil {
+		t.Fatalf("parity invalid after ZeroBytes: %v", err)
+	}
+
 	// A block with one non-zero byte materializes only the rows it spans.
 	b := make([]byte, 2*RowBytes)
 	b[RowBytes+5] = 9
@@ -195,15 +208,21 @@ func TestSparseDenseDifferential(t *testing.T) {
 				sp.PokeByte(a, v)
 				de.PokeByte(a, v)
 			case 3:
-				// Block store, sometimes all-zero (the elided path),
+				// Block store, sometimes all-zero (the elided path, or
+				// ZeroBytes against the dense twin's zero store),
 				// sometimes crossing row boundaries.
 				n := 1 + rng.Intn(3*RowBytes)
 				a := rng.Intn(Bytes - n)
 				b := make([]byte, n)
-				if rng.Intn(3) != 0 {
+				zero := rng.Intn(3) == 0
+				if !zero {
 					rng.Read(b)
 				}
-				sp.PokeBytes(a, b)
+				if zero && i%2 == 0 {
+					sp.ZeroBytes(a, n)
+				} else {
+					sp.PokeBytes(a, b)
+				}
 				de.PokeBytes(a, b)
 			case 4:
 				dst, src := rng.Intn(NumRows), rng.Intn(NumRows)

@@ -3,6 +3,7 @@ package module
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"tseries/internal/sim"
@@ -155,5 +156,57 @@ func TestDiskRotOnSharedRowPrivatizes(t *testing.T) {
 	got, err := diskRead(k, d, "b")
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("rot leaked into sharing block: %v", err)
+	}
+}
+
+// TestDiskElidedTail stores a block whose content past its first
+// 2300 bytes is a zero tail left off the data, as a snapshot chunk
+// frame carries it. The disk must hold the logical block: its checksum
+// is the CRC-32 of the dense bytes, reads return them, and media rot
+// in an elided row is still caught.
+func TestDiskElidedTail(t *testing.T) {
+	k := sim.NewKernel()
+	d := NewDisk(k, "t")
+	const size = 8 * diskRowBytes
+	dense := make([]byte, size)
+	for i := 0; i < diskRowBytes; i++ {
+		dense[i] = byte(i*5 + 1) // row 0; row 1 stays zero
+	}
+	for i := 2 * diskRowBytes; i < 2300; i++ {
+		dense[i] = byte(i) | 1 // row 2 ends mid-row
+	}
+	d.store("blk", dense[:2300], size)
+
+	if d.Size("blk") != size || d.BytesWritten != size {
+		t.Fatalf("size %d, bytes written %d, want %d", d.Size("blk"), d.BytesWritten, size)
+	}
+	if d.RowsZero != 6 || d.RowsCopied != 2 {
+		t.Fatalf("RowsZero=%d RowsCopied=%d, want 6/2", d.RowsZero, d.RowsCopied)
+	}
+	if got, want := d.sums["blk"], crc32.ChecksumIEEE(dense); got != want {
+		t.Fatalf("checksum %#x, want the dense bytes' CRC %#x", got, want)
+	}
+	if b := d.blocks["blk"]; b.carried() != 3*diskRowBytes {
+		t.Fatalf("carried %d bytes, want %d", b.carried(), 3*diskRowBytes)
+	}
+	if got, ok := d.Peek("blk"); !ok || !bytes.Equal(got, dense) {
+		t.Fatal("Peek did not return the dense block")
+	}
+	got, err := diskRead(k, d, "blk")
+	if err != nil || !bytes.Equal(got, dense) {
+		t.Fatalf("Read did not return the dense block: %v", err)
+	}
+
+	// Position 30·131 = 3930 falls in row 3, the first elided row.
+	if key := d.CorruptNth(30); key != "blk" {
+		t.Fatalf("corrupted %q, want blk", key)
+	}
+	if d.Verify("blk") {
+		t.Fatal("rot in an elided row passes verification")
+	}
+	_, err = diskRead(k, d, "blk")
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Key != "blk" {
+		t.Fatalf("read of a block rotted in its elided tail: %v, want CorruptError", err)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"hash/crc32"
 	"sort"
 
+	"tseries/internal/link"
 	"tseries/internal/memory"
 	"tseries/internal/sim"
 )
@@ -48,8 +49,7 @@ type diskBlock struct {
 	rows []*storedRow
 }
 
-// zeroSeg feeds checksum walks over all-zero segments and is what
-// store compares segments against to elide them.
+// zeroSeg is what store compares segments against to elide them.
 var zeroSeg [diskRowBytes]byte
 
 // Disk is a module's system disk. Transfers are timed; contents are real
@@ -180,60 +180,75 @@ func (d *Disk) release(b *diskBlock) {
 	}
 }
 
-// bytes materializes the block's logical content after head spare
-// bytes, so a caller can prefix a header without a second allocation.
-func (b *diskBlock) bytes(head int) []byte {
-	out := make([]byte, head+b.size)
+// bytes materializes the block's first n bytes of logical content
+// after head spare bytes, so a caller can prefix a header without a
+// second allocation.
+func (b *diskBlock) bytes(head, n int) []byte {
+	out := make([]byte, head+n)
 	for i, r := range b.rows {
-		if r != nil {
+		if r != nil && i*diskRowBytes < n {
 			copy(out[head+i*diskRowBytes:], r.data)
 		}
 	}
 	return out
 }
 
-// crc computes the checksum of the block's logical content without
-// materializing it.
-func (b *diskBlock) crc() uint32 {
-	c := crc32.Checksum(nil, crc32.IEEETable)
-	for i, r := range b.rows {
-		if r == nil {
-			n := b.size - i*diskRowBytes
-			if n > diskRowBytes {
-				n = diskRowBytes
-			}
-			c = crc32.Update(c, crc32.IEEETable, zeroSeg[:n])
-		} else {
-			c = crc32.Update(c, crc32.IEEETable, r.data)
+// carried is the length of the block's content up to the end of its
+// last non-nil row: everything after it is zero.
+func (b *diskBlock) carried() int {
+	for i := len(b.rows) - 1; i >= 0; i-- {
+		if b.rows[i] != nil {
+			return min(b.size, (i+1)*diskRowBytes)
 		}
 	}
-	return c
+	return 0
 }
 
-// store records a block and its checksum (untimed bookkeeping; callers
-// charge wire/platter time themselves). Row-sized segments dedup
-// against everything already on the platter.
-func (d *Disk) store(key string, data []byte) {
+// crc computes the checksum of the block's logical content without
+// materializing it. Each run of all-zero segments is folded in at
+// once (link.CRCUpdateZeros) instead of being hashed.
+func (b *diskBlock) crc() uint32 {
+	var c uint32 // the CRC of no bytes
+	zeros := 0
+	for i, r := range b.rows {
+		if r == nil {
+			zeros += min(diskRowBytes, b.size-i*diskRowBytes)
+			continue
+		}
+		c = crc32.Update(link.CRCUpdateZeros(c, zeros), crc32.IEEETable, r.data)
+		zeros = 0
+	}
+	return link.CRCUpdateZeros(c, zeros)
+}
+
+// store records a block of logical length size whose content is data
+// followed by zero bytes up to size, with its checksum (untimed
+// bookkeeping; callers charge wire/platter time themselves). Row-sized
+// segments dedup against everything already on the platter, and the
+// zero tail past data costs nothing: its segments are nil like any
+// other all-zero segment.
+func (d *Disk) store(key string, data []byte, size int) {
 	if old, ok := d.blocks[key]; ok {
 		d.release(old)
 	}
-	nb := &diskBlock{size: len(data)}
-	for off := 0; off < len(data); off += diskRowBytes {
-		end := off + diskRowBytes
-		if end > len(data) {
-			end = len(data)
-		}
-		seg := data[off:end]
+	nb := &diskBlock{size: size, rows: make([]*storedRow, 0, (size+diskRowBytes-1)/diskRowBytes)}
+	for off := 0; off < size; off += diskRowBytes {
+		n := min(diskRowBytes, size-off)
+		seg := data[min(off, len(data)):min(off+n, len(data))]
 		if bytes.Equal(seg, zeroSeg[:len(seg)]) {
 			nb.rows = append(nb.rows, nil)
 			d.RowsZero++
 			continue
 		}
+		if len(seg) < n {
+			// The carried bytes end inside this segment.
+			seg = append(seg[:len(seg):len(seg)], zeroSeg[len(seg):n]...)
+		}
 		nb.rows = append(nb.rows, d.intern(seg))
 	}
 	d.blocks[key] = nb
-	d.sums[key] = crc32.ChecksumIEEE(data)
-	d.BytesWritten += int64(len(data))
+	d.sums[key] = nb.crc()
+	d.BytesWritten += int64(size)
 }
 
 // Write stores a named block, consuming seek plus transfer time. The
@@ -241,16 +256,22 @@ func (d *Disk) store(key string, data []byte) {
 // rewrite the stored checkpoint.
 func (d *Disk) Write(p *sim.Proc, key string, data []byte) {
 	d.busy.Use(p, d.SeekTime+sim.Duration(len(data))*d.ByteTime)
-	d.store(key, data)
+	d.store(key, data, len(data))
 }
 
 // Read retrieves a copy of a named block, verifying its checksum.
 func (d *Disk) Read(p *sim.Proc, key string) ([]byte, error) {
-	return d.read(p, key, 0)
+	b, err := d.read(p, key)
+	if err != nil {
+		return nil, err
+	}
+	return b.bytes(0, b.size), nil
 }
 
-// read is Read with head spare bytes in front of the block's content.
-func (d *Disk) read(p *sim.Proc, key string, head int) ([]byte, error) {
+// read charges a timed read of a named block and verifies its
+// checksum, leaving it to the caller to materialize as much of the
+// block as it needs.
+func (d *Disk) read(p *sim.Proc, key string) (*diskBlock, error) {
 	b, ok := d.blocks[key]
 	if !ok {
 		return nil, fmt.Errorf("disk %s: no block %q", d.Name, key)
@@ -261,7 +282,7 @@ func (d *Disk) read(p *sim.Proc, key string, head int) ([]byte, error) {
 		d.Corrupted++
 		return nil, &CorruptError{Disk: d.Name, Key: key}
 	}
-	return b.bytes(head), nil
+	return b, nil
 }
 
 // Peek materializes a copy of a block's current content without
@@ -272,7 +293,7 @@ func (d *Disk) Peek(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return b.bytes(0), true
+	return b.bytes(0, b.size), true
 }
 
 // Size reports a block's logical length (untimed), or -1 if absent.

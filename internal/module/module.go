@@ -182,12 +182,14 @@ func (m *Module) threadFrame(p *sim.Proc, idx int, nd *node.Node, raw []byte) {
 	}
 	out := nd.Sublink(ThreadOutSublink)
 	if raw[0] == kindDown && int(raw[1]) == idx {
-		seq := int(raw[2])
+		// Write the image chunk back through the row port: the carried
+		// rows, then zeros over the rest of the chunk. Only rows the
+		// node has written since hold anything to clear there.
+		addr := int(raw[2]) * SnapshotChunk
 		data := raw[chunkHeaderBytes:]
-		// Write the image chunk back through the row port.
-		rows := (len(data) + memory.RowBytes - 1) / memory.RowBytes
-		p.Wait(sim.Duration(rows) * sim.RowAccess)
-		nd.Mem.PokeBytes(seq*SnapshotChunk, data)
+		p.Wait(chunkPortTime)
+		nd.Mem.PokeBytes(addr, data)
+		nd.Mem.ZeroBytes(addr+len(data), SnapshotChunk-len(data))
 		m.applied.Send(p, struct{}{})
 		return
 	}
@@ -218,14 +220,20 @@ func (m *Module) threadFrame(p *sim.Proc, idx int, nd *node.Node, raw []byte) {
 // threadSend forwards a frame down the thread, tolerating a missing
 // next hop: the frame is dropped and counted rather than stopping the
 // kernel, because a crashed downstream board is exactly the situation
-// the self-healing layer exists to survive. raw is never empty, so Send
-// can fail only with a DownError (a dead next hop) or ErrNotConnected
-// (a hop a rewire left orphaned); both lose the frame the same way. A
-// dropped kindDown or kindIOWrite chunk still posts its application
-// token so the feeding process stays bounded — the loss surfaces as a
-// detected fault on the next heal cycle, not as a deadlocked restore.
+// the self-healing layer exists to survive. Snapshot and restore
+// chunks travel at chunkWire, every other frame at its own length; raw
+// is never empty or longer than that, so the send can fail only with a
+// DownError (a dead next hop) or ErrNotConnected (a hop a rewire left
+// orphaned), and both lose the frame the same way. A dropped kindDown
+// or kindIOWrite chunk still posts its application token so the
+// feeding process stays bounded — the loss surfaces as a detected
+// fault on the next heal cycle, not as a deadlocked restore.
 func (m *Module) threadSend(p *sim.Proc, out *link.Sublink, raw []byte) {
-	if out.Send(p, raw) == nil {
+	wire := len(raw)
+	if raw[0] == kindUp || raw[0] == kindDown {
+		wire = chunkWire
+	}
+	if out.SendWire(p, raw, wire) == nil {
 		return
 	}
 	m.ThreadDrops++
@@ -240,14 +248,32 @@ func (m *Module) threadSend(p *sim.Proc, out *link.Sublink, raw []byte) {
 // for restore traffic).
 const chunkHeaderBytes = 4
 
+// Snapshot and restore chunk geometry. A chunk frame carries its chunk
+// only up to the last row worth carrying; the rest travels as the
+// frame's zero tail, so every chunk frame has the wire length
+// chunkWire, and moving one through a node's row port takes
+// chunkPortTime.
+const (
+	chunkWire     = chunkHeaderBytes + SnapshotChunk
+	chunkRows     = SnapshotChunk / memory.RowBytes
+	chunkPortTime = chunkRows * sim.RowAccess
+)
+
 func putChunkHeader(f []byte, kind, nodeIdx, seq int, epoch byte) {
 	f[0], f[1], f[2], f[3] = byte(kind), byte(nodeIdx), byte(seq), epoch
 }
 
 // snapshotFrame builds chunk seq of a node's memory image as a kindUp
-// thread frame in one allocation, tagged with image slot img.
+// thread frame in one allocation, tagged with image slot img. The
+// frame carries the chunk up to its last materialized row; the
+// never-written rows after it are the frame's zero tail, so an
+// untouched chunk is a bare header.
 func snapshotFrame(mem *memory.Memory, img, seq int, epoch byte) []byte {
-	f := make([]byte, chunkHeaderBytes+SnapshotChunk)
+	first, end := seq*chunkRows, (seq+1)*chunkRows
+	for end > first && !mem.RowResident(end-1) {
+		end--
+	}
+	f := make([]byte, chunkHeaderBytes+(end-first)*memory.RowBytes)
 	putChunkHeader(f, kindUp, img, seq, epoch)
 	mem.PeekInto(seq*SnapshotChunk, f[chunkHeaderBytes:])
 	return f
@@ -315,10 +341,9 @@ func (m *Module) Snapshot(p *sim.Proc) (*Snapshot, error) {
 		img, n := as.img, m.Nodes[as.phys]
 		m.snapReaders = append(m.snapReaders, m.k.Go(fmt.Sprintf("mod%d/n%d/snapread", m.Index, as.phys), func(rp *sim.Proc) {
 			for seq := 0; seq < chunksPerNode; seq++ {
-				rows := SnapshotChunk / memory.RowBytes
-				rp.Wait(sim.Duration(rows) * sim.RowAccess)
+				rp.Wait(chunkPortTime)
 				msg := snapshotFrame(n.Mem, img, seq, epoch)
-				if err := n.Sublink(ThreadOutSublink).Send(rp, msg); err != nil {
+				if err := n.Sublink(ThreadOutSublink).SendWire(rp, msg, chunkWire); err != nil {
 					// Thread severed (node crash mid-snapshot): abandon
 					// this image; the supervisor will roll back.
 					return
@@ -360,11 +385,9 @@ func (m *Module) Snapshot(p *sim.Proc) (*Snapshot, error) {
 		if raw[3] != epoch {
 			continue // stray chunk from an aborted snapshot
 		}
-		nodeIdx := int(raw[1])
-		seq := int(raw[2])
-		data := raw[chunkHeaderBytes:]
-		m.Disk.busy.Use(p, sim.Duration(len(data))*m.Disk.ByteTime)
-		m.Disk.store(snapKey(snap.ID, nodeIdx, seq), data)
+		// The disk records the whole chunk, zero tail included.
+		m.Disk.busy.Use(p, SnapshotChunk*m.Disk.ByteTime)
+		m.Disk.store(snapKey(snap.ID, int(raw[1]), int(raw[2])), raw[chunkHeaderBytes:], SnapshotChunk)
 		got++
 		lastProgress = p.Now()
 	}
@@ -457,7 +480,7 @@ func (m *Module) Restore(p *sim.Proc, snap *Snapshot) error {
 	m.k.Go(fmt.Sprintf("mod%d/sys/restoreread", m.Index), func(fp *sim.Proc) {
 		for _, as := range active {
 			for seq := 0; seq < chunksPerNode; seq++ {
-				msg, err := m.Disk.read(fp, snapKey(snap.ID, as.img, seq), chunkHeaderBytes)
+				b, err := m.Disk.read(fp, snapKey(snap.ID, as.img, seq))
 				if err != nil {
 					select {
 					case errs <- err:
@@ -465,6 +488,7 @@ func (m *Module) Restore(p *sim.Proc, snap *Snapshot) error {
 					}
 					return
 				}
+				msg := b.bytes(chunkHeaderBytes, b.carried())
 				putChunkHeader(msg, kindDown, as.phys, seq, 0)
 				queue.Send(fp, msg)
 			}
@@ -473,7 +497,7 @@ func (m *Module) Restore(p *sim.Proc, snap *Snapshot) error {
 	m.k.Go(fmt.Sprintf("mod%d/sys/restorefeed", m.Index), func(fp *sim.Proc) {
 		for i := 0; i < want; i++ {
 			msg := queue.Recv(fp).([]byte)
-			if err := m.Sys.Link.Sublink(sysThreadOut).Send(fp, msg); err != nil {
+			if err := m.Sys.Link.Sublink(sysThreadOut).SendWire(fp, msg, chunkWire); err != nil {
 				// Thread severed under the feed (a fresh failure during
 				// recovery): report and post the outstanding tokens so
 				// the collector is not left waiting on chunks that will

@@ -262,29 +262,71 @@ func TestExternalIOValidation(t *testing.T) {
 
 func TestSnapshotChunkTravelsByReference(t *testing.T) {
 	// A snapshot chunk crosses the thread's hops (node 0 → 1 → 2 → 3 →
-	// system board) as one array: every hop hands the frame over.
+	// system board) as one array: every hop hands the frame over. Only
+	// row 0 of chunk 0 was ever written, so the frame carries the header
+	// and that row, while every hop's link charges and counts the whole
+	// chunk.
 	k, m := buildModule(t, 4)
 	m.Nodes[0].Mem.PokeWord(5, 0xC0DE)
 	var sent, collected []byte
 	k.Go("snapread", func(p *sim.Proc) {
 		sent = snapshotFrame(m.Nodes[0].Mem, 0, 0, 1)
-		if err := m.Nodes[0].Sublink(ThreadOutSublink).Send(p, sent); err != nil {
+		if err := m.Nodes[0].Sublink(ThreadOutSublink).SendWire(p, sent, chunkWire); err != nil {
 			t.Errorf("send: %v", err)
 			return
 		}
 		collected = m.upChan.Recv(p).([]byte)
 	})
 	k.Run(0)
-	if len(collected) != chunkHeaderBytes+SnapshotChunk || &collected[0] != &sent[0] {
+	if len(sent) != chunkHeaderBytes+memory.RowBytes {
+		t.Fatalf("frame is %d bytes, want the header and one row (%d)", len(sent), chunkHeaderBytes+memory.RowBytes)
+	}
+	if len(collected) != len(sent) || &collected[0] != &sent[0] {
 		t.Fatal("the collector got a different array than the reader sent")
 	}
 	for i, nd := range m.Nodes {
-		if out := nd.Links[ThreadOutSublink/link.SublinksPerLink]; out.Transfers != 1 {
-			t.Fatalf("node %d forwarded %d frames, want 1", i, out.Transfers)
+		out := nd.Links[ThreadOutSublink/link.SublinksPerLink]
+		if out.Transfers != 1 || out.BytesSent != chunkHeaderBytes+SnapshotChunk {
+			t.Fatalf("node %d forwarded %d frames of %d bytes, want 1 of %d",
+				i, out.Transfers, out.BytesSent, chunkHeaderBytes+SnapshotChunk)
 		}
 	}
 	if got := binary.LittleEndian.Uint32(collected[chunkHeaderBytes+20:]); got != 0xC0DE {
 		t.Fatalf("chunk payload word 5 = %#x", got)
+	}
+}
+
+func TestRestoreClearsChunkTail(t *testing.T) {
+	// Chunk 0 carries rows 0..2 on the wire; rows 3..63 are its zero
+	// tail. A tail row written after the snapshot must read zero after
+	// the restore, and a tail row never written must stay unmaterialized.
+	k, m := buildModule(t, 1)
+	mem := m.Nodes[0].Mem
+	mem.PokeWord(0, 1)
+	mem.PokeWord(memory.RowAddr(2)/4, 2)
+	var resident int64
+	k.Go("run", func(p *sim.Proc) {
+		snap, err := m.Snapshot(p)
+		if err != nil {
+			t.Errorf("snapshot: %v", err)
+			return
+		}
+		mem.PokeWord(memory.RowAddr(2)/4, 20)
+		mem.PokeWord(memory.RowAddr(40)/4, 40)
+		resident = mem.MaterializedRows()
+		if err := m.Restore(p, snap); err != nil {
+			t.Errorf("restore: %v", err)
+		}
+	})
+	k.Run(0)
+	if got := mem.PeekWord(memory.RowAddr(2) / 4); got != 2 {
+		t.Fatalf("carried row 2 reads %d after restore, want 2", got)
+	}
+	if got := mem.PeekWord(memory.RowAddr(40) / 4); got != 0 {
+		t.Fatalf("tail row 40, written after the snapshot, reads %d after restore, want 0", got)
+	}
+	if mem.RowResident(41) || mem.MaterializedRows() != resident {
+		t.Fatalf("restore materialized tail rows: %d resident, want %d", mem.MaterializedRows(), resident)
 	}
 }
 

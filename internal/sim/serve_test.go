@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -422,10 +423,24 @@ func TestEveryNeedsAPositivePeriod(t *testing.T) {
 	}
 }
 
+// goroutinesIn counts the goroutines whose stack passes through the
+// function fn, named as the runtime prints it.
+func goroutinesIn(fn string) int {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "\n"+fn+"(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // TestIdleServeHoldsNoGoroutine: a thousand Serve processes that each
 // handled a value, or Every processes that each ticked, and went idle
 // leave no goroutine behind, where the same daemons written as goroutine
-// loops hold one each.
+// loops hold one each. The held goroutines are counted by their loop
+// function, so a goroutine of an earlier test that exits meanwhile
+// does not skew the count.
 func TestIdleServeHoldsNoGoroutine(t *testing.T) {
 	const n = 1000
 	serveOnce := func(start startFunc) func(k *Kernel, work func(p *Proc)) {
@@ -447,11 +462,12 @@ func TestIdleServeHoldsNoGoroutine(t *testing.T) {
 		name  string
 		start func(k *Kernel, work func(p *Proc))
 		held  int
+		loop  string // the function each held goroutine runs
 	}{
-		{"Serve", serveOnce(viaServe), 0},
-		{"recv loop", serveOnce(viaLoop), n},
-		{"Every", tickOnce(viaEvery), 0},
-		{"timed loop", tickOnce(viaTimedLoop), n},
+		{"Serve", serveOnce(viaServe), 0, ""},
+		{"recv loop", serveOnce(viaLoop), n, "tseries/internal/sim.viaLoop.func1"},
+		{"Every", tickOnce(viaEvery), 0, ""},
+		{"timed loop", tickOnce(viaTimedLoop), n, "tseries/internal/sim.viaTimedLoop.func1"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
@@ -469,7 +485,7 @@ func TestIdleServeHoldsNoGoroutine(t *testing.T) {
 			}
 			if c.held == 0 {
 				waitGoroutines(t, base)
-			} else if held := runtime.NumGoroutine() - base; held < c.held {
+			} else if held := goroutinesIn(c.loop); held < c.held {
 				t.Fatalf("%d goroutines held, want at least %d", held, c.held)
 			}
 			k.teardown() // unwind the goroutine loops
