@@ -144,6 +144,36 @@ var special32 = []uint32{
 	0x1A000000, 0x7E800000, // under/overflow feeders
 }
 
+// TestExponentTests checks the shifted-form exponent tests against the
+// biased exponent field, for every exponent, both signs and the
+// fraction's extremes.
+func TestExponentTests(t *testing.T) {
+	for e := uint64(0); e <= 0x7FF; e++ {
+		for _, x := range []uint64{e << 52, e<<52 | 1, e<<52 | (1<<52 - 1)} {
+			for _, x := range []uint64{x, x | 1<<63} {
+				if got, want := isNorm64(x), e >= 1 && e <= 0x7FE; got != want {
+					t.Errorf("isNorm64(%#016x) = %v", x, got)
+				}
+				if got, want := kept64(x), e >= 2 && e <= 0x7FE; got != want {
+					t.Errorf("kept64(%#016x) = %v", x, got)
+				}
+			}
+		}
+	}
+	for e := uint32(0); e <= 0xFF; e++ {
+		for _, x := range []uint32{e << 23, e<<23 | 1, e<<23 | (1<<23 - 1)} {
+			for _, x := range []uint32{x, x | 1<<31} {
+				if got, want := isNorm32(x), e >= 1 && e <= 0xFE; got != want {
+					t.Errorf("isNorm32(%#08x) = %v", x, got)
+				}
+				if got, want := kept32(x), e >= 2 && e <= 0xFE; got != want {
+					t.Errorf("kept32(%#08x) = %v", x, got)
+				}
+			}
+		}
+	}
+}
+
 // TestFastPathSpecials drives every pair from the special corpus through
 // public-vs-generic (the host oracle skips non-normal operands itself).
 func TestFastPathSpecials(t *testing.T) {

@@ -10,12 +10,12 @@
 // The package operates on raw bit patterns (uint32 / uint64); helpers
 // convert to and from Go's native types for test oracles and workload
 // setup. Add, Sub and Mul of two normal operands run on the host's IEEE
-// unit, and the host's result is kept when its biased exponent is at
-// least 2 (±Inf included). That is exact: the two regimes round the same
-// way above the underflow threshold and overflow alike, and a host result
-// of at least 2·minNormal can only come from an exact result above it.
-// Every other case takes the generic bit-level code below (see
-// fastpath.go). So a result depends on the host only through Go's
+// unit, and the host's result is kept when it is finite with a biased
+// exponent of at least 2. That is exact: the two regimes round the same
+// way above the underflow threshold, and a host result of at least
+// 2·minNormal can only come from an exact result above it. Every other
+// case takes the generic bit-level code below (see fastpath.go, whose
+// Host* primitives state the rule for callers that inline it). So a result depends on the host only through Go's
 // IEEE-754 float32/float64 arithmetic, the same bits on every port once
 // an explicit conversion rules out a fused multiply-add.
 package fparith

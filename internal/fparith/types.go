@@ -14,30 +14,24 @@ type F32 uint32
 
 // Add64 returns a + b with round-to-nearest-even and flush-to-zero.
 func Add64(a, b F64) F64 {
-	if isNorm64(uint64(a)) && isNorm64(uint64(b)) {
-		if h, ok := host64(float64(a.Float64() + b.Float64())); ok {
-			return h
-		}
+	if h, ok := HostAdd64(uint64(a), uint64(b)); ok {
+		return F64(h)
 	}
 	return F64(add(fmt64, uint64(a), uint64(b), false))
 }
 
 // Sub64 returns a - b.
 func Sub64(a, b F64) F64 {
-	if isNorm64(uint64(a)) && isNorm64(uint64(b)) {
-		if h, ok := host64(float64(a.Float64() - b.Float64())); ok {
-			return h
-		}
+	if h, ok := HostSub64(uint64(a), uint64(b)); ok {
+		return F64(h)
 	}
 	return F64(add(fmt64, uint64(a), uint64(b), true))
 }
 
 // Mul64 returns a * b.
 func Mul64(a, b F64) F64 {
-	if isNorm64(uint64(a)) && isNorm64(uint64(b)) {
-		if h, ok := host64(float64(a.Float64() * b.Float64())); ok {
-			return h
-		}
+	if h, ok := HostMul64(uint64(a), uint64(b)); ok {
+		return F64(h)
 	}
 	return F64(mul(fmt64, uint64(a), uint64(b)))
 }
@@ -55,30 +49,24 @@ func Abs64(a F64) F64 { return a &^ F64(fmt64.signMask()) }
 
 // Add32 returns a + b.
 func Add32(a, b F32) F32 {
-	if isNorm32(uint32(a)) && isNorm32(uint32(b)) {
-		if h, ok := host32(float32(a.Float32() + b.Float32())); ok {
-			return h
-		}
+	if h, ok := HostAdd32(uint32(a), uint32(b)); ok {
+		return F32(h)
 	}
 	return F32(add(fmt32, uint64(a), uint64(b), false))
 }
 
 // Sub32 returns a - b.
 func Sub32(a, b F32) F32 {
-	if isNorm32(uint32(a)) && isNorm32(uint32(b)) {
-		if h, ok := host32(float32(a.Float32() - b.Float32())); ok {
-			return h
-		}
+	if h, ok := HostSub32(uint32(a), uint32(b)); ok {
+		return F32(h)
 	}
 	return F32(add(fmt32, uint64(a), uint64(b), true))
 }
 
 // Mul32 returns a * b.
 func Mul32(a, b F32) F32 {
-	if isNorm32(uint32(a)) && isNorm32(uint32(b)) {
-		if h, ok := host32(float32(a.Float32() * b.Float32())); ok {
-			return h
-		}
+	if h, ok := HostMul32(uint32(a), uint32(b)); ok {
+		return F32(h)
 	}
 	return F32(mul(fmt32, uint64(a), uint64(b)))
 }

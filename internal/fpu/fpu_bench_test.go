@@ -11,17 +11,19 @@ import (
 // benchForm measures one vector form end to end through Unit.Run: operand
 // fetch, element arithmetic, status accumulation, and result store. The
 // per-element figure (ns/op divided by the element count via SetBytes) is
-// the datapath throughput the fast-lane work targets.
-func benchForm(b *testing.B, form Form, prec Precision) {
+// the datapath throughput the fast-lane work targets. X is row 0 in bank
+// A; Y is row y, which is row 1 (bank A, shared with X) in the plain
+// variants and yTwoBank (bank B, a port of its own) in the _2Bank ones.
+func benchForm(b *testing.B, form Form, prec Precision, y int) {
 	k := sim.NewKernel()
 	m := memory.New(k, "b")
 	u := New(k, "b", m)
 	n := ElemsPerRow(prec)
 	for i := 0; i < memory.F64PerRow; i++ {
-		m.PokeF64(i, fparith.FromFloat64(1.5+float64(i)))                   // row 0 (X)
-		m.PokeF64(memory.F64PerRow+i, fparith.FromFloat64(2.25+float64(i))) // row 1 (Y)
+		m.PokeF64(i, fparith.FromFloat64(1.5+float64(i)))                     // row 0 (X)
+		m.PokeF64(y*memory.F64PerRow+i, fparith.FromFloat64(2.25+float64(i))) // row y (Y)
 	}
-	op := Op{Form: form, Prec: prec, X: 0, Y: 1, Z: 300, A: fparith.FromFloat64(1.000244140625)}
+	op := Op{Form: form, Prec: prec, X: 0, Y: y, Z: 300, A: fparith.FromFloat64(1.000244140625)}
 	b.ReportAllocs()
 	b.SetBytes(int64(n)) // elements per op → "MB/s" reads as Melem/s
 	b.ResetTimer()
@@ -36,13 +38,26 @@ func benchForm(b *testing.B, form Form, prec Precision) {
 	k.Run(0)
 }
 
-func BenchmarkForm_VAdd64(b *testing.B)  { benchForm(b, VAdd, P64) }
-func BenchmarkForm_VMul64(b *testing.B)  { benchForm(b, VMul, P64) }
-func BenchmarkForm_SAXPY64(b *testing.B) { benchForm(b, SAXPY, P64) }
-func BenchmarkForm_Dot64(b *testing.B)   { benchForm(b, Dot, P64) }
-func BenchmarkForm_Sum64(b *testing.B)   { benchForm(b, Sum, P64) }
-func BenchmarkForm_VCmp64(b *testing.B)  { benchForm(b, VCmp, P64) }
-func BenchmarkForm_VMax64(b *testing.B)  { benchForm(b, VMax, P64) }
-func BenchmarkForm_SAXPY32(b *testing.B) { benchForm(b, SAXPY, P32) }
-func BenchmarkForm_Dot32(b *testing.B)   { benchForm(b, Dot, P32) }
-func BenchmarkForm_VAdd32(b *testing.B)  { benchForm(b, VAdd, P32) }
+// yTwoBank is a bank B row: a form reading X from row 0 and Y from it
+// holds both bank ports.
+const yTwoBank = memory.BankARows + 1
+
+func BenchmarkForm_VAdd64(b *testing.B)  { benchForm(b, VAdd, P64, 1) }
+func BenchmarkForm_VMul64(b *testing.B)  { benchForm(b, VMul, P64, 1) }
+func BenchmarkForm_SAXPY64(b *testing.B) { benchForm(b, SAXPY, P64, 1) }
+func BenchmarkForm_Dot64(b *testing.B)   { benchForm(b, Dot, P64, 1) }
+func BenchmarkForm_Sum64(b *testing.B)   { benchForm(b, Sum, P64, 1) }
+func BenchmarkForm_VCmp64(b *testing.B)  { benchForm(b, VCmp, P64, 1) }
+func BenchmarkForm_VMax64(b *testing.B)  { benchForm(b, VMax, P64, 1) }
+func BenchmarkForm_SAXPY32(b *testing.B) { benchForm(b, SAXPY, P32, 1) }
+func BenchmarkForm_Dot32(b *testing.B)   { benchForm(b, Dot, P32, 1) }
+func BenchmarkForm_VAdd32(b *testing.B)  { benchForm(b, VAdd, P32, 1) }
+
+func BenchmarkForm_VAdd64_2Bank(b *testing.B)  { benchForm(b, VAdd, P64, yTwoBank) }
+func BenchmarkForm_VMul64_2Bank(b *testing.B)  { benchForm(b, VMul, P64, yTwoBank) }
+func BenchmarkForm_SAXPY64_2Bank(b *testing.B) { benchForm(b, SAXPY, P64, yTwoBank) }
+func BenchmarkForm_Dot64_2Bank(b *testing.B)   { benchForm(b, Dot, P64, yTwoBank) }
+func BenchmarkForm_VCmp64_2Bank(b *testing.B)  { benchForm(b, VCmp, P64, yTwoBank) }
+func BenchmarkForm_SAXPY32_2Bank(b *testing.B) { benchForm(b, SAXPY, P32, yTwoBank) }
+func BenchmarkForm_Dot32_2Bank(b *testing.B)   { benchForm(b, Dot, P32, yTwoBank) }
+func BenchmarkForm_VAdd32_2Bank(b *testing.B)  { benchForm(b, VAdd, P32, yTwoBank) }

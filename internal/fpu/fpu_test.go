@@ -523,3 +523,26 @@ func TestConversionFormsRejectP32(t *testing.T) {
 		t.Fatal("conversion in 32-bit mode accepted")
 	}
 }
+
+// TestRunDoesNotAllocate pins Unit.Run at zero heap allocations for a
+// dyadic form in both bank layouts: Y sharing X's bank, and Y in the
+// other bank, where Run holds both bank ports.
+func TestRunDoesNotAllocate(t *testing.T) {
+	for _, y := range []int{1, yTwoBank} {
+		k, m, u := rig()
+		fillRow64(m, 0, []float64{1.5, 2.5, 3.5})
+		fillRow64(m, y, []float64{0.25, -4, 8})
+		op := Op{Form: SAXPY, Prec: P64, X: 0, Y: y, Z: 300, A: fparith.FromFloat64(3)}
+		k.Go("cp", func(p *sim.Proc) {
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := u.Run(p, op); err != nil {
+					t.Error(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("Y in bank %v: %v allocations per Run, want 0", memory.BankOf(y), allocs)
+			}
+		})
+		k.Run(0)
+	}
+}

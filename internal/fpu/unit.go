@@ -122,13 +122,16 @@ func (u *Unit) Run(p *sim.Proc, op Op) (Result, error) {
 		loadTime = 2 * sim.RowAccess
 	}
 	// Hold the operand bank ports for the load plus the streaming phase:
-	// operand elements stream from the banks through the row buffers.
-	ports := []*sim.Resource{u.mem.BankPort(bankX)}
+	// operand elements stream from the banks through the row buffers. A
+	// fixed pair keeps a two-bank form from allocating.
+	ports := [2]*sim.Resource{u.mem.BankPort(bankX)}
 	if dyadic && memory.BankOf(op.Y) != bankX {
-		ports = append(ports, u.mem.BankPort(memory.BankOf(op.Y)))
+		ports[1] = u.mem.BankPort(memory.BankOf(op.Y))
 	}
 	for _, r := range ports {
-		r.Acquire(p)
+		if r != nil {
+			r.Acquire(p)
+		}
 	}
 	// Release the bank ports even if this process is killed mid-stream
 	// (recovery rollback), so survivors don't deadlock on a leaked port.
@@ -139,7 +142,9 @@ func (u *Unit) Run(p *sim.Proc, op Op) (Result, error) {
 		}
 		released = true
 		for _, r := range ports {
-			r.Release()
+			if r != nil {
+				r.Release()
+			}
 		}
 	}
 	defer releasePorts()

@@ -184,6 +184,20 @@ func TestCaughtMatchesSyndrome(t *testing.T) {
 	}
 }
 
+// TestCRCUpdateZeroRows checks every precomputed whole-row factor: a
+// fold of k 1 KB zero rows, k from 0 to 64, against hashing the zeros.
+func TestCRCUpdateZeroRows(t *testing.T) {
+	zeros := make([]byte, (len(zeroRowFactor)-1)*zeroRowBytes)
+	c := crc32.ChecksumIEEE([]byte("row head"))
+	for k := range zeroRowFactor {
+		n := k * zeroRowBytes
+		want := crc32.Update(c, crc32.IEEETable, zeros[:n])
+		if got := CRCUpdateZeros(c, n); got != want {
+			t.Errorf("%d zero rows: %#x, want %#x", k, got, want)
+		}
+	}
+}
+
 // TestCRCUpdateZeros checks the zero-run fold against hashing the
 // zeros.
 func TestCRCUpdateZeros(t *testing.T) {

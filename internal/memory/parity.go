@@ -3,6 +3,7 @@ package memory
 import (
 	"encoding/binary"
 	"math/bits"
+	"unsafe"
 )
 
 // Parity engine. One parity bit guards each byte of the store; the bits
@@ -46,15 +47,13 @@ func parityNibbleOf(w uint32) byte {
 // refreshChunkParity recomputes the stored parity summaries for the
 // data bytes at row-local offsets [off, off+n) of chunk c, leaving bits
 // that guard bytes outside the range untouched. Interior 8-byte groups
-// cost one load and one parityByteOf each.
+// cost one word load and one parityByteOf each: on a little-endian host
+// the loop reads the chunk through a fixed-size word view, so no group
+// re-slices the data.
 func refreshChunkParity(c *rowChunk, off, n int) {
 	if n <= 0 {
 		return
 	}
-	// Work on slices of the chunk arrays: slicing a fixed-size array
-	// through the pointer inside the loop would re-derive bounds and
-	// re-check nil-ness every iteration.
-	data, par := c.data[:], c.par[:]
 	end := off + n
 	if r := off % 8; r != 0 {
 		g := off - r
@@ -62,11 +61,22 @@ func refreshChunkParity(c *rowChunk, off, n int) {
 		patchChunkParity(c, g, r, stop-g)
 		off = stop
 	}
-	for ; off+8 <= end; off += 8 {
-		par[off>>3] = parityByteOf(binary.LittleEndian.Uint64(data[off:]))
+	// Whole groups [off/8, end/8); off is 8-aligned here unless the head
+	// group already reached end.
+	lo, hi := off>>3, end>>3
+	par := c.par[lo:hi]
+	if hostLittleEndian {
+		words := (*[RowBytes / 8]uint64)(unsafe.Pointer(&c.data))[lo:hi]
+		for g, w := range words {
+			par[g] = parityByteOf(w)
+		}
+	} else {
+		for g := range par {
+			par[g] = parityByteOf(binary.LittleEndian.Uint64(c.data[8*(lo+g):]))
+		}
 	}
-	if off < end {
-		patchChunkParity(c, off, 0, end-off)
+	if tail := end &^ 7; off <= tail && tail < end {
+		patchChunkParity(c, tail, 0, end-tail)
 	}
 }
 

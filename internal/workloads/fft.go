@@ -214,7 +214,9 @@ func reverseBits(x, width int) int {
 	return r
 }
 
-// HostDFT is the O(N²) reference transform in host arithmetic.
+// HostDFT is the O(N²) reference transform in host arithmetic. The
+// complex product is written out by parts, each real product rounded on
+// its own, so no port fuses a multiply into the adds.
 func HostDFT(in []complex128) []complex128 {
 	n := len(in)
 	out := make([]complex128, n)
@@ -222,7 +224,8 @@ func HostDFT(in []complex128) []complex128 {
 		var acc complex128
 		for j := 0; j < n; j++ {
 			ang := -2 * math.Pi * float64(kk) * float64(j) / float64(n)
-			acc += in[j] * complex(math.Cos(ang), math.Sin(ang))
+			c, s, x := math.Cos(ang), math.Sin(ang), in[j]
+			acc += complex(float64(real(x)*c)-float64(imag(x)*s), float64(real(x)*s)+float64(imag(x)*c))
 		}
 		out[kk] = acc
 	}

@@ -56,7 +56,7 @@ func luResidual(n int, a [][]float64, res LUResult) float64 {
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for kk := 0; kk <= i && kk <= j; kk++ {
-				s += res.L[i][kk] * res.U[kk][j]
+				s += float64(res.L[i][kk] * res.U[kk][j]) // no fused multiply-add on any port
 			}
 			if e := math.Abs(a[res.Perm[i]][j] - s); e > maxErr {
 				maxErr = e

@@ -188,7 +188,9 @@ func DistributedMatMul(ctx context.Context, dim int, n int, a, b [][]float64) (M
 // HostMatMul is the reference multiply in host arithmetic with the same
 // accumulation order as the distributed algorithm (k outermost), so
 // results match the simulator bit for bit when both use float64-exact
-// inputs.
+// inputs. Each product is rounded on its own (float64(...)), as the
+// simulator's separate multiplier does: a port may not fuse it into the
+// sum.
 func HostMatMul(n int, a, b [][]float64) [][]float64 {
 	c := make([][]float64, n)
 	for i := range c {
@@ -198,7 +200,7 @@ func HostMatMul(n int, a, b [][]float64) [][]float64 {
 		for i := 0; i < n; i++ {
 			aik := a[i][k]
 			for j := 0; j < n; j++ {
-				c[i][j] += aik * b[k][j]
+				c[i][j] += float64(aik * b[k][j])
 			}
 		}
 	}

@@ -54,7 +54,7 @@ func init() {
 // LINPACK operation count 2n³/3 + 2n².
 func (r SolveResult) MFLOPS() float64 {
 	n := float64(r.N)
-	ops := 2*n*n*n/3 + 2*n*n
+	ops := 2*n*n*n/3 + float64(2*n*n) // no fused multiply-add on any port
 	return ops / r.Elapsed.Seconds() / 1e6
 }
 
@@ -180,7 +180,7 @@ func Solve(ctx context.Context, n int, a [][]float64, b []float64) (SolveResult,
 	for i := 0; i < n; i++ {
 		var ax float64
 		for j := 0; j < n; j++ {
-			ax += a[i][j] * res.X[j]
+			ax += float64(a[i][j] * res.X[j]) // no fused multiply-add on any port
 		}
 		if r := abs64(ax - b[i]); r > res.Residual {
 			res.Residual = r
