@@ -19,10 +19,10 @@ import (
 const chunkHeaderBytes = 8
 
 // chunkPool recycles the header+payload staging buffer of SendChunked.
-// Send copies the bytes it is given into a fresh wire frame (encode)
-// before any link sees them, so one scratch buffer can serve every chunk
-// of a transfer and then be recycled across transfers and kernels. The
-// link layer itself does not copy: it hands that frame over.
+// Send copies the bytes it is given into a fresh wire frame before any
+// link sees them, so one scratch buffer can serve every chunk of a
+// transfer and then be recycled across transfers and kernels. The link
+// layer itself does not copy: it hands that frame over.
 var chunkPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // SendChunked delivers payload to dst under tag, split into pieces of at

@@ -226,16 +226,14 @@ func (e *Endpoint) mailbox(tag int) *sim.Chan {
 	return mb
 }
 
-// encode builds the wire form: src, dst, tag, len (uint32 LE) + payload.
-// The top byte of the tag word (offset 11) is the hop counter.
-func encode(src, dst, tag int, payload []byte) []byte {
-	buf := make([]byte, headerBytes+len(payload))
+// putHeader writes the wire prefix of a frame carrying an n-byte
+// payload: src, dst, tag, len (uint32 LE). The top byte of the tag word
+// (offset 11) is the hop counter.
+func putHeader(buf []byte, src, dst, tag, n int) {
 	binary.LittleEndian.PutUint32(buf[0:], uint32(src))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(dst))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(tag)&tagMask)
-	binary.LittleEndian.PutUint32(buf[12:], uint32(len(payload)))
-	copy(buf[headerBytes:], payload)
-	return buf
+	binary.LittleEndian.PutUint32(buf[12:], uint32(n))
 }
 
 func decode(raw []byte) (src, dst, tag int, payload []byte) {
@@ -320,7 +318,8 @@ func (e *Endpoint) sendDim(p *sim.Proc, raw []byte, d, diff int) error {
 // the first channel that takes the frame.
 func (e *Endpoint) sendCandidates(p *sim.Proc, raw []byte, dst, arriveDim, diff int) error {
 	var lastErr error
-	for _, d := range e.candidates(dst, arriveDim) {
+	var buf [cube.MaxDim]int
+	for _, d := range e.candidates(buf[:0], dst, arriveDim) {
 		err := e.sendDim(p, raw, d, diff)
 		if err == nil || !link.IsDown(err) {
 			return err
@@ -339,10 +338,9 @@ func (e *Endpoint) sendCandidates(p *sim.Proc, raw []byte, dst, arriveDim, diff 
 // is a differing one (progress back the way we came still shortens the
 // route); and last, up non-differing dimensions — true detours. The
 // arrival dimension is never used as a detour: that would bounce the
-// message straight back.
-func (e *Endpoint) candidates(dst, arriveDim int) []int {
+// message straight back. The list is appended to cand.
+func (e *Endpoint) candidates(cand []int, dst, arriveDim int) []int {
 	diff := e.id ^ dst
-	cand := make([]int, 0, e.net.Dim)
 	for d := 0; d < e.net.Dim; d++ {
 		if diff&(1<<uint(d)) != 0 && d != arriveDim && e.nd.Sublink(CubeSublink(d)).Up() {
 			cand = append(cand, d)
@@ -366,21 +364,44 @@ func (e *Endpoint) candidates(dst, arriveDim int) []int {
 // a CrashedError; a send abandoned en route surfaces as a DownError or
 // is dropped at an intermediate router (visible in RouteDrops).
 func (e *Endpoint) Send(p *sim.Proc, dst, tag int, payload []byte) error {
+	frame, body, err := e.frame(dst, tag, len(payload))
+	if err != nil {
+		return err
+	}
+	copy(body, payload)
+	return e.post(p, dst, tag, frame, body)
+}
+
+// frame checks that an n-byte payload can go to dst and returns the
+// buffer that will carry it, with body the payload's place in it. A
+// message to this node is delivered as its bare payload; any other
+// gets a wire frame whose header is already written.
+func (e *Endpoint) frame(dst, tag, n int) (frame, body []byte, err error) {
 	if dst == e.id {
-		// Local delivery costs nothing on the wire.
-		e.Sent++
-		e.mailbox(tag).Send(p, delivered{src: e.id, payload: append([]byte(nil), payload...)})
-		return nil
+		body = make([]byte, n)
+		return body, body, nil
 	}
 	if dst < 0 || dst >= e.net.Size() {
-		return fmt.Errorf("comm: destination %d outside %d-cube", dst, e.net.Dim)
+		return nil, nil, fmt.Errorf("comm: destination %d outside %d-cube", dst, e.net.Dim)
 	}
 	if !e.net.alive(dst) {
-		return &CrashedError{Node: dst}
+		return nil, nil, &CrashedError{Node: dst}
 	}
+	frame = make([]byte, headerBytes+n)
+	putHeader(frame, e.id, dst, tag, n)
+	return frame, frame[headerBytes:], nil
+}
+
+// post sends a frame built by frame once its body is filled in.
+func (e *Endpoint) post(p *sim.Proc, dst, tag int, frame, body []byte) error {
 	e.Sent++
-	e.BytesSent += int64(len(payload))
-	return e.forward(p, encode(e.id, dst, tag, payload), dst, -1)
+	if dst == e.id {
+		// Local delivery costs nothing on the wire.
+		e.mailbox(tag).Send(p, delivered{src: e.id, payload: body})
+		return nil
+	}
+	e.BytesSent += int64(len(body))
+	return e.forward(p, frame, dst, -1)
 }
 
 // Recv blocks until a message with the given tag arrives.
@@ -401,9 +422,15 @@ func (e *Endpoint) Dim() int { return e.net.Dim }
 // Typed helpers: 64-bit vectors travel as little-endian bytes, eight per
 // element — exactly what the link DMA would carry.
 
-// SendF64 sends a vector of 64-bit elements.
+// SendF64 sends a vector of 64-bit elements, written straight into
+// the frame.
 func (e *Endpoint) SendF64(p *sim.Proc, dst, tag int, vals []fparith.F64) error {
-	return e.Send(p, dst, tag, packF64(vals))
+	frame, body, err := e.frame(dst, tag, 8*len(vals))
+	if err != nil {
+		return err
+	}
+	putF64(body, vals)
+	return e.post(p, dst, tag, frame, body)
 }
 
 // RecvF64 receives a vector of 64-bit elements.
@@ -424,10 +451,15 @@ func (e *Endpoint) BroadcastF64(p *sim.Proc, root, tag int, vals []fparith.F64) 
 
 func packF64(vals []fparith.F64) []byte {
 	buf := make([]byte, 8*len(vals))
+	putF64(buf, vals)
+	return buf
+}
+
+// putF64 writes vals into buf as little-endian 64-bit words.
+func putF64(buf []byte, vals []fparith.F64) {
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
 	}
-	return buf
 }
 
 func unpackF64(b []byte) []fparith.F64 {

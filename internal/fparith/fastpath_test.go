@@ -284,3 +284,52 @@ func FuzzArith32(f *testing.F) {
 		checkAgainstHost32(t, F32(a), F32(b))
 	})
 }
+
+// TestCmpFastPathMatchesGeneric checks Cmp64 and Cmp32, whose normal
+// and infinite operands skip unpacking, against the generic cmp over
+// every class pair: signed zeros, denormals of both signs, the extreme
+// normals, infinities, quiet and signaling NaNs, and random normals.
+func TestCmpFastPathMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	classes64 := []uint64{
+		0, 1 << 63, // ±0
+		1, 0x000fffffffffffff, 1<<63 | 1, 1<<63 | 0x000fffffffffffff, // denormals
+		0x0010000000000000, 0x7fefffffffffffff, // smallest and largest normal
+		1<<63 | 0x0010000000000000, 1<<63 | 0x7fefffffffffffff,
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		0x7ff8000000000000, 0xfff8000000000001, // quiet NaNs
+		0x7ff0000000000001, 0xfff4000000000000, // signaling NaNs
+	}
+	classes32 := []uint32{
+		0, 1 << 31,
+		1, 0x007fffff, 1<<31 | 1, 1<<31 | 0x007fffff,
+		0x00800000, 0x7f7fffff, 1<<31 | 0x00800000, 1<<31 | 0x7f7fffff,
+		0x7f800000, 0xff800000,
+		0x7fc00000, 0xffc00001,
+		0x7f800001, 0xffa00000,
+	}
+	for i := 0; i < 64; i++ {
+		// Random normals: any sign and fraction, exponent field 1..max-1.
+		e := uint64(1 + rng.Intn(0x7fe))
+		classes64 = append(classes64, uint64(rng.Intn(2))<<63|e<<52|rng.Uint64()&(1<<52-1))
+		e32 := uint32(1 + rng.Intn(0xfe))
+		classes32 = append(classes32, uint32(rng.Intn(2))<<31|e32<<23|rng.Uint32()&(1<<23-1))
+	}
+	// Equal magnitudes of both signs, and neighbours one ulp apart.
+	classes64 = append(classes64, classes64[20], classes64[20]^1<<63, classes64[20]+1)
+	classes32 = append(classes32, classes32[20], classes32[20]^1<<31, classes32[20]+1)
+	for _, a := range classes64 {
+		for _, b := range classes64 {
+			if got, want := Cmp64(F64(a), F64(b)), cmp(fmt64, a, b); got != want {
+				t.Errorf("Cmp64(%#016x, %#016x) = %d, generic cmp says %d", a, b, got, want)
+			}
+		}
+	}
+	for _, a := range classes32 {
+		for _, b := range classes32 {
+			if got, want := Cmp32(F32(a), F32(b)), cmp(fmt32, uint64(a), uint64(b)); got != want {
+				t.Errorf("Cmp32(%#08x, %#08x) = %d, generic cmp says %d", a, b, got, want)
+			}
+		}
+	}
+}

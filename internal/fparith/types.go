@@ -106,15 +106,7 @@ func cmp(f format, a, b uint64) int {
 	if ua.cls == clNaN || ub.cls == clNaN {
 		return 2
 	}
-	ka := orderKey(f, ua)
-	kb := orderKey(f, ub)
-	switch {
-	case ka < kb:
-		return -1
-	case ka > kb:
-		return 1
-	}
-	return 0
+	return cmpKeys(orderKey(f, ua), orderKey(f, ub))
 }
 
 // orderKey maps a non-NaN unpacked value to an int64 that orders
@@ -134,10 +126,50 @@ func orderKey(f format, u unpacked) int64 {
 }
 
 // Cmp64 compares a and b: -1, 0, +1, or 2 when unordered (either is NaN).
-func Cmp64(a, b F64) int { return cmp(fmt64, uint64(a), uint64(b)) }
+// Two operands that are both normal or infinite order like their
+// sign-magnitude bit patterns, so they are compared without unpacking.
+// Zeros, denormals (flushed to zero) and NaNs take the generic path.
+func Cmp64(a, b F64) int {
+	const sign, minNormal, inf = 1 << 63, 1 << 52, 0x7ff << 52
+	ma, mb := uint64(a)&^sign, uint64(b)&^sign
+	// A magnitude in [minNormal, inf] is normal or infinite.
+	if ma-minNormal <= inf-minNormal && mb-minNormal <= inf-minNormal {
+		return cmpKeys(signedKey(ma, uint64(a)&sign != 0), signedKey(mb, uint64(b)&sign != 0))
+	}
+	return cmp(fmt64, uint64(a), uint64(b))
+}
 
-// Cmp32 compares a and b: -1, 0, +1, or 2 when unordered.
-func Cmp32(a, b F32) int { return cmp(fmt32, uint64(a), uint64(b)) }
+// Cmp32 compares a and b: -1, 0, +1, or 2 when unordered. Like Cmp64 it
+// orders two normal or infinite operands by their bit patterns.
+func Cmp32(a, b F32) int {
+	const sign, minNormal, inf = 1 << 31, 1 << 23, 0xff << 23
+	ma, mb := uint32(a)&^sign, uint32(b)&^sign
+	if ma-minNormal <= inf-minNormal && mb-minNormal <= inf-minNormal {
+		return cmpKeys(signedKey(uint64(ma), uint32(a)&sign != 0), signedKey(uint64(mb), uint32(b)&sign != 0))
+	}
+	return cmp(fmt32, uint64(a), uint64(b))
+}
+
+// signedKey turns a sign and a magnitude bit pattern into an int64 that
+// orders like the value. For a normal or infinite operand the magnitude
+// pattern is orderKey's magnitude, so the two paths agree.
+func signedKey(mag uint64, neg bool) int64 {
+	if neg {
+		return -int64(mag)
+	}
+	return int64(mag)
+}
+
+// cmpKeys compares two order keys: -1, 0 or +1.
+func cmpKeys(ka, kb int64) int {
+	switch {
+	case ka < kb:
+		return -1
+	case ka > kb:
+		return 1
+	}
+	return 0
+}
 
 // Less64 reports a < b (false if unordered).
 func Less64(a, b F64) bool { return Cmp64(a, b) == -1 }

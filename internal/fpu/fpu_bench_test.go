@@ -19,9 +19,16 @@ func benchForm(b *testing.B, form Form, prec Precision, y int) {
 	m := memory.New(k, "b")
 	u := New(k, "b", m)
 	n := ElemsPerRow(prec)
-	for i := 0; i < memory.F64PerRow; i++ {
-		m.PokeF64(i, fparith.FromFloat64(1.5+float64(i)))                     // row 0 (X)
-		m.PokeF64(y*memory.F64PerRow+i, fparith.FromFloat64(2.25+float64(i))) // row y (Y)
+	for i := 0; i < n; i++ {
+		x, yv := 1.5+float64(i), 2.25+float64(i)
+		if prec == P32 {
+			// 32-bit elements, so every one of them is a normal operand.
+			m.PokeF32(i, fparith.FromFloat32(float32(x)))
+			m.PokeF32(y*memory.F32PerRow+i, fparith.FromFloat32(float32(yv)))
+			continue
+		}
+		m.PokeF64(i, fparith.FromFloat64(x))                     // row 0 (X)
+		m.PokeF64(y*memory.F64PerRow+i, fparith.FromFloat64(yv)) // row y (Y)
 	}
 	op := Op{Form: form, Prec: prec, X: 0, Y: y, Z: 300, A: fparith.FromFloat64(1.000244140625)}
 	b.ReportAllocs()

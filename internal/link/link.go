@@ -122,18 +122,19 @@ func EffectiveBandwidth() float64 {
 // Message is one DMA transfer's payload.
 type Message struct {
 	Data []byte
-	From string // sending sublink, for tracing
 }
 
 // Link is one node's driver for a single physical serial link. Its
 // outbound wire is a serial resource: the four outbound sublinks
 // multiplexed onto it divide the available bandwidth. (The inbound
-// direction is owned by the remote ends' outbound wires.)
+// direction is owned by the remote ends' outbound wires.) The four
+// sublinks live inside the Link, so a link and its channels are one
+// host object.
 type Link struct {
 	Name     string
 	k        *sim.Kernel
 	wire     *sim.Resource
-	subs     [SublinksPerLink]*Sublink
+	subs     [SublinksPerLink]Sublink
 	injector Injector
 	changes  int64 // wiring and outage transitions; see Changes
 
@@ -164,8 +165,8 @@ func (l *Link) SetInjector(inj Injector) { l.injector = inj }
 // what a node crash or a physical cable fault does.
 func (l *Link) SetDown(down bool) {
 	changed := false
-	for _, sub := range l.subs {
-		if sub.down != down {
+	for i := range l.subs {
+		if sub := &l.subs[i]; sub.down != down {
 			sub.down = down
 			changed = true
 		}
@@ -181,7 +182,7 @@ type Sublink struct {
 	parent *Link
 	name   string
 	peer   *Sublink
-	staged *stagedPeer // cross-shard peer (see staged.go); nil when local
+	staged stagedPeer // cross-shard peer (see staged.go); staged.x is nil when local
 	inbox  *sim.Chan
 	down   bool // outage: this end no longer drives or acknowledges
 }
@@ -193,7 +194,7 @@ func NewLink(k *sim.Kernel, name string) *Link {
 		// One string serves both names: the sublink's is the inbox's
 		// minus its "/in" suffix.
 		in := name + "/sub" + strconv.Itoa(i) + "/in"
-		l.subs[i] = &Sublink{
+		l.subs[i] = Sublink{
 			parent: l,
 			name:   in[:len(in)-len("/in")],
 			inbox:  sim.NewChan(k, in, 1024),
@@ -203,7 +204,7 @@ func NewLink(k *sim.Kernel, name string) *Link {
 }
 
 // Sublink returns logical channel i (0..3).
-func (l *Link) Sublink(i int) *Sublink { return l.subs[i] }
+func (l *Link) Sublink(i int) *Sublink { return &l.subs[i] }
 
 // Wire exposes the outbound serial resource (for utilisation reports).
 func (l *Link) Wire() *sim.Resource { return l.wire }
@@ -215,7 +216,7 @@ func Connect(a, b *Sublink) error {
 	if a == b {
 		return fmt.Errorf("link: cannot connect %s to itself", a.Name())
 	}
-	if a.peer != nil || b.peer != nil || a.staged != nil || b.staged != nil {
+	if a.Connected() || b.Connected() {
 		return fmt.Errorf("link: sublink already connected (%s ↔ %s)", a.Name(), b.Name())
 	}
 	a.peer, b.peer = b, a
@@ -248,7 +249,7 @@ func Rewire(a, b *Sublink) error {
 func (s *Sublink) Name() string { return s.name }
 
 // Connected reports whether the sublink has a peer (local or staged).
-func (s *Sublink) Connected() bool { return s.peer != nil || s.staged != nil }
+func (s *Sublink) Connected() bool { return s.peer != nil || s.staged.x != nil }
 
 // Peer returns the remote sublink, or nil.
 func (s *Sublink) Peer() *Sublink { return s.peer }
@@ -270,7 +271,7 @@ func (s *Sublink) Down() bool { return s.down }
 // neither side severed. For a staged (cross-shard) pair the remote
 // side's state is the barrier-synced mirror.
 func (s *Sublink) Up() bool {
-	if s.staged != nil {
+	if s.staged.x != nil {
 		return !s.down && !s.staged.downMirror
 	}
 	return s.peer != nil && !s.down && !s.peer.down
@@ -308,7 +309,7 @@ func (s *Sublink) Send(p *sim.Proc, data []byte) error {
 // injector attached and both ends up, the timing and behaviour are
 // identical to a bare transfer.
 func (s *Sublink) SendWire(p *sim.Proc, data []byte, wire int) error {
-	if s.peer == nil && s.staged == nil {
+	if !s.Connected() {
 		return fmt.Errorf("%w: %s", ErrNotConnected, s.name)
 	}
 	if wire == 0 {
@@ -345,7 +346,7 @@ func (s *Sublink) SendWire(p *sim.Proc, data []byte, wire int) error {
 // distinguishes a nack (CRC reject from a live peer) from silence
 // (dead wire).
 func (s *Sublink) attempt(p *sim.Proc, frame []byte, wire int) (delivered, acked bool) {
-	if s.staged != nil {
+	if s.staged.x != nil {
 		return s.attemptStaged(p, frame, wire)
 	}
 	l := s.parent
@@ -361,7 +362,7 @@ func (s *Sublink) attempt(p *sim.Proc, frame []byte, wire int) (delivered, acked
 	if !ok {
 		return false, true
 	}
-	s.peer.inbox.Send(p, Message{Data: data, From: s.name})
+	s.peer.inbox.Send(p, Message{Data: data})
 	return true, true
 }
 

@@ -24,7 +24,7 @@ import (
 // outage at most one window (= one lookahead) late, which is
 // deterministic for a fixed partition and worker-invariant.
 type stagedPeer struct {
-	x      *sim.XChan // delivers Messages into the remote end's inbox
+	x      *sim.XChan // delivers Messages into the remote end's inbox; nil for a local peer
 	remote *Sublink   // the far end; touched only at barriers (mirror sync)
 
 	// downMirror is the barrier-synced copy of remote.down. It is read
@@ -43,7 +43,7 @@ func ConnectStaged(a, b *Sublink, ab, ba *sim.XChan) error {
 	if a == b {
 		return fmt.Errorf("link: cannot connect %s to itself", a.Name())
 	}
-	if a.peer != nil || b.peer != nil || a.staged != nil || b.staged != nil {
+	if a.Connected() || b.Connected() {
 		return fmt.Errorf("link: sublink already connected (%s ↔ %s)", a.Name(), b.Name())
 	}
 	if ab == nil || ba == nil {
@@ -52,8 +52,8 @@ func ConnectStaged(a, b *Sublink, ab, ba *sim.XChan) error {
 	if ab.Latency() > Lookahead || ba.Latency() > Lookahead {
 		return fmt.Errorf("link: staged pair %s ↔ %s: edge latency above the link lookahead %v", a.Name(), b.Name(), Lookahead)
 	}
-	a.staged = &stagedPeer{x: ab, remote: b}
-	b.staged = &stagedPeer{x: ba, remote: a}
+	a.staged = stagedPeer{x: ab, remote: b}
+	b.staged = stagedPeer{x: ba, remote: a}
 	a.parent.changes++
 	b.parent.changes++
 	return nil
@@ -63,7 +63,7 @@ func ConnectStaged(a, b *Sublink, ab, ba *sim.XChan) error {
 // remote end's actual state. It must be called only when both shards
 // are quiescent — at a ShardGroup window barrier.
 func (s *Sublink) SyncStagedMirror() {
-	if s.staged != nil {
+	if s.staged.x != nil {
 		s.staged.downMirror = s.staged.remote.down
 	}
 }
@@ -84,7 +84,7 @@ func (s *Sublink) attemptStaged(p *sim.Proc, frame []byte, wire int) (delivered,
 	l.wire.UseFunc(p, dur, func() {
 		var data []byte
 		if data, ok = s.cross(frame, wire); ok {
-			s.staged.x.PostDelayed(Message{Data: data, From: s.name}, dur)
+			s.staged.x.PostDelayed(Message{Data: data}, dur)
 		}
 	})
 	return ok, true

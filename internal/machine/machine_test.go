@@ -2,6 +2,7 @@ package machine
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -102,6 +103,36 @@ func TestBuildSmallMachine(t *testing.T) {
 		t.Fatal("cross-machine message failed")
 	}
 }
+
+// TestBuildHeapPerNode bounds the host heap a dim-8 build allocates per
+// node: what wiring alone costs before a run touches any row, link or
+// message. The bounds are the measured 9.6 KB and 119.5 objects per
+// node (Go 1.24, amd64) plus about 10%.
+func TestBuildHeapPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime adds allocations of its own")
+	}
+	const maxBytes, maxObjects = 10600, 132
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := NewAuto(context.Background(), 8, 1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := float64(len(m.Nodes))
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+	objects := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("dim-8 build: %.0f bytes and %.1f objects per node", bytes, objects)
+	if bytes > maxBytes || objects > maxObjects {
+		t.Fatalf("dim-8 build: %.0f bytes and %.1f objects per node, want at most %d and %d",
+			bytes, objects, maxBytes, maxObjects)
+	}
+}
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
 
 func TestInstantiationCap(t *testing.T) {
 	if _, err := NewAuto(context.Background(), MaxSimDim+1, 1); err == nil {

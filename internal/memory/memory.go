@@ -75,9 +75,10 @@ func (e *ParityError) Error() string {
 // appropriate port; Peek/Poke variants are untimed for test and workload
 // setup (they model the state a program would have built earlier).
 type Memory struct {
-	// rows holds the 1024 row chunks, materialized lazily: a nil entry
-	// is a row that has never been written and reads as zeroes. See
-	// sparse.go for the representation invariants.
+	// rows is the row table, materialized lazily and only as long as
+	// the highest row written: a nil entry, or a row past its end, has
+	// never been written and reads as zeroes. See sparse.go for the
+	// representation invariants.
 	rows []*rowChunk
 
 	// faulted counts FlipBit calls. While zero (the universal case
@@ -103,12 +104,10 @@ type Memory struct {
 }
 
 // New allocates a node memory attached to kernel k. The name
-// distinguishes nodes in multi-node machines. No row storage is
-// allocated until a row is first written.
+// distinguishes nodes in multi-node machines. No row storage, and no
+// row table, is allocated until a row is first written.
 func New(k *sim.Kernel, name string) *Memory {
-	m := &Memory{
-		rows: make([]*rowChunk, NumRows),
-	}
+	m := &Memory{}
 	m.wordPort = sim.NewResource(k, name+"/wordport", 1)
 	m.bankPort[BankA] = sim.NewResource(k, name+"/bankA", 1)
 	m.bankPort[BankB] = sim.NewResource(k, name+"/bankB", 1)
@@ -235,7 +234,7 @@ func (m *Memory) PokeBytes(addr int, b []byte) {
 		if seg > len(b) {
 			seg = len(b)
 		}
-		if m.rows[row] != nil || !allZero(b[:seg]) {
+		if m.chunk(row) != nil || !allZero(b[:seg]) {
 			c := m.writableRow(row)
 			copy(c.data[off:off+seg], b[:seg])
 			refreshChunkParity(c, off, seg)
@@ -252,7 +251,7 @@ func (m *Memory) ZeroBytes(addr, n int) {
 	for n > 0 {
 		row, off := addr>>rowShift, addr&rowMask
 		seg := min(RowBytes-off, n)
-		if c := m.rows[row]; c != nil {
+		if c := m.chunk(row); c != nil {
 			clear(c.data[off : off+seg])
 			refreshChunkParity(c, off, seg)
 		}
@@ -279,7 +278,7 @@ func (m *Memory) PeekInto(addr int, dst []byte) {
 		if seg > len(dst)-i {
 			seg = len(dst) - i
 		}
-		if c := m.rows[row]; c != nil {
+		if c := m.chunk(row); c != nil {
 			copy(dst[i:i+seg], c.data[off:off+seg])
 		}
 		i += seg

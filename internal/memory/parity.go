@@ -101,7 +101,7 @@ func (m *Memory) validateRange(addr, n int) error {
 		if seg > n {
 			seg = n
 		}
-		if c := m.rows[row]; c != nil {
+		if c := m.chunk(row); c != nil {
 			if err := validateChunk(c, addr-off, off, seg); err != nil {
 				return err
 			}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -346,4 +347,64 @@ func TestNoEagerFullImageAllocations(t *testing.T) {
 			t.Errorf("%s: allocates rowChunks directly; go through writableRow", f)
 		}
 	}
+}
+
+// TestRowTableSizedByUse checks that a node's host footprint starts
+// near zero and grows only as far as the rows written: a fresh memory
+// holds no row table, a row past the table reads zero without growing
+// it, and an address past the 1 MB store still panics.
+func TestRowTableSizedByUse(t *testing.T) {
+	k := sim.NewKernel()
+	if b := allocBytes(func() { New(k, "n0") }); b >= 1024 {
+		t.Fatalf("fresh memory.New allocates %d bytes, want under 1 KB", b)
+	}
+	m := New(k, "n0")
+	m.PokeWord(3, 0xdeadbeef) // row 0
+	if len(m.rows) != 1 {
+		t.Fatalf("one write to row 0 grew the table to %d entries, want 1", len(m.rows))
+	}
+	for _, row := range []int{1, 700, NumRows - 1} {
+		if m.RowResident(row) {
+			t.Errorf("row %d past the table is resident", row)
+		}
+		if w := m.PeekWord(row * WordsPerRow); w != 0 {
+			t.Errorf("row %d past the table reads %#x, want 0", row, w)
+		}
+		if !allZero(m.PeekBytes(RowAddr(row), RowBytes)) {
+			t.Errorf("row %d past the table does not read as zeros", row)
+		}
+	}
+	if len(m.rows) != 1 || m.MaterializedRows() != 1 {
+		t.Fatalf("reads grew the table to %d entries, %d resident rows; want 1, 1", len(m.rows), m.MaterializedRows())
+	}
+	m.PokeF64(300*F64PerRow, 1) // row 300: the table doubles up to 512 entries
+	if len(m.rows) != 512 || m.PeekWord(3) != 0xdeadbeef || !m.RowResident(300) {
+		t.Fatalf("after a write to row 300: %d table entries, row 0 word %#x, row 300 resident %v",
+			len(m.rows), m.PeekWord(3), m.RowResident(300))
+	}
+	for _, f := range []func(){
+		func() { m.PeekWord(Words) },
+		func() { m.PokeWord(Words, 1) },
+		func() { m.PeekByte(-1) },
+		func() { m.RowResident(NumRows) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("an address past the 1 MB store did not panic")
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// allocBytes reports the heap bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

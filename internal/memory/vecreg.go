@@ -25,7 +25,7 @@ func (m *Memory) LoadRow(p *sim.Proc, row int, r *VectorReg) error {
 	}
 	m.bankPort[BankOf(row)].Use(p, sim.RowAccess)
 	m.RowLoads++
-	c := m.rows[row]
+	c := m.chunk(row)
 	if c == nil {
 		// Unmaterialized rows read as zeroes and can hold no fault.
 		copy(r.buf[:], zeroChunk.data[:])

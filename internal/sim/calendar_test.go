@@ -112,6 +112,54 @@ func TestSameInstantLaneZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestBufferedChanZeroAllocs checks that a buffered channel keeps its
+// buffer's array: a send into free space and the receive that drains
+// it allocate nothing once warm.
+func TestBufferedChanZeroAllocs(t *testing.T) {
+	k := NewKernel()
+	c := NewChan(k, "c", 4)
+	var v interface{} = 7 // boxed once, outside the measured loop
+	allocs := -1.0
+	k.Go("p", func(p *Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			c.Send(p, v)
+			c.Recv(p)
+		})
+	})
+	k.Run(0)
+	if allocs != 0 {
+		t.Fatalf("buffered send+recv: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestContendedResourceZeroAllocs checks that a resource's wait queue
+// keeps its array: a Use that queues behind another holder allocates
+// nothing once warm.
+func TestContendedResourceZeroAllocs(t *testing.T) {
+	k := NewKernel()
+	r := NewResource(k, "r", 1)
+	done := false
+	k.Go("rival", func(p *Proc) {
+		for !done {
+			r.Use(p, Nanosecond)
+		}
+	})
+	allocs := -1.0
+	k.Go("p", func(p *Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			if r.InUse() == 0 {
+				t.Error("the rival does not hold the resource: Use is not contended")
+			}
+			r.Use(p, Nanosecond)
+		})
+		done = true
+	})
+	k.Run(0)
+	if allocs != 0 {
+		t.Fatalf("contended Use: %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // TestFutureEventsZeroAllocsSteadyState checks the event pool: once the
 // free list and the heap's backing array are warm, future-time
 // scheduling recycles records instead of allocating.

@@ -9,10 +9,10 @@ type Chan struct {
 	k    *Kernel
 	name string
 	cap  int
-	buf  []interface{}
+	buf  fifo[interface{}]
 
-	sendq []*waiter
-	recvq []*waiter
+	sendq fifo[*waiter]
+	recvq fifo[*waiter]
 }
 
 // waiter is a process's wait-queue record for channel and resource
@@ -38,14 +38,13 @@ func NewChan(k *Kernel, name string, capacity int) *Chan {
 func (c *Chan) Name() string { return c.name }
 
 // Len reports the number of buffered values.
-func (c *Chan) Len() int { return len(c.buf) }
+func (c *Chan) Len() int { return c.buf.len() }
 
 // dropDead removes killed processes from the front of a wait queue.
-func dropDead(q []*waiter) []*waiter {
-	for len(q) > 0 && q[0].p.dead {
-		q = q[1:]
+func dropDead(q *fifo[*waiter]) {
+	for q.len() > 0 && q.front().p.dead {
+		q.pop()
 	}
-	return q
 }
 
 // takeReceiver pops the first receiver still able to accept a value:
@@ -54,9 +53,8 @@ func dropDead(q []*waiter) []*waiter {
 // until the process resumes and cleans them up; handing it a second
 // value would overwrite the first).
 func (c *Chan) takeReceiver() *waiter {
-	for len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
+	for c.recvq.len() > 0 {
+		w := c.recvq.pop()
 		if w.p.dead || w.ok {
 			continue
 		}
@@ -75,13 +73,13 @@ func (c *Chan) Send(p *Proc, v interface{}) {
 		w.p.unpark()
 		return
 	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
+	if c.buf.len() < c.cap {
+		c.buf.push(v)
 		return
 	}
 	w := &p.w
 	w.val, w.ok, w.ch = v, false, nil
-	c.sendq = append(c.sendq, w)
+	c.sendq.push(w)
 	for !w.ok {
 		p.park(c)
 	}
@@ -106,7 +104,7 @@ func (c *Chan) Recv(p *Proc) interface{} {
 // await queues w as a receiver on c.
 func (c *Chan) await(w *waiter) {
 	w.val, w.ok, w.ch = nil, false, nil
-	c.recvq = append(c.recvq, w)
+	c.recvq.push(w)
 }
 
 // push delivers v from kernel context without a sending process: a
@@ -122,29 +120,26 @@ func (c *Chan) push(v interface{}) {
 		w.p.unpark()
 		return
 	}
-	c.buf = append(c.buf, v)
+	c.buf.push(v)
 }
 
 // TryRecv returns a value if one is immediately available.
 func (c *Chan) TryRecv() (interface{}, bool) {
-	if len(c.buf) > 0 {
-		v := c.buf[0]
-		c.buf = c.buf[1:]
+	if c.buf.len() > 0 {
+		v := c.buf.pop()
 		// A blocked sender can now use the freed slot.
-		c.sendq = dropDead(c.sendq)
-		if len(c.sendq) > 0 {
-			w := c.sendq[0]
-			c.sendq = c.sendq[1:]
-			c.buf = append(c.buf, w.val)
+		dropDead(&c.sendq)
+		if c.sendq.len() > 0 {
+			w := c.sendq.pop()
+			c.buf.push(w.val)
 			w.ok = true
 			w.p.unpark()
 		}
 		return v, true
 	}
-	c.sendq = dropDead(c.sendq)
-	if len(c.sendq) > 0 {
-		w := c.sendq[0]
-		c.sendq = c.sendq[1:]
+	dropDead(&c.sendq)
+	if c.sendq.len() > 0 {
+		w := c.sendq.pop()
 		w.ok = true
 		w.p.unpark()
 		return w.val, true
@@ -154,8 +149,8 @@ func (c *Chan) TryRecv() (interface{}, bool) {
 
 // Ready reports whether a Recv would complete without blocking.
 func (c *Chan) Ready() bool {
-	c.sendq = dropDead(c.sendq)
-	return len(c.buf) > 0 || len(c.sendq) > 0
+	dropDead(&c.sendq)
+	return c.buf.len() > 0 || c.sendq.len() > 0
 }
 
 // Select blocks p until one of the channels is ready to receive, then
@@ -172,14 +167,14 @@ func Select(p *Proc, chans ...*Chan) (int, interface{}) {
 		w := &p.w
 		w.val, w.ok, w.ch = nil, false, nil
 		for _, c := range chans {
-			c.recvq = append(c.recvq, w)
+			c.recvq.push(w)
 		}
 		p.park(parkSelect)
 		// Remove w from all queues (it may have been consumed from one).
 		for _, c := range chans {
-			for j, x := range c.recvq {
+			for j, x := range c.recvq.items() {
 				if x == w {
-					c.recvq = append(c.recvq[:j], c.recvq[j+1:]...)
+					c.recvq.remove(j)
 					break
 				}
 			}

@@ -508,8 +508,12 @@ type killed struct{ name string }
 // deterministically by the kernel. All blocking methods (Wait, channel and
 // resource operations) must be called from the process's own goroutine.
 type Proc struct {
-	k      *Kernel
-	name   string
+	k    *Kernel
+	name string
+	// resume wakes the goroutine where it blocks: before a Go process
+	// starts, and in park. A Go process gets it at spawn, a daemon at its
+	// first blocking park: an idle daemon is woken by wake, not through
+	// a channel.
 	resume chan struct{}
 	daemon bool // excluded from deadlock accounting
 	dead   bool // killed; next park unwinds
@@ -547,6 +551,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 // toward deadlock detection.
 func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	p := k.newProc(name, daemon)
+	p.resume = make(chan struct{})
 	go func() {
 		<-p.resume // wait for the kernel to hand us the start slot
 		defer func() { p.exit(recover()) }()
@@ -562,7 +567,7 @@ func (k *Kernel) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 // newProc builds and registers a process; the caller schedules its
 // start.
 func (k *Kernel) newProc(name string, daemon bool) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), daemon: daemon}
+	p := &Proc{k: k, name: name, daemon: daemon}
 	p.w.p = p
 	if k.tearing {
 		p.dead = true // born into an unwinding simulation: killed at first resume
@@ -748,6 +753,11 @@ func (p *Proc) serveLoop() {
 // the very next runnable event is its own resume, park returns without
 // any channel traffic.
 func (p *Proc) park(on interface{}) {
+	if p.resume == nil {
+		// A daemon blocking mid-handle for the first time: only now
+		// can the slot pass on while its goroutine must wait.
+		p.resume = make(chan struct{})
+	}
 	p.waiting = on
 	p.k.parks++
 	if !p.k.dispatch(p) {

@@ -9,7 +9,7 @@ type Resource struct {
 	name  string
 	total int
 	inUse int
-	queue []*waiter
+	queue fifo[*waiter]
 
 	// Accounting for utilisation reports.
 	busy      Duration // integrated units-in-use over time
@@ -51,7 +51,7 @@ func (r *Resource) Acquire(p *Proc) {
 	}
 	w := &p.w
 	w.ok = false
-	r.queue = append(r.queue, w)
+	r.queue.push(w)
 	defer func() {
 		if v := recover(); v != nil {
 			if w.ok {
@@ -73,9 +73,8 @@ func (r *Resource) Release() {
 	if r.inUse < 0 {
 		panic("sim: release of unheld resource " + r.name)
 	}
-	for len(r.queue) > 0 {
-		w := r.queue[0]
-		r.queue = r.queue[1:]
+	for r.queue.len() > 0 {
+		w := r.queue.pop()
 		if w.p.dead {
 			continue
 		}

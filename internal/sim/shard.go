@@ -625,9 +625,17 @@ func (g *ShardGroup) Stats() Stats {
 		CrossShard:   g.crossShard,
 		BarrierStall: g.totalStall(),
 	}
+	resources := 0
+	for _, k := range g.shards {
+		resources += len(k.resources)
+	}
+	if resources > 0 {
+		agg.Resources = make([]ResourceStats, 0, resources)
+	}
+	agg.Shards = make([]ShardStats, 0, len(g.shards))
 	counters := map[string]int64{}
 	for i, k := range g.shards {
-		s := k.Stats()
+		s := k.counts()
 		agg.Events += s.Events
 		agg.Spawned += s.Spawned
 		agg.Finished += s.Finished
@@ -637,10 +645,10 @@ func (g *ShardGroup) Stats() Stats {
 		if s.MaxQueue > agg.MaxQueue {
 			agg.MaxQueue = s.MaxQueue
 		}
-		for name, v := range s.Counters {
+		for name, v := range k.counters {
 			counters[name] += v
 		}
-		agg.Resources = append(agg.Resources, s.Resources...)
+		agg.Resources = k.appendResources(agg.Resources)
 		agg.Shards = append(agg.Shards, ShardStats{
 			Shard:    i,
 			Events:   s.Events,

@@ -110,7 +110,22 @@ func (k *Kernel) Counter(name string) int64 { return k.counters[name] }
 
 // Stats snapshots the kernel's execution metrics at the current instant.
 func (k *Kernel) Stats() Stats {
-	s := Stats{
+	s := k.counts()
+	if len(k.counters) > 0 {
+		s.Counters = make(map[string]int64, len(k.counters))
+		for name, v := range k.counters {
+			s.Counters[name] = v
+		}
+	}
+	if len(k.resources) > 0 {
+		s.Resources = k.appendResources(make([]ResourceStats, 0, len(k.resources)))
+	}
+	return s
+}
+
+// counts is Stats without the named counters and the resources.
+func (k *Kernel) counts() Stats {
+	return Stats{
 		Now:       k.now,
 		Events:    k.events,
 		Spawned:   k.spawned,
@@ -120,14 +135,13 @@ func (k *Kernel) Stats() Stats {
 		MaxQueue:  k.maxQueue,
 		LiveProcs: k.procs,
 	}
-	if len(k.counters) > 0 {
-		s.Counters = make(map[string]int64, len(k.counters))
-		for name, v := range k.counters {
-			s.Counters[name] = v
-		}
-	}
+}
+
+// appendResources appends one utilization snapshot per resource, in
+// creation order.
+func (k *Kernel) appendResources(dst []ResourceStats) []ResourceStats {
 	for _, r := range k.resources {
-		s.Resources = append(s.Resources, ResourceStats{
+		dst = append(dst, ResourceStats{
 			Name:        r.Name(),
 			Units:       r.total,
 			InUse:       r.inUse,
@@ -135,5 +149,5 @@ func (k *Kernel) Stats() Stats {
 			Utilization: r.Utilization(),
 		})
 	}
-	return s
+	return dst
 }
