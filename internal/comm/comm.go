@@ -164,9 +164,10 @@ func BuildCube(g *sim.ShardGroup, nodes []*node.Node) (*Network, error) {
 	// forwarder can avoid bouncing a message straight back.
 	for id := range nodes {
 		ep := n.eps[id]
+		prefix := "router/n" + strconv.Itoa(id) + "/d"
 		for d := 0; d < dim; d++ {
 			arriveDim := d
-			nodes[id].Sublink(CubeSublink(d)).Serve(fmt.Sprintf("router/n%d/d%d", id, d), func(p *sim.Proc, raw []byte) {
+			nodes[id].Sublink(CubeSublink(d)).Serve(prefix+strconv.Itoa(d), func(p *sim.Proc, raw []byte) {
 				ep.route(p, raw, arriveDim)
 			})
 		}

@@ -13,7 +13,7 @@ type MemStats struct {
 	RowsConfigured   int64 // nodes × 1024 rows the hardware has
 	RowsMaterialized int64 // rows backed by host storage (written at least once)
 	CowCopies        int64 // write-triggered copies of the shared zero row
-	MemResidentBytes int64 // host bytes backing node memories (data + parity)
+	MemResidentBytes int64 // host bytes backing node memories (data + fault ledger)
 
 	// Module disks (checkpoint store).
 	DiskRowsCopied    int64 // snapshot segments stored as fresh rows

@@ -540,6 +540,7 @@ func (m *Machine) FaultReport(plan *fault.Plan, sv *Supervisor) stats.FaultCount
 	}
 	if sv != nil {
 		fc.Crashes = sv.Crashes
+		fc.Hangs = sv.Hangs
 		fc.ParityFaults = sv.ParityFaults
 		fc.Rollbacks = sv.Rollbacks
 		fc.RestoreFallbacks = sv.RestoreFallbacks

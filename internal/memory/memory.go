@@ -18,7 +18,6 @@ package memory
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"tseries/internal/fparith"
 	"tseries/internal/sim"
@@ -82,8 +81,8 @@ type Memory struct {
 	rows []*rowChunk
 
 	// faulted counts FlipBit calls. While zero (the universal case
-	// outside fault experiments) every stored parity bit is known to
-	// match its byte, so reads skip validation entirely.
+	// outside fault experiments) the fault ledger is clear, so writes
+	// skip it and reads skip validation entirely (parity.go).
 	faulted int64
 
 	// wordPort serialises random access by the control processor and the
@@ -115,28 +114,27 @@ func New(k *sim.Kernel, name string) *Memory {
 }
 
 // FlipBit corrupts one data bit without updating parity, modelling a
-// transient DRAM fault; the next read of that byte reports a ParityError.
+// transient DRAM fault: it toggles the byte's fault-ledger bit, so the
+// next validated read of that byte reports a ParityError.
 // A fault in a never-written row materializes it first — the hardware's
 // DRAM exists (and rots) whether or not the program has stored to it.
 func (m *Memory) FlipBit(addr int, bit uint) {
 	c := m.writableRow(addr >> rowShift)
-	c.data[addr&rowMask] ^= 1 << (bit % 8)
+	off := addr & rowMask
+	c.data[off] ^= 1 << (bit % 8)
+	c.bad[off>>3] ^= 1 << (off & 7)
 	m.faulted++
 }
 
 // Untimed accessors (setup/inspection).
 
 // PokeWord stores a 32-bit word at word index w without consuming time.
-// Words are 4-aligned, so their four parity bits occupy one nibble of a
-// single summary byte, updated in one masked merge.
 func (m *Memory) PokeWord(w int, v uint32) {
 	a := w * 4
 	c := m.writableRow(a >> rowShift)
 	off := a & rowMask
 	binary.LittleEndian.PutUint32(c.data[off:], v)
-	sh := uint(a % 8) // 0 or 4
-	mask := byte(0x0F << sh)
-	c.par[off>>3] = c.par[off>>3]&^mask | parityNibbleOf(v)<<sh
+	m.wrote(c, off, 4)
 }
 
 // PeekWord loads the 32-bit word at word index w without consuming time.
@@ -145,14 +143,13 @@ func (m *Memory) PeekWord(w int) uint32 {
 	return binary.LittleEndian.Uint32(m.row(a >> rowShift).data[a&rowMask:])
 }
 
-// PokeF64 stores a 64-bit float at 64-bit element index e. The eight
-// bytes cover exactly one parity summary byte.
+// PokeF64 stores a 64-bit float at 64-bit element index e.
 func (m *Memory) PokeF64(e int, v fparith.F64) {
 	a := e * 8
 	c := m.writableRow(a >> rowShift)
 	off := a & rowMask
 	binary.LittleEndian.PutUint64(c.data[off:], uint64(v))
-	c.par[off>>3] = parityByteOf(uint64(v))
+	m.wrote(c, off, 8)
 }
 
 // PeekF64 loads the 64-bit float at 64-bit element index e.
@@ -208,14 +205,12 @@ func (m *Memory) Write64(p *sim.Proc, e int, v fparith.F64) {
 	m.WriteWord(p, 2*e+1, uint32(uint64(v)>>32))
 }
 
-// PokeByte stores one byte (untimed, parity updated).
+// PokeByte stores one byte (untimed).
 func (m *Memory) PokeByte(addr int, v byte) {
 	c := m.writableRow(addr >> rowShift)
 	off := addr & rowMask
 	c.data[off] = v
-	p := byte(bits.OnesCount8(v) & 1)
-	idx, bit := off>>3, uint(off&7)
-	c.par[idx] = c.par[idx]&^(1<<bit) | p<<bit
+	m.wrote(c, off, 1)
 }
 
 // PeekByte loads one byte (untimed, no parity check).
@@ -237,7 +232,7 @@ func (m *Memory) PokeBytes(addr int, b []byte) {
 		if m.chunk(row) != nil || !allZero(b[:seg]) {
 			c := m.writableRow(row)
 			copy(c.data[off:off+seg], b[:seg])
-			refreshChunkParity(c, off, seg)
+			m.wrote(c, off, seg)
 		}
 		addr += seg
 		b = b[seg:]
@@ -253,7 +248,7 @@ func (m *Memory) ZeroBytes(addr, n int) {
 		seg := min(RowBytes-off, n)
 		if c := m.chunk(row); c != nil {
 			clear(c.data[off : off+seg])
-			refreshChunkParity(c, off, seg)
+			m.wrote(c, off, seg)
 		}
 		addr += seg
 		n -= seg

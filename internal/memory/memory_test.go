@@ -294,7 +294,7 @@ func TestQuickMemoryWordRoundTrip(t *testing.T) {
 	f := func(addr uint32, v uint32) bool {
 		k := sim.NewKernel()
 		m := New(k, "q")
-		w := int(addr) % Words
+		w := int(addr % Words)
 		m.PokeWord(w, v)
 		return m.PeekWord(w) == v
 	}

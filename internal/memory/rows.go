@@ -15,8 +15,8 @@ import (
 // and element writes land in place. On a big-endian host the view is a
 // decoded copy, and FlushRow* writes it back. Either way a caller that
 // writes through a view MUST call the matching FlushRow* afterwards —
-// it performs the big-endian write-back and restores the row's parity
-// summaries, which raw view writes bypass.
+// it performs the big-endian write-back and clears the fault ledger of
+// the written bytes, which raw view writes bypass.
 //
 // Because a view is write-through, handing one out materializes the
 // row: the alternative — aliasing the shared zero chunk — would let a
@@ -57,8 +57,8 @@ func (m *Memory) RowF32s(row int) []uint32 {
 
 // FlushRowF64s completes a write of elements s[0:n] into row `row`
 // through a view obtained from RowF64s: it writes the elements back on
-// hosts where the view was a copy, and restores the parity summaries of
-// the bytes covered by the written prefix (only those — a fault pending
+// hosts where the view was a copy, and clears the fault ledger of the
+// bytes covered by the written prefix (only those — a fault pending
 // elsewhere in the row must stay detectable).
 func (m *Memory) FlushRowF64s(row int, s []uint64, n int) {
 	c := m.writableRow(row)
@@ -67,7 +67,7 @@ func (m *Memory) FlushRowF64s(row int, s []uint64, n int) {
 			binary.LittleEndian.PutUint64(c.data[8*i:], s[i])
 		}
 	}
-	refreshChunkParity(c, 0, 8*n)
+	m.wrote(c, 0, 8*n)
 }
 
 // FlushRowF32s is the 32-bit counterpart of FlushRowF64s.
@@ -78,5 +78,5 @@ func (m *Memory) FlushRowF32s(row int, s []uint32, n int) {
 			binary.LittleEndian.PutUint32(c.data[4*i:], s[i])
 		}
 	}
-	refreshChunkParity(c, 0, 4*n)
+	m.wrote(c, 0, 4*n)
 }

@@ -119,38 +119,12 @@ func TestRowViewF32FlushRestoresParity(t *testing.T) {
 	k.Run(0)
 }
 
-// TestParityHelpers pins the SWAR parity folds against a bit-counting
-// reference.
-func TestParityHelpers(t *testing.T) {
-	ref := func(b byte) byte {
-		var n byte
-		for i := 0; i < 8; i++ {
-			n ^= b >> i & 1
-		}
-		return n
-	}
-	words := []uint64{0, ^uint64(0), 0x0123456789ABCDEF, 0x8000000000000001, 0xFEDCBA9876543210, 0x5555AAAA33CC0FF0}
-	for _, w := range words {
-		got := parityByteOf(w)
-		for b := 0; b < 8; b++ {
-			if got>>b&1 != ref(byte(w>>(8*b))) {
-				t.Fatalf("parityByteOf(%#x) bit %d wrong", w, b)
-			}
-		}
-		g32 := parityNibbleOf(uint32(w))
-		for b := 0; b < 4; b++ {
-			if g32>>b&1 != ref(byte(w>>(8*b))) {
-				t.Fatalf("parityNibbleOf(%#x) bit %d wrong", uint32(w), b)
-			}
-		}
-	}
-}
-
-// TestNoPerByteParityScans guards the datapath rewrite: the memory
-// package must not reintroduce per-byte parity maintenance (the old
+// TestNoPerByteParityScans guards the datapath: the memory package
+// must not reintroduce per-byte parity maintenance (the old
 // setParity/checkParity helpers, or byte-granular loops over whole
-// rows). Parity is maintained a word at a time (parity.go) and a bare
-// single-byte update is allowed only in PokeByte.
+// rows). Parity is a fault ledger (parity.go) that no write
+// recomputes, so non-test code needs no bit counting; the OnesCount8
+// check below is a ceiling of one.
 func TestNoPerByteParityScans(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {

@@ -18,10 +18,9 @@ import "math/bits"
 //     written, so a node that writes two low rows holds a two-entry
 //     table rather than 1024 pointers. A row past the end of the table
 //     has never been written either.
-//   - A row never written is all-zero bytes with all-zero parity
-//     summaries — exactly the shared zeroChunk — and it can hold no
-//     fault (FlipBit materializes before corrupting), so validation
-//     skips it.
+//   - A row never written is all-zero bytes with a clear fault ledger
+//     — exactly the shared zeroChunk — and it can hold no fault
+//     (FlipBit materializes before corrupting), so validation skips it.
 //   - Reads of an unmaterialized row are served from &zeroChunk; no
 //     read ever materializes a row or grows the table (typed row views
 //     are the exception: they are write-through aliases, so handing one
@@ -33,7 +32,7 @@ import "math/bits"
 //     on every path, read or write, whatever the table's length.
 type rowChunk struct {
 	data [RowBytes]byte
-	par  [RowBytes / 8]byte // one parity bit per byte, bit-packed
+	bad  [RowBytes / 8]byte // fault ledger, one bit per byte (parity.go)
 }
 
 // Row addressing: addr>>rowShift is the row, addr&rowMask the offset
@@ -43,8 +42,7 @@ const (
 	rowMask  = RowBytes - 1
 )
 
-// zeroChunk backs every unmaterialized row's reads. A zero byte has
-// even (0) parity, so the all-zero parity summaries are consistent.
+// zeroChunk backs every unmaterialized row's reads.
 var zeroChunk rowChunk
 
 // chunk returns the chunk backing a row, or nil for a row never
@@ -83,8 +81,8 @@ func (m *Memory) writableRow(row int) *rowChunk {
 }
 
 // materializeRow performs the copy-on-write of the shared zero row: a
-// fresh chunk is already the zero row's content (zero data, zero
-// parity), so the "copy" is the allocation itself.
+// fresh chunk is already the zero row's content (zero data, clear
+// ledger), so the "copy" is the allocation itself.
 func (m *Memory) materializeRow(row int) *rowChunk {
 	m.cover(row)
 	c := new(rowChunk)
@@ -132,7 +130,7 @@ func (m *Memory) MaterializedRows() int64 { return m.materialized }
 func (m *Memory) CowCopies() int64 { return m.cowCopies }
 
 // ResidentBytes is the host footprint of the materialized rows: data
-// plus parity summaries.
+// plus fault ledger.
 func (m *Memory) ResidentBytes() int64 {
 	return m.materialized * (RowBytes + RowBytes/8)
 }

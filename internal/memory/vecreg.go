@@ -32,7 +32,7 @@ func (m *Memory) LoadRow(p *sim.Proc, row int, r *VectorReg) error {
 		return nil
 	}
 	if m.faulted != 0 {
-		if err := validateChunk(c, RowAddr(row), 0, RowBytes); err != nil {
+		if err := m.validateRange(RowAddr(row), RowBytes); err != nil {
 			return err
 		}
 	}
@@ -50,7 +50,7 @@ func (m *Memory) StoreRow(p *sim.Proc, row int, r *VectorReg) error {
 	m.RowStores++
 	c := m.writableRow(row)
 	copy(c.data[:], r.buf[:])
-	refreshChunkParity(c, 0, RowBytes)
+	m.wrote(c, 0, RowBytes)
 	return nil
 }
 

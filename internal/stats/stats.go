@@ -101,6 +101,7 @@ type FaultCounters struct {
 	// System layer.
 	DiskCorrupted    int64 // disk blocks that failed their checksum
 	Crashes          int64 // node crash events absorbed
+	Hangs            int64 // node hang events absorbed
 	ParityFaults     int64 // memory parity errors detected
 	Rollbacks        int64 // checkpoint restores performed by the supervisor
 	RestoreFallbacks int64 // rollbacks that had to reach past the newest snapshot
@@ -119,6 +120,7 @@ func (f FaultCounters) Add(o FaultCounters) FaultCounters {
 	f.RouteDrops += o.RouteDrops
 	f.DiskCorrupted += o.DiskCorrupted
 	f.Crashes += o.Crashes
+	f.Hangs += o.Hangs
 	f.ParityFaults += o.ParityFaults
 	f.Rollbacks += o.Rollbacks
 	f.RestoreFallbacks += o.RestoreFallbacks
@@ -139,6 +141,7 @@ func (f FaultCounters) Table() *Table {
 	t.Add("route drops", f.RouteDrops)
 	t.Add("disk blocks corrupt", f.DiskCorrupted)
 	t.Add("node crashes", f.Crashes)
+	t.Add("node hangs", f.Hangs)
 	t.Add("memory parity faults", f.ParityFaults)
 	t.Add("rollbacks", f.Rollbacks)
 	t.Add("restore fallbacks", f.RestoreFallbacks)

@@ -151,6 +151,20 @@ func TestSoakDegradedWhenNoSpares(t *testing.T) {
 	}
 }
 
+// TestSoakReportsHangs checks that an injected hang reaches the fault
+// report beside the crashes.
+func TestSoakReportsHangs(t *testing.T) {
+	p := soakParams()
+	p.Chaos = &fault.Chaos{Seed: 7, Dur: 20 * sim.Second, Hangs: 1}
+	res, err := Soak(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults.Hangs != 1 || res.Faults.Crashes != 0 {
+		t.Fatalf("Faults.Hangs = %d, Crashes = %d, want 1 and 0", res.Faults.Hangs, res.Faults.Crashes)
+	}
+}
+
 // TestSoakChaosDeterministic expands the same chaos recipe twice; both
 // runs must heal to bit-identical final state.
 func TestSoakChaosDeterministic(t *testing.T) {
