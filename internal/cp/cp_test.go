@@ -1,6 +1,7 @@
 package cp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -476,6 +477,72 @@ func TestGatherScatterTiming(t *testing.T) {
 	}
 	if GatherTime32(1) != 800*sim.Nanosecond {
 		t.Fatalf("per-element gather32 = %v, want 0.8µs", GatherTime32(1))
+	}
+}
+
+// TestScatter64 pins Scatter64: it moves consecutive 64-bit elements
+// out to the given indices for four word accesses each (1.6 µs, as
+// GatherTime64 charges), refuses an index outside the store, and stops
+// at a source word that fails parity, with the port's ParityError.
+func TestScatter64(t *testing.T) {
+	const src, n = 64 * 128, 128
+	k, m, c := rig()
+	for i := 0; i < n; i++ {
+		m.PokeF64(src+i, fparith.FromInt64(int64(i+1)))
+	}
+	dst := make([]int, n)
+	for i := range dst {
+		dst[i] = (i * 37) % 4096
+	}
+	var end sim.Time
+	k.Go("cp", func(p *sim.Proc) {
+		if err := c.Scatter64(p, src, dst); err != nil {
+			t.Errorf("scatter: %v", err)
+		}
+		end = p.Now()
+	})
+	k.Run(0)
+	if end != sim.Time(GatherTime64(n)) || GatherTime64(1) != 1600*sim.Nanosecond {
+		t.Fatalf("scatter of %d elements took %v, want %v", n, end, GatherTime64(n))
+	}
+	for i, d := range dst {
+		if got := m.PeekF64(d); got != fparith.FromInt64(int64(i+1)) {
+			t.Fatalf("element %d at %d = %v, want %d", i, d, got.Float64(), i+1)
+		}
+	}
+
+	const elems = memory.Bytes / 8
+	for _, tc := range []struct {
+		src int
+		dst []int
+	}{
+		{0, []int{elems}},
+		{0, []int{5, -1}},
+		{elems - 1, []int{7, 8}}, // the second source element is past the store
+	} {
+		var err error
+		k.Go("cp", func(p *sim.Proc) { err = c.Scatter64(p, tc.src, tc.dst) })
+		k.Run(0)
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("Scatter64(%d, %v) = %v, want an out-of-range error", tc.src, tc.dst, err)
+		}
+	}
+
+	// A flipped bit in the high word of source element 3.
+	bad := (src+3)*8 + 5
+	m.FlipBit(bad, 2)
+	for _, d := range dst[3:] {
+		m.PokeF64(d, 0)
+	}
+	var err error
+	k.Go("cp", func(p *sim.Proc) { err = c.Scatter64(p, src, dst) })
+	k.Run(0)
+	var pe *memory.ParityError
+	if !errors.As(err, &pe) || pe.Addr != bad || !c.Err {
+		t.Fatalf("scatter from a flipped word: %v (error flag %v), want a ParityError at %#x", err, c.Err, bad)
+	}
+	if m.PeekF64(dst[3]) != 0 {
+		t.Fatal("the element with the flipped word was scattered")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"tseries/internal/memory"
 	"tseries/internal/sim"
 )
 
@@ -146,7 +147,7 @@ func (c *Chaos) Expand(nodes, dim int) *Plan {
 	}
 	for i := 0; i < c.Flips; i++ {
 		n := int(pl.NextUint() % uint64(nodes))
-		addr := int(pl.NextUint() % uint64(1<<20))
+		addr := int(pl.NextUint() % memory.Bytes)
 		bit := uint(pl.NextUint() % 8)
 		pl.Events = append(pl.Events, Event{At: at(), Kind: FlipBit, Node: n, Addr: addr, Bit: bit, Silent: true})
 	}

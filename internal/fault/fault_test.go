@@ -2,6 +2,7 @@ package fault
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"tseries/internal/sim"
@@ -57,6 +58,25 @@ func TestParseEmptyAndErrors(t *testing.T) {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
+	}
+}
+
+// TestParseFlipOutsideStore: a flip must name a bit of the 1 MB node
+// store. The parser rejects one past it with an error that names the
+// value, instead of a run that panics or flips another bit.
+func TestParseFlipOutsideStore(t *testing.T) {
+	for spec, value := range map[string]string{
+		"seed=1,flip=0:99999999.3@3s": "address 99999999",
+		"flip=0:1048576.0@3s":         "address 1048576",
+		"flip=0:4096.9@3s":            "bit 9",
+	} {
+		if _, err := Parse(spec); err == nil || !strings.Contains(err.Error(), value) {
+			t.Errorf("Parse(%q) = %v, want an error naming %s", spec, err, value)
+		}
+	}
+	pl, err := Parse("flip=0:1048575.7@3s")
+	if err != nil || pl.Events[0].Addr != 1048575 || pl.Events[0].Bit != 7 {
+		t.Fatalf("last bit of the store: %v, %v", pl, err)
 	}
 }
 

@@ -3,6 +3,8 @@ package fault
 import (
 	"strings"
 	"testing"
+
+	"tseries/internal/memory"
 )
 
 // FuzzParse hammers the fault-plan grammar: any input must either
@@ -54,6 +56,9 @@ func FuzzParse(f *testing.F) {
 			}
 			if ev.Node < 0 || ev.Dim < 0 || ev.Addr < 0 || ev.Mod < 0 || ev.Blk < 0 {
 				t.Fatalf("Parse(%q) produced negative target in %+v", spec, ev)
+			}
+			if ev.Kind == FlipBit && (ev.Addr >= memory.Bytes || ev.Bit > 7) {
+				t.Fatalf("Parse(%q) accepted a flip outside the node store: %+v", spec, ev)
 			}
 		}
 		if pl.BER < 0 || pl.BER >= 1 {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"tseries/internal/memory"
 	"tseries/internal/sim"
 )
 
@@ -18,7 +19,8 @@ import (
 //	down=NODE.DIM@DUR[+DUR]    cut the dimension-DIM link at NODE at
 //	                           time DUR; with +DUR, restore it after
 //	                           that long ("0.1@1s+500ms")
-//	flip=NODE:ADDR.BIT@DUR     flip DRAM bit BIT of byte ADDR on NODE
+//	flip=NODE:ADDR.BIT@DUR     flip DRAM bit BIT (0..7) of byte ADDR
+//	                           (below 1 MB) on NODE
 //	disk=MOD.BLK@DUR           corrupt stored block #BLK (sorted order)
 //	                           on module MOD's disk
 //
@@ -140,8 +142,13 @@ func parseFlip(pl *Plan, val string) error {
 		return fmt.Errorf("bad node %q", tgt[:colon])
 	}
 	addr, bit, err := dotPair(tgt[colon+1:])
-	if err != nil {
+	switch {
+	case err != nil:
 		return err
+	case addr >= memory.Bytes:
+		return fmt.Errorf("address %d past the %d-byte node store", addr, memory.Bytes)
+	case bit > 7:
+		return fmt.Errorf("bit %d outside 0..7", bit)
 	}
 	pl.Events = append(pl.Events, Event{At: at, Kind: FlipBit, Node: node, Addr: addr, Bit: uint(bit)})
 	return nil

@@ -24,7 +24,19 @@ import (
 // — and therefore aliasing behaviour when Z is X or Y, and the feedback
 // accumulator order of the reductions — is identical to the hardware's
 // sequential retirement.
+//
+// The row buffers load X, and Y where the form reads it, through the
+// row port, so a byte of either that fails parity stops the form with
+// the port's ParityError before it writes Z.
 func (u *Unit) compute(op Op) (Result, error) {
+	if err := u.mem.CheckRow(op.X); err != nil {
+		return Result{}, err
+	}
+	if op.Form.usesY() {
+		if err := u.mem.CheckRow(op.Y); err != nil {
+			return Result{}, err
+		}
+	}
 	if op.Prec == P64 {
 		return u.compute64(op)
 	}

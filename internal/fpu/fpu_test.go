@@ -1,8 +1,10 @@
 package fpu
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tseries/internal/fparith"
@@ -521,6 +523,56 @@ func TestConversionFormsRejectP32(t *testing.T) {
 	k.Run(0)
 	if err == nil {
 		t.Fatal("conversion in 32-bit mode accepted")
+	}
+}
+
+// TestOperandParityChecked: a form loads X, and Y where it reads it,
+// through the row port, so a flipped byte in an operand row stops the
+// form with the port's ParityError and leaves Z as it was. A flip in a
+// row the form does not read stops nothing.
+func TestOperandParityChecked(t *testing.T) {
+	const x, y, z = 2, 302, 5
+	for _, tc := range []struct {
+		name    string
+		flipRow int
+		op      Op
+		fails   bool
+	}{
+		{"VAdd X", x, Op{Form: VAdd, Prec: P64, X: x, Y: y, Z: z}, true},
+		{"VAdd Y", y, Op{Form: VAdd, Prec: P64, X: x, Y: y, Z: z}, true},
+		{"VSMul32 X", x, Op{Form: VSMul, Prec: P32, X: x, Z: z, A: fparith.FromFloat64(2)}, true},
+		{"Dot Y", y, Op{Form: Dot, Prec: P64, X: x, Y: y}, true},
+		{"VSMul unread Y", y, Op{Form: VSMul, Prec: P64, X: x, Y: y, Z: z, A: fparith.FromFloat64(2)}, false},
+	} {
+		k, m, u := rig()
+		fill := func(r int, v float64) []float64 {
+			vals := make([]float64, memory.F64PerRow)
+			for i := range vals {
+				vals[i] = v
+			}
+			fillRow64(m, r, vals)
+			return vals
+		}
+		fill(x, 1)
+		fill(y, 2)
+		before := fill(z, 7)
+		m.FlipBit(memory.RowAddr(tc.flipRow)+6, 4)
+		var err error
+		k.Go("cp", func(p *sim.Proc) { _, err = u.Run(p, tc.op) })
+		k.Run(0)
+		if !tc.fails {
+			if err != nil {
+				t.Errorf("%s: %v, want no error", tc.name, err)
+			}
+			continue
+		}
+		var pe *memory.ParityError
+		if want := memory.RowAddr(tc.flipRow) + 6; !errors.As(err, &pe) || pe.Addr != want {
+			t.Errorf("%s: %v, want a ParityError at %#x", tc.name, err, want)
+		}
+		if got := rowVals64(m, z, memory.F64PerRow); !reflect.DeepEqual(got, before) {
+			t.Errorf("%s: the failed form wrote Z", tc.name)
+		}
 	}
 }
 

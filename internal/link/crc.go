@@ -35,14 +35,15 @@ func syndrome(n int, flips []int) uint32 {
 	return s
 }
 
-// caught reports whether the receiver's CRC rejects an n-byte frame
-// damaged at the given bit positions. x has multiplicative order
-// 2³²−1 modulo P, and P does not divide x. So one flipped bit (x^a)
-// or two distinct ones (x^b·(x^(a−b)+1), with 0 < a−b < 2³²−1) in a
-// frame shorter than 2³²−1 bits always leave a nonzero syndrome, and
-// only three or more flips, or a pattern that repeats a position, need
-// the syndrome computed.
-func caught(n int, flips []int) bool {
+// CRCCatches reports whether a CRC-32 check rejects n bytes damaged
+// at the given ascending bit positions: the link receiver's check of a
+// frame, and a checkpoint disk's check of a block rotted in place. x
+// has multiplicative order 2³²−1 modulo P, and P does not divide x. So
+// one flipped bit (x^a) or two distinct ones (x^b·(x^(a−b)+1), with
+// 0 < a−b < 2³²−1) in n bytes, n·8 < 2³²−1, always leave a nonzero
+// syndrome, and only three or more flips, or a pattern that repeats a
+// position, need the syndrome computed.
+func CRCCatches(n int, flips []int) bool {
 	if n < 1<<29 && (len(flips) == 1 || len(flips) == 2 && flips[0] != flips[1]) {
 		return true
 	}
@@ -61,38 +62,6 @@ func damage(data []byte, wire int, flips []int) []byte {
 	}
 	return bad
 }
-
-// CRCUpdateZeros returns the CRC-32 (IEEE) of the content whose CRC is
-// crc followed by n zero bytes: crc32.Update(crc, crc32.IEEETable,
-// make([]byte, n)) without hashing the zeros. The zeros multiply the
-// (uninverted) CRC register by x^(8n) mod P; a run of whole zero rows
-// takes that factor from zeroRowFactor.
-func CRCUpdateZeros(crc uint32, n int) uint32 {
-	if n == 0 {
-		return crc
-	}
-	var f uint32
-	if k := n / zeroRowBytes; n%zeroRowBytes == 0 && k < len(zeroRowFactor) {
-		f = zeroRowFactor[k]
-	} else {
-		f = xpow8n(n)
-	}
-	return ^multmodp(f, ^crc)
-}
-
-// The zero runs a checkpoint disk folds into a block's CRC are whole
-// 1 KB memory rows, at most a 64 KB snapshot chunk's worth, except a
-// block's partial last row. zeroRowFactor[k] is x^(8·k·zeroRowBytes)
-// mod P for k ≤ 64, so such a fold costs one lookup and one multmodp
-// instead of xpow8n's multmodp per set bit of n.
-const zeroRowBytes = 1024
-
-var zeroRowFactor = func() (t [65]uint32) {
-	for k := range t {
-		t[k] = xpow8n(k * zeroRowBytes)
-	}
-	return t
-}()
 
 // multmodp returns a(x)·b(x) mod P(x) in the reflected bit order of the
 // IEEE table, where the top bit holds the x⁰ coefficient.

@@ -53,7 +53,7 @@ func TestSyndromeMatchesCRC(t *testing.T) {
 // is the coefficient of x^(8n−1−t). Every multiple of P leaves the CRC
 // unchanged.
 func polyFlips(n, shift int) []int {
-	const p = 1<<32 | 0x04C11DB7 // x³² + x²⁶ + … + x + 1
+	const p uint64 = 1<<32 | 0x04C11DB7 // x³² + x²⁶ + … + x + 1
 	var flips []int
 	for i := 32; i >= 0; i-- {
 		if p>>uint(i)&1 != 0 {
@@ -136,7 +136,7 @@ func xpow(e uint64) uint32 {
 	return p
 }
 
-// TestXHasFullOrder pins the fact behind caught's fast path: x has
+// TestXHasFullOrder pins the fact behind CRCCatches' fast path: x has
 // multiplicative order exactly 2³²−1 modulo the CRC-32 polynomial. Its
 // order divides 2³²−1 = 3·5·17·257·65537, and x^((2³²−1)/q) ≠ 1 for
 // each prime factor q rules out every proper divisor.
@@ -156,7 +156,7 @@ func TestXHasFullOrder(t *testing.T) {
 	}
 }
 
-// TestCaughtMatchesSyndrome checks caught's one- and two-flip fast path
+// TestCaughtMatchesSyndrome checks CRCCatches' one- and two-flip fast path
 // against the syndrome it skips, and that longer patterns still go
 // through the syndrome: an undetectable pattern is not caught.
 func TestCaughtMatchesSyndrome(t *testing.T) {
@@ -172,47 +172,14 @@ func TestCaughtMatchesSyndrome(t *testing.T) {
 			}
 			flips = []int{min(a, b), max(a, b)}
 		}
-		if got, want := caught(n, flips), syndrome(n, flips) != 0; got != want {
-			t.Fatalf("n=%d flips=%v: caught %v, syndrome says %v", n, flips, got, want)
+		if got, want := CRCCatches(n, flips), syndrome(n, flips) != 0; got != want {
+			t.Fatalf("n=%d flips=%v: CRCCatches %v, syndrome says %v", n, flips, got, want)
 		}
 	}
-	if caught(64, polyFlips(64, 3)) {
+	if CRCCatches(64, polyFlips(64, 3)) {
 		t.Fatal("a multiple of the generator polynomial was caught")
 	}
-	if caught(64, []int{9, 9}) {
+	if CRCCatches(64, []int{9, 9}) {
 		t.Fatal("a bit flipped twice was caught")
-	}
-}
-
-// TestCRCUpdateZeroRows checks every precomputed whole-row factor: a
-// fold of k 1 KB zero rows, k from 0 to 64, against hashing the zeros.
-func TestCRCUpdateZeroRows(t *testing.T) {
-	zeros := make([]byte, (len(zeroRowFactor)-1)*zeroRowBytes)
-	c := crc32.ChecksumIEEE([]byte("row head"))
-	for k := range zeroRowFactor {
-		n := k * zeroRowBytes
-		want := crc32.Update(c, crc32.IEEETable, zeros[:n])
-		if got := CRCUpdateZeros(c, n); got != want {
-			t.Errorf("%d zero rows: %#x, want %#x", k, got, want)
-		}
-	}
-}
-
-// TestCRCUpdateZeros checks the zero-run fold against hashing the
-// zeros.
-func TestCRCUpdateZeros(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		head := make([]byte, rng.Intn(3000))
-		rng.Read(head)
-		n := rng.Intn(70000)
-		if trial%4 == 0 {
-			n = 1024 * rng.Intn(65)
-		}
-		c := crc32.ChecksumIEEE(head)
-		want := crc32.Update(c, crc32.IEEETable, make([]byte, n))
-		if got := CRCUpdateZeros(c, n); got != want {
-			t.Fatalf("head %d bytes, %d zeros: %#x, want %#x", len(head), n, got, want)
-		}
 	}
 }

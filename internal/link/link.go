@@ -383,7 +383,7 @@ func (s *Sublink) cross(frame []byte, wire int) ([]byte, bool) {
 		return frame, true
 	}
 	l.Corrupted++
-	if caught(wire, flips) {
+	if CRCCatches(wire, flips) {
 		return nil, false
 	}
 	// The damage slipped past the CRC: delivered wrong, counted as an

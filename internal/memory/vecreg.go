@@ -31,13 +31,23 @@ func (m *Memory) LoadRow(p *sim.Proc, row int, r *VectorReg) error {
 		copy(r.buf[:], zeroChunk.data[:])
 		return nil
 	}
-	if m.faulted != 0 {
-		if err := m.validateRange(RowAddr(row), RowBytes); err != nil {
-			return err
-		}
+	if err := m.CheckRow(row); err != nil {
+		return err
 	}
 	copy(r.buf[:], c.data[:])
 	return nil
+}
+
+// CheckRow is the row port's parity check of row `row`, untimed: the
+// lowest-address byte of the row that fails parity, as a ParityError,
+// or nil. While no bit has been flipped it is one compare. The
+// arithmetic unit applies it to the operand rows it loads into its row
+// buffers.
+func (m *Memory) CheckRow(row int) error {
+	if m.faulted == 0 {
+		return nil
+	}
+	return m.validateRange(RowAddr(row), RowBytes)
 }
 
 // StoreRow writes the register back to memory row `row` in one timed row

@@ -16,7 +16,7 @@ package module
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
+	"slices"
 	"sort"
 
 	"tseries/internal/link"
@@ -30,23 +30,32 @@ import (
 const diskRowBytes = memory.RowBytes
 
 // storedRow is one reference-counted content-addressed row of block
-// payload. Rows reached through the dedup index are immutable and may
-// back many blocks; a row privatized by media rot (CorruptNth) leaves
-// the index and belongs to a single block.
+// payload. Every stored row is in the dedup index and immutable, and
+// may back many blocks.
 type storedRow struct {
-	refs    int64
-	hash    uint64
-	data    []byte
-	indexed bool
+	refs int64
+	hash uint64
+	data []byte
 }
 
-// diskBlock is one stored block: its logical length plus one entry per
-// row-sized segment. A nil entry is an all-zero segment — the common
-// case for checkpoint chunks of untouched node memory — which costs
-// nothing to store.
+// diskBlock is one stored block: its logical length, one entry per
+// row-sized segment up to its last non-zero one, and its fault ledger.
+// A nil entry, like every segment past the entries, is all zero — the
+// common case for checkpoint chunks of untouched node memory — and
+// costs nothing to store.
+//
+// The ledger, flips, holds the ascending bit positions (8b+j is bit
+// 1<<j of byte b) that CorruptNth has inverted since the block was
+// stored; the rows keep the stored content, and reads apply the flips.
+// CRC-32 is affine over GF(2), so the block's CRC differs from the one
+// recorded at store time exactly when the CRC syndrome of the flips
+// over the block's length is nonzero (link.CRCCatches): two flips of
+// one bit cancel, and a multiple of the generator polynomial passes,
+// as on a real disk.
 type diskBlock struct {
-	size int
-	rows []*storedRow
+	size  int
+	rows  []*storedRow
+	flips []int
 }
 
 // zeroSeg is what store compares segments against to elide them.
@@ -54,9 +63,11 @@ var zeroSeg [diskRowBytes]byte
 
 // Disk is a module's system disk. Transfers are timed; contents are real
 // bytes so a restore genuinely rewinds the machine. Every block is
-// stored with a checksum, verified on read — a block rotted on the
+// stored with a CRC-32, verified on read — a block rotted on the
 // platter (or corrupted by a fault plan) surfaces as a CorruptError
-// instead of silently restoring garbage into node memory.
+// instead of silently restoring garbage into node memory. Only media
+// rot changes a stored byte, so the check is decided from each block's
+// fault ledger, and no CRC is computed over content.
 //
 // At rest, blocks are deduplicated at row granularity: each row-sized
 // segment is stored once, shared by reference count across every block
@@ -77,9 +88,8 @@ type Disk struct {
 	busy *sim.Resource
 
 	blocks map[string]*diskBlock
-	sums   map[string]uint32
-	// dedup indexes live, unrotted rows by content hash; buckets hold
-	// hash collisions, resolved by full compare.
+	// dedup indexes every stored row by content hash; buckets hold hash
+	// collisions, resolved by full compare.
 	dedup map[uint64][]*storedRow
 
 	BytesWritten, BytesRead int64
@@ -112,7 +122,6 @@ func NewDisk(k *sim.Kernel, name string) *Disk {
 		ByteTime: sim.Microsecond, // 1 MB/s sustained
 		busy:     sim.NewResource(k, name+"/disk", 1),
 		blocks:   map[string]*diskBlock{},
-		sums:     map[string]uint32{},
 		dedup:    map[uint64][]*storedRow{},
 	}
 }
@@ -138,15 +147,15 @@ func (d *Disk) intern(seg []byte) *storedRow {
 			return r
 		}
 	}
-	r := &storedRow{refs: 1, hash: h, data: append([]byte(nil), seg...), indexed: true}
+	r := &storedRow{refs: 1, hash: h, data: append([]byte(nil), seg...)}
 	d.dedup[h] = append(d.dedup[h], r)
 	d.RowsCopied++
 	d.resident += int64(len(seg))
 	return r
 }
 
-// releaseRow drops one reference; the last reference evicts an indexed
-// row from the dedup index.
+// releaseRow drops one reference; the last reference evicts the row
+// from the dedup index.
 func (d *Disk) releaseRow(r *storedRow) {
 	if r == nil {
 		return
@@ -155,9 +164,6 @@ func (d *Disk) releaseRow(r *storedRow) {
 		return
 	}
 	d.resident -= int64(len(r.data))
-	if !r.indexed {
-		return
-	}
 	bucket := d.dedup[r.hash]
 	for i, x := range bucket {
 		if x == r {
@@ -180,9 +186,9 @@ func (d *Disk) release(b *diskBlock) {
 	}
 }
 
-// bytes materializes the block's first n bytes of logical content
+// bytes materializes the block's first n bytes of current content
 // after head spare bytes, so a caller can prefix a header without a
-// second allocation.
+// second allocation: the stored rows with the ledger's flips applied.
 func (b *diskBlock) bytes(head, n int) []byte {
 	out := make([]byte, head+n)
 	for i, r := range b.rows {
@@ -190,64 +196,56 @@ func (b *diskBlock) bytes(head, n int) []byte {
 			copy(out[head+i*diskRowBytes:], r.data)
 		}
 	}
+	for _, pos := range b.flips {
+		if pos>>3 >= n {
+			break
+		}
+		out[head+pos>>3] ^= 1 << (pos & 7)
+	}
 	return out
 }
 
 // carried is the length of the block's content up to the end of its
-// last non-nil row: everything after it is zero.
+// last stored row or of the last row media rot has flipped, whichever
+// is later: everything after it is zero.
 func (b *diskBlock) carried() int {
-	for i := len(b.rows) - 1; i >= 0; i-- {
-		if b.rows[i] != nil {
-			return min(b.size, (i+1)*diskRowBytes)
-		}
+	n := len(b.rows) * diskRowBytes
+	if k := len(b.flips); k > 0 {
+		n = max(n, (b.flips[k-1]>>3/diskRowBytes+1)*diskRowBytes)
 	}
-	return 0
-}
-
-// crc computes the checksum of the block's logical content without
-// materializing it. Each run of all-zero segments is folded in at
-// once (link.CRCUpdateZeros) instead of being hashed.
-func (b *diskBlock) crc() uint32 {
-	var c uint32 // the CRC of no bytes
-	zeros := 0
-	for i, r := range b.rows {
-		if r == nil {
-			zeros += min(diskRowBytes, b.size-i*diskRowBytes)
-			continue
-		}
-		c = crc32.Update(link.CRCUpdateZeros(c, zeros), crc32.IEEETable, r.data)
-		zeros = 0
-	}
-	return link.CRCUpdateZeros(c, zeros)
+	return min(b.size, n)
 }
 
 // store records a block of logical length size whose content is data
-// followed by zero bytes up to size, with its checksum (untimed
+// (no longer than size) followed by zero bytes up to size (untimed
 // bookkeeping; callers charge wire/platter time themselves). Row-sized
-// segments dedup against everything already on the platter, and the
-// zero tail past data costs nothing: its segments are nil like any
-// other all-zero segment.
+// segments dedup against everything already on the platter. All-zero
+// segments cost nothing, and a block keeps row entries only up to its
+// last non-zero segment, so the zero tail past data costs not even
+// that.
 func (d *Disk) store(key string, data []byte, size int) {
 	if old, ok := d.blocks[key]; ok {
 		d.release(old)
 	}
-	nb := &diskBlock{size: size, rows: make([]*storedRow, 0, (size+diskRowBytes-1)/diskRowBytes)}
-	for off := 0; off < size; off += diskRowBytes {
+	nb := &diskBlock{size: size, rows: make([]*storedRow, (len(data)+diskRowBytes-1)/diskRowBytes)}
+	zero, live := (size+diskRowBytes-1)/diskRowBytes, 0
+	for i := range nb.rows {
+		off := i * diskRowBytes
 		n := min(diskRowBytes, size-off)
-		seg := data[min(off, len(data)):min(off+n, len(data))]
+		seg := data[off:min(off+n, len(data))]
 		if bytes.Equal(seg, zeroSeg[:len(seg)]) {
-			nb.rows = append(nb.rows, nil)
-			d.RowsZero++
 			continue
 		}
 		if len(seg) < n {
 			// The carried bytes end inside this segment.
 			seg = append(seg[:len(seg):len(seg)], zeroSeg[len(seg):n]...)
 		}
-		nb.rows = append(nb.rows, d.intern(seg))
+		nb.rows[i] = d.intern(seg)
+		zero, live = zero-1, i+1
 	}
+	nb.rows = nb.rows[:live]
+	d.RowsZero += int64(zero)
 	d.blocks[key] = nb
-	d.sums[key] = nb.crc()
 	d.BytesWritten += int64(size)
 }
 
@@ -278,7 +276,7 @@ func (d *Disk) read(p *sim.Proc, key string) (*diskBlock, error) {
 	}
 	d.busy.Use(p, d.SeekTime+sim.Duration(b.size)*d.ByteTime)
 	d.BytesRead += int64(b.size)
-	if b.crc() != d.sums[key] {
+	if link.CRCCatches(b.size, b.flips) {
 		d.Corrupted++
 		return nil, &CorruptError{Disk: d.Name, Key: key}
 	}
@@ -319,7 +317,7 @@ func (d *Disk) Verify(key string) bool {
 	if !ok {
 		return false
 	}
-	if b.crc() != d.sums[key] {
+	if link.CRCCatches(b.size, b.flips) {
 		d.Corrupted++
 		return false
 	}
@@ -332,7 +330,6 @@ func (d *Disk) Delete(key string) {
 		d.release(b)
 	}
 	delete(d.blocks, key)
-	delete(d.sums, key)
 }
 
 // Keys reports how many blocks are stored.
@@ -345,8 +342,10 @@ func (d *Disk) ResidentBytes() int64 { return d.resident }
 
 // CorruptNth flips one bit in the n-th stored block (by sorted key
 // order, modulo the block count) without updating its checksum — the
-// fault injector's media-rot primitive. The damaged row is privatized
-// first, so blocks sharing its content elsewhere stay intact. It
+// fault injector's media-rot primitive. The bit is 8·(n·131 mod size) +
+// n mod 8, computed in unsigned 64-bit arithmetic so that every index
+// maps into the block. It goes into the block's fault ledger, so blocks
+// sharing its rows stay intact, and flipping it again cancels it. It
 // returns the damaged key, or "" when the disk is empty.
 func (d *Disk) CorruptNth(n int) string {
 	if len(d.blocks) == 0 {
@@ -360,22 +359,13 @@ func (d *Disk) CorruptNth(n int) string {
 	key := keys[((n%len(keys))+len(keys))%len(keys)]
 	b := d.blocks[key]
 	if b.size > 0 {
-		pos := (n * 131) % b.size
-		seg, off := pos/diskRowBytes, pos%diskRowBytes
-		segLen := b.size - seg*diskRowBytes
-		if segLen > diskRowBytes {
-			segLen = diskRowBytes
-		}
-		priv := &storedRow{refs: 1}
-		if r := b.rows[seg]; r == nil {
-			priv.data = make([]byte, segLen)
+		u := uint64(n)
+		pos := int(u*131%uint64(b.size))*8 + int(u%8)
+		if i, found := slices.BinarySearch(b.flips, pos); found {
+			b.flips = slices.Delete(b.flips, i, i+1)
 		} else {
-			priv.data = append([]byte(nil), r.data...)
-			d.releaseRow(r)
+			b.flips = slices.Insert(b.flips, i, pos)
 		}
-		d.resident += int64(len(priv.data))
-		priv.data[off] ^= 1 << uint(n%8)
-		b.rows[seg] = priv
 	}
 	return key
 }

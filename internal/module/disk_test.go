@@ -3,6 +3,7 @@ package module
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"tseries/internal/sim"
@@ -135,6 +136,35 @@ func TestDiskCorruptNthEmpty(t *testing.T) {
 	}
 	if d.Verify("missing") {
 		t.Fatal("missing block verified")
+	}
+}
+
+// TestDiskCorruptNthHugeIndex: an index whose product with 131
+// overflows int, like the fault plan disk=0.70409710030596392, still
+// flips a bit inside the block, the one the unsigned product names,
+// and flipping it again cancels it.
+func TestDiskCorruptNthHugeIndex(t *testing.T) {
+	k := sim.NewKernel()
+	d := NewDisk(k, "t")
+	const size = 3*diskRowBytes + 5
+	d.store("blk", []byte("payload"), size)
+	repro := uint64(70409710030596392) // int(repro) keeps the low 32 bits on 386
+	for _, n := range []int{int(repro), math.MaxInt, math.MaxInt/131 + 1, 16393180, math.MinInt, -1, 7} {
+		if key := d.CorruptNth(n); key != "blk" {
+			t.Fatalf("CorruptNth(%d) corrupted %q", n, key)
+		}
+		b := d.blocks["blk"]
+		want := int(uint64(n)*131%size)*8 + int(uint64(n)%8)
+		if len(b.flips) != 1 || b.flips[0] != want || d.Verify("blk") {
+			t.Fatalf("CorruptNth(%d): ledger %v, want [%d] and a failed check", n, b.flips, want)
+		}
+		if n >= 0 && n <= math.MaxInt/131 && want != n*131%size*8+n%8 {
+			t.Fatalf("CorruptNth(%d) moved from the position its int product names", n)
+		}
+		d.CorruptNth(n)
+		if len(b.flips) != 0 || !d.Verify("blk") {
+			t.Fatalf("CorruptNth(%d) twice: ledger %v, want empty and a passed check", n, b.flips)
+		}
 	}
 }
 

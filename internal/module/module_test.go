@@ -40,7 +40,7 @@ func TestSnapshotTimeFullModule(t *testing.T) {
 	k, m := buildModule(t, 8)
 	// Put recognisable data in each node.
 	for i, nd := range m.Nodes {
-		nd.Mem.PokeWord(0, uint32(0xC0DE0000+i))
+		nd.Mem.PokeWord(0, uint32(0xC0DE0000)+uint32(i))
 	}
 	var elapsed sim.Duration
 	k.Go("snap", func(p *sim.Proc) {

@@ -93,6 +93,21 @@ func TestIntegerFlagsParseLikeTsim(t *testing.T) {
 	}
 }
 
+// TestFlipOutsideStoreIsBadFlag: a fault plan that flips a bit outside
+// the 1 MB node store is refused at submission, as tsim refuses it.
+func TestFlipOutsideStoreIsBadFlag(t *testing.T) {
+	r, err := workloads.Get("recovery")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range []string{"seed=1,flip=0:99999999.3@3s", "flip=0:4096.9@3s"} {
+		_, apiErr := resolveWorkload(&JobSpec{Workload: "recovery", Flags: map[string]string{"faults": plan}}, r)
+		if apiErr == nil || apiErr.Code != "bad_flag" {
+			t.Errorf("faults=%s: got %v, want code bad_flag", plan, apiErr)
+		}
+	}
+}
+
 // TestCacheKeyProperty: across randomly drawn flag assignments, two
 // specs map to the same key exactly when their resolved values agree.
 func TestCacheKeyProperty(t *testing.T) {
