@@ -49,28 +49,21 @@ type topology struct {
 	nextHop [][]int8 // [src][dst] → outbound dimension, -1 unreachable; nil while healthy
 }
 
-// topoChanges sums the change counts of the network's node links: it
-// moves whenever one of this network's channels goes up, goes down, or
-// is rewired, and never because of another simulation in the process.
-// A node crash or repair always moves it too, because it flips the
-// node's system-thread sublinks 14 and 15, which nothing else takes
-// down. It reads every node's links, so mid-window only a one-shard
-// network may call it.
-func (n *Network) topoChanges() int64 {
-	var sum int64
-	for _, nd := range n.Nodes {
-		for _, l := range nd.Links {
-			sum += l.Changes()
-		}
-	}
-	return sum
-}
+// topoChanges reads the change count of the kernel of the network's
+// first node. On a one-shard network that kernel hosts every link, so
+// the count moves whenever one of the network's channels goes up, goes
+// down, or is rewired, and never because of another simulation in the
+// process. A node crash or repair always moves it too, because it flips
+// the node's system-thread sublinks 14 and 15, which nothing else takes
+// down. A transition of another link on that kernel, a system board's,
+// moves it as well, and only rebuilds an unchanged view.
+func (n *Network) topoChanges() int64 { return n.Nodes[0].K.Changes() }
 
-// SyncView rebuilds the topology view and stamps it with the network's
-// link change count. On a network spread over several shards it must
-// be called only when every shard is quiescent — at a ShardGroup window
-// barrier, or from host/Global context — and after the staged sublink
-// mirrors have been synced, so Up() reads are coherent.
+// SyncView rebuilds the topology view and stamps it with topoChanges.
+// On a network spread over several shards it must be called only when
+// every shard is quiescent — at a ShardGroup window barrier, or from
+// host/Global context — and after the staged sublink mirrors have been
+// synced, so Up() reads are coherent.
 func (n *Network) SyncView() {
 	t := &topology{changes: n.topoChanges(), healthy: true, lowest: -1, alive: make([]bool, len(n.Nodes))}
 	for id, nd := range n.Nodes {
@@ -99,7 +92,7 @@ func (n *Network) SyncView() {
 // touches no other shard's state; a crash becomes visible to remote
 // shards at most one window late, a lag identical at every worker
 // count. A one-shard network runs one unbounded window, so it rebuilds
-// its view here whenever its links' change count has moved.
+// its view here whenever its kernel's change count has moved.
 func (n *Network) view() *topology {
 	if !n.frozen && n.topo.changes != n.topoChanges() {
 		n.SyncView()

@@ -91,15 +91,29 @@ var x2n = func() (t [32]uint32) {
 	return t
 }()
 
-// xpow8n returns x^(8n) mod P: the factor by which n zero bytes
-// advance a CRC register.
-func xpow8n(n int) uint32 {
-	p := uint32(1) << 31 // x⁰
-	for k := 3; n != 0; k++ {
-		if n&1 != 0 {
-			p = multmodp(x2n[k&31], p)
+// x8n[k][j] is x^(8·j·256^k) mod P: the factor by which j·256^k zero
+// bytes advance a CRC register. Since x^(2^32) = x and 256^4 = 2^32,
+// row k+4 would repeat row k, so four rows cover every n.
+var x8n = func() (t [4][256]uint32) {
+	for k := range t {
+		t[k][0] = 1 << 31 // x⁰
+		for j := 1; j < 256; j++ {
+			t[k][j] = multmodp(x2n[3+8*k], t[k][j-1])
 		}
-		n >>= 1
+	}
+	return t
+}()
+
+// xpow8n returns x^(8n) mod P: the factor by which n zero bytes
+// advance a CRC register. It multiplies one x8n entry per base-256
+// digit of n, so an n below 2³² takes at most three multiplies.
+func xpow8n(n int) uint32 {
+	p := x8n[0][n&0xff]
+	for k := 1; n > 0xff; k++ {
+		n >>= 8
+		if j := n & 0xff; j != 0 {
+			p = multmodp(x8n[k&3][j], p)
+		}
 	}
 	return p
 }

@@ -3,6 +3,7 @@ package link
 import (
 	"bytes"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -134,6 +135,39 @@ func xpow(e uint64) uint32 {
 		}
 	}
 	return p
+}
+
+// xpow8nBits is the bit-serial x^(8n) mod P that the x8n table
+// replaced: one multiply per set bit of n.
+func xpow8nBits(n int) uint32 {
+	p := uint32(1) << 31 // x⁰
+	for k := 3; n != 0; k++ {
+		if n&1 != 0 {
+			p = multmodp(x2n[k&31], p)
+		}
+		n >>= 1
+	}
+	return p
+}
+
+// TestXpow8nTable checks the byte-digit table against the bit-serial
+// loop for n of every magnitude the platform's int holds, 2^24 and
+// beyond (where the table's row index wraps) included.
+func TestXpow8nTable(t *testing.T) {
+	ns := []int{0, 1, 255, 256, 1<<16 - 1, 1 << 16, 1<<24 - 1, 1 << 24, 1<<31 - 1, math.MaxInt}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5000; i++ {
+		n := rng.Int63() >> rng.Intn(63)
+		if n > math.MaxInt {
+			n >>= 32
+		}
+		ns = append(ns, int(n))
+	}
+	for _, n := range ns {
+		if got, want := xpow8n(n), xpow8nBits(n); got != want {
+			t.Fatalf("xpow8n(%d) = %#x, bit loop %#x", n, got, want)
+		}
+	}
 }
 
 // TestXHasFullOrder pins the fact behind CRCCatches' fast path: x has

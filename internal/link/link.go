@@ -129,14 +129,15 @@ type Message struct {
 // multiplexed onto it divide the available bandwidth. (The inbound
 // direction is owned by the remote ends' outbound wires.) The four
 // sublinks live inside the Link, so a link and its channels are one
-// host object.
+// host object. Every wiring and outage transition of its sublinks is
+// counted on the link's kernel (sim.Kernel.NoteChange), where routing
+// layers read it.
 type Link struct {
 	Name     string
 	k        *sim.Kernel
 	wire     *sim.Resource
 	subs     [SublinksPerLink]Sublink
 	injector Injector
-	changes  int64 // wiring and outage transitions; see Changes
 
 	BytesSent int64
 	Transfers int64
@@ -148,14 +149,6 @@ type Link struct {
 	Timeouts    int64 // attempts lost to a dead wire or dead peer
 	Drops       int64 // sends abandoned with a DownError
 }
-
-// Changes counts the wiring and outage transitions of this link's
-// sublinks. Counts only grow, so a sum of them over a set of links
-// moves exactly when one of those links changed: routing layers cache
-// reachability against such a sum. Every transition runs before the
-// run starts, on the link's own shard, or at a window barrier, so a sum
-// taken on that shard or at a barrier needs no synchronisation.
-func (l *Link) Changes() int64 { return l.changes }
 
 // SetInjector attaches a fault injector to every transfer on this
 // link's outbound wire (nil detaches).
@@ -172,7 +165,7 @@ func (l *Link) SetDown(down bool) {
 		}
 	}
 	if changed {
-		l.changes++
+		l.k.NoteChange()
 	}
 }
 
@@ -220,8 +213,8 @@ func Connect(a, b *Sublink) error {
 		return fmt.Errorf("link: sublink already connected (%s ↔ %s)", a.Name(), b.Name())
 	}
 	a.peer, b.peer = b, a
-	a.parent.changes++
-	b.parent.changes++
+	a.parent.k.NoteChange()
+	b.parent.k.NoteChange()
 	return nil
 }
 
@@ -237,7 +230,7 @@ func Rewire(a, b *Sublink) error {
 	}
 	for _, s := range []*Sublink{a, b} {
 		if s.peer != nil {
-			s.peer.parent.changes++
+			s.peer.parent.k.NoteChange()
 			s.peer.peer = nil
 			s.peer = nil
 		}
@@ -260,7 +253,7 @@ func (s *Sublink) Peer() *Sublink { return s.peer }
 func (s *Sublink) SetDown(down bool) {
 	if s.down != down {
 		s.down = down
-		s.parent.changes++
+		s.parent.k.NoteChange()
 	}
 }
 

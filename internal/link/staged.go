@@ -54,8 +54,8 @@ func ConnectStaged(a, b *Sublink, ab, ba *sim.XChan) error {
 	}
 	a.staged = stagedPeer{x: ab, remote: b}
 	b.staged = stagedPeer{x: ba, remote: a}
-	a.parent.changes++
-	b.parent.changes++
+	a.parent.k.NoteChange()
+	b.parent.k.NoteChange()
 	return nil
 }
 

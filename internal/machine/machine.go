@@ -84,7 +84,7 @@ type Machine struct {
 	ctl    *shard0Chan // fan-out join tokens
 	ctlGen int64       // join generation; stale tokens are ignored
 
-	changesSeen int64 // link change count the shard views were last synced at
+	changesSeen int64 // shard change count the views were last synced at
 	faults      *fault.Sharded
 }
 
@@ -210,16 +210,12 @@ func (m *Machine) SimStats() sim.Stats {
 // syncShardState runs after every window barrier and syncs the
 // topology views (staged sublink outage mirrors plus the comm view)
 // whenever one of the machine's channels changed state since the last
-// sync, which the sum of its links' change counts tells.
+// sync, which the sum of its shards' change counts tells: every link of
+// the machine lives on one of them.
 func (m *Machine) syncShardState() {
 	var changes int64
-	for _, nd := range m.Nodes {
-		for _, l := range nd.Links {
-			changes += l.Changes()
-		}
-	}
-	for _, mod := range m.Modules {
-		changes += mod.Sys.Link.Changes()
+	for s := 0; s < m.Group.Shards(); s++ {
+		changes += m.Group.Shard(s).Changes()
 	}
 	if changes == m.changesSeen {
 		return

@@ -128,3 +128,33 @@ func TestShardedMachineWorkerInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestStagedMirrorSeesRemoteTransition: a link transition on shard 3
+// mid-window reaches shard 0's staged mirror at the next barrier, and
+// not before. Module 3's ring-out sublink (2) feeds module 0's ring-in
+// sublink (3), the one staged pair between those shards.
+func TestStagedMirrorSeesRemoteTransition(t *testing.T) {
+	m := newMachine(t, 5)
+	in := m.Modules[0].Sys.Link.Sublink(3)
+	out := m.Modules[3].Sys.Link.Sublink(2)
+	const lat = link.Lookahead
+	h := lat / 2
+	at := sim.Time(0).Add(100 * sim.Microsecond) // the transition
+	var up []bool
+	m.Group.Shard(0).Go("watch", func(p *sim.Proc) {
+		p.Wait(at.Sub(p.Now()) - h) // opens the window [at−h, at−h+lat)
+		up = append(up, in.Up())
+		p.Wait(h)
+		up = append(up, in.Up()) // the transition's own window
+		p.Wait(lat - h)
+		up = append(up, in.Up()) // the next window, after its barrier
+	})
+	m.Group.Shard(3).Go("cut", func(p *sim.Proc) {
+		p.Wait(at.Sub(p.Now()))
+		out.SetDown(true)
+	})
+	m.Run(0)
+	if want := []bool{true, true, false}; fmt.Sprint(up) != fmt.Sprint(want) {
+		t.Fatalf("module 0's ring-in Up() before, in and after the cut's window: %v, want %v", up, want)
+	}
+}

@@ -3,6 +3,7 @@ package module
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -194,5 +195,28 @@ func TestDiskIsolationFromCaller(t *testing.T) {
 	k.Run(0)
 	if got[0] != 1 {
 		t.Fatal("writer mutated the stored block")
+	}
+}
+
+// TestDiskKeys pins the disk keys to the fmt forms they had: snapshot
+// chunks and their ring backups keep their names on the platter, and
+// every CorruptError text, which quotes the key, keeps its bytes.
+func TestDiskKeys(t *testing.T) {
+	for _, c := range []struct{ id, node, seq, mod int }{
+		{0, 0, 0, 0},
+		{1, 7, 15, 1},
+		{9, 10, 99, 511},
+		{123456, 3, 63, 4095},
+		{-1, -20, -300, -4000},
+		{math.MaxInt, math.MaxInt, math.MaxInt, math.MaxInt},
+		{math.MinInt, math.MinInt, math.MinInt, math.MinInt},
+	} {
+		key := snapKey(c.id, c.node, c.seq)
+		if want := fmt.Sprintf("snap%d/node%d/chunk%d", c.id, c.node, c.seq); key != want {
+			t.Errorf("snapKey(%d, %d, %d) = %q, want %q", c.id, c.node, c.seq, key, want)
+		}
+		if got, want := backupKey(c.mod, key), fmt.Sprintf("backup/mod%d/%s", c.mod, key); got != want {
+			t.Errorf("backupKey(%d, %q) = %q, want %q", c.mod, key, got, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package module
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"tseries/internal/link"
 	"tseries/internal/memory"
@@ -445,8 +446,16 @@ func (m *Module) FlushThread() int {
 	return n
 }
 
+// snapKey names chunk seq of node image nodeIdx of snapshot id on the
+// disk: "snap<id>/node<nodeIdx>/chunk<seq>".
 func snapKey(id, nodeIdx, seq int) string {
-	return fmt.Sprintf("snap%d/node%d/chunk%d", id, nodeIdx, seq)
+	b := make([]byte, 0, 40)
+	b = append(b, "snap"...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, "/node"...)
+	b = strconv.AppendInt(b, int64(nodeIdx), 10)
+	b = append(b, "/chunk"...)
+	return string(strconv.AppendInt(b, int64(seq), 10))
 }
 
 // Restore streams a recorded snapshot from disk back into every node's

@@ -1,6 +1,7 @@
 package module
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"tseries/internal/fparith"
@@ -66,4 +67,20 @@ func BenchmarkRestore(b *testing.B) {
 		}
 	})
 	k.Run(0)
+}
+
+// hashSink keeps BenchmarkHashRow's hashes live.
+var hashSink uint64
+
+// BenchmarkHashRow hashes one 1 KB row holding a recovery workload
+// result row's float64 values, the content a checkpoint interns.
+func BenchmarkHashRow(b *testing.B) {
+	row := make([]byte, diskRowBytes)
+	for e := 0; e < memory.F64PerRow; e++ {
+		binary.LittleEndian.PutUint64(row[8*e:], uint64(fparith.FromInt64(int64(2*e+301))))
+	}
+	b.SetBytes(int64(len(row)))
+	for i := 0; i < b.N; i++ {
+		hashSink += hashRow(row)
+	}
 }

@@ -3,6 +3,7 @@ package module
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"tseries/internal/link"
 	"tseries/internal/sim"
@@ -89,7 +90,7 @@ func (m *Module) BackupLastSnapshot(p *sim.Proc) error {
 			}
 			// Timed disk read feeding the ring.
 			m.Disk.busy.Use(p, sim.Duration(len(data))*m.Disk.ByteTime)
-			bkey := fmt.Sprintf("backup/mod%d/%s", m.Index, key)
+			bkey := backupKey(m.Index, key)
 			msg := make([]byte, 3+len(bkey)+len(data))
 			msg[0] = kindBackup
 			binary.LittleEndian.PutUint16(msg[1:3], uint16(len(bkey)))
@@ -108,11 +109,21 @@ func (m *Module) BackupLastSnapshot(p *sim.Proc) error {
 func (m *Module) HasBackupOf(srcModule, snapID, nNodes int) bool {
 	for idx := 0; idx < nNodes; idx++ {
 		for seq := 0; seq < chunksPerNode; seq++ {
-			key := fmt.Sprintf("backup/mod%d/%s", srcModule, snapKey(snapID, idx, seq))
+			key := backupKey(srcModule, snapKey(snapID, idx, seq))
 			if !m.Disk.Has(key) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// backupKey names module src's copy of its disk block key on the next
+// module's disk: "backup/mod<src>/<key>".
+func backupKey(src int, key string) string {
+	b := make([]byte, 0, 64)
+	b = append(b, "backup/mod"...)
+	b = strconv.AppendInt(b, int64(src), 10)
+	b = append(b, '/')
+	return string(append(b, key...))
 }

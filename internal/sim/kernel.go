@@ -72,6 +72,13 @@ type Kernel struct {
 	serveEntry func()
 	serving    *Proc
 
+	// dirty lists this shard's cross-shard edges that staged a value
+	// since the last barrier, each once, for the barrier merge. Only
+	// code running on this shard appends to it, so it needs no lock.
+	dirty []*XChan
+
+	changes int64 // state transitions noted by components; see Changes
+
 	// Execution metrics (see Stats).
 	events    int64
 	spawned   int64
@@ -183,6 +190,18 @@ func (k *Kernel) teardown() {
 
 // Now reports the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
+
+// NoteChange counts one state transition of a component on this kernel:
+// a link wired, rewired, severed or restored.
+func (k *Kernel) NoteChange() { k.changes++ }
+
+// Changes reports how many transitions NoteChange has counted. Counts
+// only grow, so a sum of them over a set of kernels moves exactly when
+// one of their components changed: routing layers cache reachability
+// against such a sum. A component notes a change before the run
+// starts, on its own kernel, or at a window barrier, so a read on the
+// same kernel or at a barrier needs no synchronisation.
+func (k *Kernel) Changes() int64 { return k.changes }
 
 // pushLane appends a same-instant event to the FIFO ring.
 func (k *Kernel) pushLane(fn func(), p *Proc) {

@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -46,7 +47,7 @@ import (
 type ShardGroup struct {
 	shards  []*Kernel
 	workers int
-	edges   []*XChan
+	edges   int32 // edges registered so far: the next one's index
 
 	// lookahead is the window width: the minimum latency over every
 	// registered cross-shard edge. Zero with no such edge means windows
@@ -72,14 +73,16 @@ type ShardGroup struct {
 	globalSeq     []int64
 	globalScratch []globalCall
 
-	// Worker pool state, live only during Run.
+	// Worker pool state, live only during Run: workers−1 goroutines
+	// beside the coordinator, which runs windows too.
 	feed    chan windowJob
 	results chan windowResult
-	pool    sync.WaitGroup // the workers, so stopPool returns once they exit
+	pool    sync.WaitGroup // the pool goroutines, so stopPool returns once they exit
 
 	// Scratch buffers reused across windows to keep the barrier
 	// allocation-free in steady state.
 	activeScratch  []int
+	dirtyScratch   []*XChan
 	arrivalScratch []arrival
 }
 
@@ -238,8 +241,8 @@ func (g *ShardGroup) ConnectInto(src, dst int, latency Duration, ch *Chan) *XCha
 	if ch.k != g.shards[dst] {
 		panic("sim: xchan " + ch.name + ": delivery channel must belong to the destination shard")
 	}
-	x := &XChan{g: g, src: src, dst: dst, latency: latency, inner: ch}
-	g.edges = append(g.edges, x)
+	x := &XChan{g: g, index: g.edges, src: int32(src), dst: int32(dst), latency: latency, inner: ch}
+	g.edges++
 	if src != dst && (g.lookahead == 0 || latency < g.lookahead) {
 		g.lookahead = latency
 	}
@@ -310,15 +313,8 @@ func (g *ShardGroup) runGlobals(at Time) {
 		g.globalScratch = batch
 		return
 	}
-	sort.SliceStable(batch, func(i, j int) bool {
-		a, b := batch[i], batch[j]
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		if a.shard != b.shard {
-			return a.shard < b.shard
-		}
-		return a.seq < b.seq
+	slices.SortFunc(batch, func(a, b globalCall) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.shard, b.shard), cmp.Compare(a.seq, b.seq))
 	})
 	for _, c := range batch {
 		c.fn(at)
@@ -492,26 +488,43 @@ func (g *ShardGroup) advanceClocks(t Time) {
 // before wEnd, in parallel when workers allow, and accounts barrier
 // stall. It returns false when the run must stop (context cancellation
 // observed by a shard); a process panic is re-raised once every shard
-// has finished its window, for Run to tear the group down.
+// has finished its window, for Run to tear the group down. With several
+// active shards and workers, the pool takes every active shard but the
+// first; the coordinator runs that one, then any job no pool goroutine
+// has taken yet, and only then waits for results. Whoever runs a shard,
+// the lowest panicking shard's value wins.
 func (g *ShardGroup) runShardWindows(wEnd Time) bool {
 	active := g.activeShards(wEnd)
 	var panicked interface{}
 	panicShard := -1
+	note := func(shard int, r interface{}) {
+		if r != nil && (panicShard < 0 || shard < panicShard) {
+			panicked, panicShard = r, shard
+		}
+	}
 	if g.workers > 1 && len(active) > 1 {
-		for _, i := range active {
+		for _, i := range active[1:] {
 			g.feed <- windowJob{shard: i, wEnd: wEnd}
 		}
-		for range active {
-			r := <-g.results
-			if r.panicked != nil && (panicShard < 0 || r.shard < panicShard) {
-				panicked, panicShard = r.panicked, r.shard
+		note(active[0], g.shards[active[0]].runWindow(wEnd))
+		pending := len(active) - 1
+	queued:
+		for pending > 0 {
+			select {
+			case job := <-g.feed:
+				note(job.shard, g.shards[job.shard].runWindow(job.wEnd))
+				pending--
+			default:
+				break queued
 			}
+		}
+		for ; pending > 0; pending-- {
+			r := <-g.results
+			note(r.shard, r.panicked)
 		}
 	} else {
 		for _, i := range active {
-			if r := g.shards[i].runWindow(wEnd); r != nil && panicShard < 0 {
-				panicked, panicShard = r, i
-			}
+			note(i, g.shards[i].runWindow(wEnd))
 		}
 	}
 	if panicked != nil {
@@ -543,16 +556,17 @@ func (g *ShardGroup) activeShards(wEnd Time) []int {
 	return active
 }
 
-// startPool launches the window worker goroutines. Results are buffered
-// to the shard count so a worker never blocks publishing, which keeps
-// the feed loop deadlock-free regardless of scheduling order.
+// startPool launches workers−1 window goroutines; the coordinator is
+// the last worker. The feed and the results are buffered to the shard
+// count, so neither the coordinator's feed loop nor a goroutine
+// publishing a result ever blocks, regardless of scheduling order.
 func (g *ShardGroup) startPool() {
 	feed := make(chan windowJob, len(g.shards))
 	results := make(chan windowResult, len(g.shards))
 	g.feed, g.results = feed, results
 	shards := g.shards
-	g.pool.Add(g.workers)
-	for w := 0; w < g.workers; w++ {
+	g.pool.Add(g.workers - 1)
+	for w := 1; w < g.workers; w++ {
 		go func() {
 			defer g.pool.Done()
 			for job := range feed {
@@ -573,35 +587,44 @@ func (g *ShardGroup) stopPool() {
 	}
 }
 
-// mergeStaged drains every edge outbox into its destination shard in
-// the deterministic merge order: ascending delivery timestamp, ties
-// broken by edge registration order and then send order within the
-// edge (the sort is stable and outboxes are visited in registration
-// order). Arrival timestamps are provably at or beyond every window the
-// shards have executed, so insertion never schedules into a shard's
+// mergeStaged drains the outboxes of the edges that staged in the
+// window into their destination shards, in the deterministic merge
+// order: ascending delivery timestamp, ties broken by edge registration
+// order and then send order within the edge. The shards' dirty lists
+// name those edges, so a barrier's cost follows its cross-shard traffic,
+// not the number of edges; they are sorted by registration index and
+// the arrivals gathered from them in that order are sorted stably by
+// timestamp. Arrival timestamps are provably at or beyond every window
+// the shards have executed, so insertion never schedules into a shard's
 // past.
 func (g *ShardGroup) mergeStaged() {
+	dirty := g.dirtyScratch[:0]
+	for _, k := range g.shards {
+		dirty = append(dirty, k.dirty...)
+		k.dirty = k.dirty[:0]
+	}
+	g.dirtyScratch = dirty[:0]
+	if len(dirty) == 0 {
+		return
+	}
+	slices.SortFunc(dirty, func(a, b *XChan) int { return cmp.Compare(a.index, b.index) })
 	arrivals := g.arrivalScratch[:0]
-	for _, x := range g.edges {
+	for _, x := range dirty {
 		for _, m := range x.staged {
 			arrivals = append(arrivals, arrival{x: x, at: m.at, v: m.v})
 		}
 		g.staged[x.src] += int64(len(x.staged))
 		g.crossShard += int64(len(x.staged))
-		for i := range x.staged {
-			x.staged[i].v = nil // release references
-		}
+		clear(x.staged) // release references
 		x.staged = x.staged[:0]
 	}
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].at < arrivals[j].at })
+	slices.SortStableFunc(arrivals, func(a, b arrival) int { return cmp.Compare(a.at, b.at) })
 	for _, a := range arrivals {
 		x, v := a.x, a.v
 		dst := g.shards[x.dst]
 		dst.atFuture(a.at, func() { x.inner.push(v) }, nil)
 	}
-	for i := range arrivals {
-		arrivals[i].v = nil
-	}
+	clear(arrivals)
 	g.arrivalScratch = arrivals[:0]
 }
 
@@ -685,7 +708,8 @@ func (g *ShardGroup) totalStall() Duration {
 // channel receive.
 type XChan struct {
 	g        *ShardGroup
-	src, dst int
+	index    int32 // registration order: the merge's tie-break
+	src, dst int32
 	latency  Duration
 	inner    *Chan
 	staged   []stagedMsg // outbox: written by src shard in-window, drained at the barrier
@@ -704,8 +728,8 @@ func (x *XChan) Name() string { return x.inner.Name() }
 func (x *XChan) Latency() Duration { return x.latency }
 
 // Src and Dst report the edge's endpoints.
-func (x *XChan) Src() int { return x.src }
-func (x *XChan) Dst() int { return x.dst }
+func (x *XChan) Src() int { return int(x.src) }
+func (x *XChan) Dst() int { return int(x.dst) }
 
 // Send stages v for delivery latency from now. p must be a process of
 // the source shard; sending from any other shard would race and is a
@@ -736,6 +760,9 @@ func (x *XChan) postAfter(v interface{}, d Duration) {
 		// Degenerate local edge: no staging needed, but identical timing.
 		x.inner.k.At(at, func() { x.inner.push(v) })
 		return
+	}
+	if len(x.staged) == 0 {
+		src.dirty = append(src.dirty, x) // the edge's first send this window
 	}
 	x.staged = append(x.staged, stagedMsg{at: at, v: v})
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // buildRing constructs a token-ring model on g: each shard runs a
@@ -325,26 +326,61 @@ func TestShardLatencyBoundary(t *testing.T) {
 	}
 }
 
-// TestShardMergeOrder: two messages delivered at the same instant to
-// the same shard arrive in edge-registration order regardless of which
-// shard's window executed first.
+// TestShardMergeOrder: messages delivered at the same instant to the
+// same shard arrive in edge-registration order, whichever shard's
+// window executed first and whichever edge staged first; two sends on
+// one edge keep their send order, and a later arrival comes later
+// whatever its edge.
 func TestShardMergeOrder(t *testing.T) {
 	g := NewShardGroup(3)
 	const lat = 5 * Microsecond
-	a := g.Connect(1, 0, "a", lat, 2) // registered first: wins the tie
-	b := g.Connect(2, 0, "b", lat, 2)
-	g.Shard(1).Go("s1", func(p *Proc) { a.Send(p, "a") })
-	g.Shard(2).Go("s2", func(p *Proc) { b.Send(p, "b") })
+	inbox := NewChan(g.Shard(0), "inbox", 8)
+	a := g.ConnectInto(2, 0, lat, inbox) // registered first: wins every tie
+	b := g.ConnectInto(1, 0, lat, inbox)
+	c := g.ConnectInto(1, 0, lat, inbox)
+	g.Shard(1).Go("s1", func(p *Proc) {
+		c.Send(p, "c1") // c stages before b
+		b.Send(p, "b")
+		c.Send(p, "c2")
+	})
+	g.Shard(2).Go("s2", func(p *Proc) {
+		a.PostDelayed("z", lat+1)
+		a.Send(p, "a")
+	})
 	var order []string
 	g.Shard(0).Go("sink", func(p *Proc) {
-		for len(order) < 2 {
-			_, v := Select(p, a.Inbox(), b.Inbox())
-			order = append(order, v.(string))
+		for len(order) < 5 {
+			order = append(order, inbox.Recv(p).(string))
 		}
 	})
 	g.Run(0)
-	if got := strings.Join(order, ""); got != "ab" {
-		t.Errorf("merge order %q, want \"ab\"", got)
+	if got := strings.Join(order, " "); got != "a b c1 c2 z" {
+		t.Errorf("merge order %q, want \"a b c1 c2 z\"", got)
+	}
+}
+
+// TestShardLowestPanicWins: when several shards panic in one window,
+// Run re-raises the lowest one's value at every worker count, whichever
+// goroutine ran it, and leaves no goroutine behind.
+func TestShardLowestPanicWins(t *testing.T) {
+	for _, bombs := range [][]int{{1, 3}, {0, 2, 3}, {2, 3}} {
+		for workers := 1; workers <= 4; workers++ {
+			base := runtime.NumGoroutine()
+			g := NewShardGroup(4)
+			g.SetWorkers(workers)
+			g.Connect(0, 1, "x", Microsecond, 1)
+			for _, s := range bombs {
+				g.Shard(s).Go("bomb", func(p *Proc) {
+					p.Wait(3 * Microsecond)
+					panic(fmt.Sprint("boom", s))
+				})
+			}
+			want := fmt.Sprint("boom", bombs[0])
+			if r := runPanics(t, g); fmt.Sprint(r) != want {
+				t.Errorf("bombs %v, workers %d: panic %v, want %s", bombs, workers, r, want)
+			}
+			waitGoroutines(t, base)
+		}
 	}
 }
 
@@ -508,5 +544,80 @@ func BenchmarkShardWindow(b *testing.B) {
 		g := NewShardGroup(4)
 		buildRing(g, 8, 5*Microsecond)
 		g.Run(0)
+	}
+}
+
+// TestShardBarrierAllocsFlat: a barrier with no cross-shard traffic
+// allocates nothing, so a run of 1,000 such windows allocates no more
+// than one of 10, at one worker and at two. One message crosses first,
+// so the merge's scratch buffers are in use.
+func TestShardBarrierAllocsFlat(t *testing.T) {
+	run := func(workers, windows int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			g := NewShardGroup(2)
+			g.SetWorkers(workers)
+			const lat = 5 * Microsecond
+			x := g.Connect(0, 1, "x", lat, 1)
+			g.Connect(1, 0, "idle", lat, 1)
+			g.Shard(0).Go("send", func(p *Proc) { x.Send(p, struct{}{}) })
+			g.Shard(1).Go("recv", func(p *Proc) { x.Recv(p) })
+			for s := 0; s < 2; s++ {
+				g.Shard(s).Go("tick", func(p *Proc) {
+					p.Wait(2 * lat)
+					for i := 0; i < windows; i++ {
+						p.Wait(lat)
+					}
+				})
+			}
+			g.Run(0)
+			if got := g.Stats().Windows; got < int64(windows) {
+				t.Fatalf("%d windows, want at least %d", got, windows)
+			}
+		})
+	}
+	for _, workers := range []int{1, 2} {
+		if few, many := run(workers, 10), run(workers, 1000); many > few {
+			t.Errorf("workers=%d: %v allocations at 1,000 windows, %v at 10", workers, many, few)
+		}
+	}
+}
+
+// TestXChanSize pins an edge at 64 bytes on 64-bit hosts: the 12-cube
+// registers 38,399 of them.
+func TestXChanSize(t *testing.T) {
+	if size := unsafe.Sizeof(XChan{}); unsafe.Sizeof(uintptr(0)) == 8 && size != 64 {
+		t.Errorf("XChan is %d bytes, want 64", size)
+	}
+}
+
+// BenchmarkShardBarrier times one round trip of a two-shard ping-pong
+// among idle edges that never carry a value. Each round trip crosses
+// two barriers, whose cost should follow the traffic, not the edges.
+func BenchmarkShardBarrier(b *testing.B) {
+	for _, idle := range []int{10, 10000} {
+		b.Run(fmt.Sprintf("idle=%d", idle), func(b *testing.B) {
+			g := NewShardGroup(2)
+			const lat = 5 * Microsecond
+			for i := 0; i < idle; i++ {
+				g.Connect(i%2, 1-i%2, "idle", lat, 1)
+			}
+			ping := g.Connect(0, 1, "ping", lat, 1)
+			pong := g.Connect(1, 0, "pong", lat, 1)
+			n := b.N
+			g.Shard(0).Go("ping", func(p *Proc) {
+				for i := 0; i < n; i++ {
+					ping.Send(p, struct{}{})
+					pong.Recv(p)
+				}
+			})
+			g.Shard(1).Go("pong", func(p *Proc) {
+				for i := 0; i < n; i++ {
+					pong.Send(p, ping.Recv(p))
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			g.Run(0)
+		})
 	}
 }
