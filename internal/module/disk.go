@@ -15,9 +15,8 @@ package module
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math/bits"
+	"hash/maphash"
 	"slices"
 	"sort"
 
@@ -128,34 +127,15 @@ func NewDisk(k *sim.Kernel, name string) *Disk {
 	}
 }
 
-// hashRow picks a segment's dedup bucket. It folds 8-byte words, a
-// partial last word zero-padded, into the state with a 64×64→128-bit
-// multiply (high half XOR low half), so every input bit reaches every
-// bit of the hash, even in float64 rows whose low mantissa bits are
-// all zero. intern's full compare decides, so a collision costs only a
-// compare.
-func hashRow(b []byte) uint64 {
-	h := uint64(len(b))
-	for ; len(b) >= 8; b = b[8:] {
-		h = foldWord(h, binary.LittleEndian.Uint64(b))
-	}
-	if len(b) > 0 {
-		var tail [8]byte
-		copy(tail[:], b)
-		h = foldWord(h, binary.LittleEndian.Uint64(tail[:]))
-	}
-	return h
-}
-
-func foldWord(h, w uint64) uint64 {
-	hi, lo := bits.Mul64(h^w, 0x9e3779b97f4a7c15)
-	return hi ^ lo
-}
+// rowSeed keys the dedup index's hash. The hash only picks a bucket and
+// nothing ranges over the index, so a seed that differs from process to
+// process changes no output.
+var rowSeed = maphash.MakeSeed()
 
 // intern stores one non-zero segment, sharing an existing row when the
 // content is already resident.
 func (d *Disk) intern(seg []byte) *storedRow {
-	h := hashRow(seg)
+	h := maphash.Bytes(rowSeed, seg)
 	for _, r := range d.dedup[h] {
 		if bytes.Equal(r.data, seg) {
 			r.refs++
